@@ -4,24 +4,20 @@
 //! cargo run -p secflow-bench --release --bin harness           # all
 //! cargo run -p secflow-bench --release --bin harness -- e1 e3  # subset
 //! cargo run -p secflow-bench --release --bin harness -- e3=500 # corpus size
-//! cargo run -p secflow-bench --release --bin harness -- fastpath          # old-vs-new closure
+//! cargo run -p secflow-bench --release --bin harness -- fastpath          # engine vs oracle
 //! cargo run -p secflow-bench --release --bin harness -- fastpath --smoke  # CI-sized
 //! ```
 //!
 //! The `fastpath` experiment additionally writes `BENCH_closure.json`: the
-//! reference-vs-interned closure timings (with a term-set identity check
-//! per case) and the batch-driver wall times per `--jobs` setting.
+//! saturation engine timed against the `RefClosure` oracle (up to a
+//! per-family cap, with an exact insertion-order identity assertion per
+//! oracle row), terms/sec and per-rule attempt/insert counters per row,
+//! and the batch-driver wall times per `--jobs` setting.
 //!
 //! The `demand` experiment (`-- demand [--smoke]`) writes
 //! `BENCH_demand.json`: full-saturation vs demand-driven closure timings
 //! and terms-derived counts per scale family, with a verdict-identity
 //! assertion per row, plus the multi-requirement batch comparison.
-//!
-//! The `saturation` experiment (`-- saturation [--smoke]`) writes
-//! `BENCH_saturation.json`: naive vs semi-naive saturation timings on the
-//! re-firing-heavy families (`wide_grants`, `dense_equalities`) with a
-//! closure-identity assertion per row and per-rule attempted/derived-new
-//! counters for both modes.
 //!
 //! The `certify` experiment (`-- certify [--smoke]`) writes
 //! `BENCH_certify.json`: proof-carrying analysis time vs the independent
@@ -47,15 +43,15 @@
 //! `BENCH_incremental.json`: grant/revoke maintenance time vs from-scratch
 //! recomputation on the `edit_trace` family (small edits against large
 //! closures), per-edit term-set identity asserted — full runs additionally
-//! assert the ≥5× maintenance speedup.
+//! assert the ≥1.5× maintenance speedup on the largest dense row.
 //!
 //! Every run also writes `BENCH_obs.json` next to the working directory: a
 //! machine-readable metrics blob with per-experiment wall times plus the
 //! closure counters for the canonical stockbroker analysis (see
 //! `secflow_obs` for the format). Pass `--no-obs` to skip it.
 
-use secflow::closure::{Closure, DEFAULT_TERM_LIMIT};
-use secflow::rules::RuleConfig;
+use secflow::closure::{Closure, ClosureOptions};
+use secflow::stats::ClosureStats;
 use secflow::unfold::NProgram;
 use secflow_bench::*;
 use secflow_obs::{MetricsSink, Phases, Recorder};
@@ -108,11 +104,6 @@ fn main() {
         let write_json = !args.iter().any(|a| a == "--no-obs");
         phases.time("demand", || run_demand(smoke, write_json));
     }
-    if want("saturation") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("saturation", || run_saturation(smoke, write_json));
-    }
     if want("certify") {
         let smoke = args.iter().any(|a| a == "--smoke");
         let write_json = !args.iter().any(|a| a == "--no-obs");
@@ -150,8 +141,8 @@ fn write_obs_blob(phases: &Phases) {
     let schema = stockbroker();
     if let Some(caps) = schema.user_str("clerk") {
         if let Ok(prog) = NProgram::unfold(&schema, caps) {
-            let (_, stats) =
-                Closure::compute_with_stats(&prog, &RuleConfig::default(), DEFAULT_TERM_LIMIT);
+            let opts = ClosureOptions::default();
+            let (_, stats) = Closure::saturate(&prog, &opts, ClosureStats::new(opts.term_limit));
             stats.record_to(&mut rec);
             rec.counter("fixture.program_nodes", prog.len() as u64);
         }
@@ -326,26 +317,63 @@ fn run_tables() {
 
 fn run_fastpath(smoke: bool, write_json: bool) {
     banner(&format!(
-        "fastpath — interned/dense closure vs the reference engine{}",
+        "fastpath — saturation engine vs the RefClosure oracle{}",
         if smoke { " (smoke sizes)" } else { "" }
     ));
     println!(
-        "{:<12} {:>6} {:>8} {:>8} {:>10} {:>10} {:>8} {:>10}",
-        "family", "param", "nodes", "terms", "ref (us)", "fast (us)", "speedup", "identical"
+        "{:<16} {:>6} {:>6} {:>9} {:>11} {:>10} {:>8} {:>12} {:>10}",
+        "family",
+        "param",
+        "nodes",
+        "terms",
+        "ref (us)",
+        "fast (us)",
+        "speedup",
+        "terms/s",
+        "identical"
     );
     let rows = closure_fastpath(smoke);
+    let dash = || "-".to_owned();
     for r in &rows {
         println!(
-            "{:<12} {:>6} {:>8} {:>8} {:>10} {:>10} {:>7.2}x {:>10}",
+            "{:<16} {:>6} {:>6} {:>9} {:>11} {:>10} {:>8} {:>12.0} {:>10}",
             r.family,
             r.param,
             r.nodes,
             r.terms,
-            r.ref_micros,
+            r.ref_micros.map_or_else(dash, |us| us.to_string()),
             r.fast_micros,
-            r.speedup(),
-            if r.identical { "yes" } else { "NO" },
+            r.speedup().map_or_else(dash, |x| format!("{x:.2}x")),
+            r.terms_per_sec(),
+            match r.identical {
+                Some(true) => "yes",
+                Some(false) => "NO",
+                None => "-",
+            },
         );
+        // Every oracle row pins the engine to the oracle's exact insertion
+        // order, rounds and witnesses.
+        assert_ne!(
+            r.identical,
+            Some(false),
+            "{}/{}: engine diverged from the oracle",
+            r.family,
+            r.param
+        );
+    }
+    if let Some(last) = rows.last() {
+        println!();
+        println!(
+            "per-rule derive attempts, {}({}) — attempted vs derived-new:",
+            last.family, last.param
+        );
+        println!("{:<44} {:>12} {:>10}", "rule", "attempts", "new");
+        for rule in last.rules.iter().take(8) {
+            println!(
+                "{:<44} {:>12} {:>10}",
+                rule.label, rule.attempts, rule.new_terms
+            );
+        }
     }
 
     let brows = batch_throughput(smoke);
@@ -377,18 +405,32 @@ fn run_fastpath(smoke: bool, write_json: bool) {
     }
 }
 
-/// Emit `BENCH_closure.json`: per-case old-vs-new closure timings with the
-/// identity check, plus batch-driver wall times per jobs setting.
+/// Emit `BENCH_closure.json`: per-case engine timings and terms/sec, the
+/// oracle timing, speedup and identity bit where the oracle ran, per-rule
+/// attempt/insert counters, plus batch-driver wall times per jobs setting.
 fn write_fastpath_blob(rows: &[FastpathRow], brows: &[BatchRow]) {
     let mut rec = Recorder::new();
     for r in rows {
         let key = format!("fastpath.{}.{}", r.family, r.param);
         rec.counter(&format!("{key}.nodes"), r.nodes as u64);
         rec.counter(&format!("{key}.terms"), r.terms as u64);
-        rec.counter(&format!("{key}.ref_micros"), r.ref_micros as u64);
         rec.counter(&format!("{key}.fast_micros"), r.fast_micros as u64);
-        rec.counter(&format!("{key}.identical"), u64::from(r.identical));
-        rec.gauge(&format!("{key}.speedup"), r.speedup());
+        rec.counter(&format!("{key}.derives"), r.derives);
+        rec.gauge(&format!("{key}.terms_per_sec"), r.terms_per_sec());
+        if let Some(us) = r.ref_micros {
+            rec.counter(&format!("{key}.ref_micros"), us as u64);
+        }
+        if let Some(same) = r.identical {
+            rec.counter(&format!("{key}.identical"), u64::from(same));
+        }
+        if let Some(x) = r.speedup() {
+            rec.gauge(&format!("{key}.speedup"), x);
+        }
+        for rule in &r.rules {
+            let rk = format!("{key}.rule.{}", rule.label);
+            rec.counter(&format!("{rk}.attempts"), rule.attempts);
+            rec.counter(&format!("{rk}.new"), rule.new_terms);
+        }
     }
     for b in brows {
         let key = format!("batch.jobs{}", b.jobs);
@@ -490,127 +532,6 @@ fn write_demand_blob(rows: &[DemandRow], b: &DemandBatchRow) {
     rec.gauge(&format!("{key}.speedup"), b.speedup());
     let report = rec.into_report();
     let path = "BENCH_demand.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
-fn run_saturation(smoke: bool, write_json: bool) {
-    banner(&format!(
-        "saturation — chunked kernels vs scalar semi-naive vs naive sweeps{}",
-        if smoke { " (smoke sizes)" } else { "" }
-    ));
-    println!(
-        "{:<16} {:>6} {:>6} {:>9} {:>11} {:>10} {:>10} {:>8} {:>12} {:>12} {:>10}",
-        "family",
-        "param",
-        "nodes",
-        "terms",
-        "naive (us)",
-        "semi (us)",
-        "chunk (us)",
-        "speedup",
-        "semi tps",
-        "chunk tps",
-        "identical"
-    );
-    let rows = saturation_modes(smoke);
-    for r in &rows {
-        println!(
-            "{:<16} {:>6} {:>6} {:>9} {:>11} {:>10} {:>10} {:>7.2}x {:>12.0} {:>12.0} {:>10}",
-            r.family,
-            r.param,
-            r.nodes,
-            r.terms,
-            r.naive_micros
-                .map_or_else(|| "-".to_owned(), |us| us.to_string()),
-            r.semi_micros,
-            r.chunked_micros,
-            r.chunked_speedup(),
-            r.semi_terms_per_sec(),
-            r.chunked_terms_per_sec(),
-            if r.identical { "yes" } else { "NO" },
-        );
-        // Byte identity of the chunked engine against the scalar baseline
-        // is checked per row — same insertion order, rounds, witnesses.
-        assert!(r.identical, "{}/{}: closures diverged", r.family, r.param);
-        // Per-row no-regression: chunked must not lose to the scalar
-        // baseline. The absolute floor absorbs timer noise on the
-        // smoke-sized instances where both runs finish in microseconds.
-        assert!(
-            r.chunked_micros <= r.semi_micros + r.semi_micros / 4 + 2_000,
-            "{}/{}: chunked {}us regressed past semi-naive {}us",
-            r.family,
-            r.param,
-            r.chunked_micros,
-            r.semi_micros
-        );
-    }
-    if let Some(last) = rows.last() {
-        println!();
-        println!(
-            "per-rule derive attempts, {}({}) — attempted vs derived-new:",
-            last.family, last.param
-        );
-        println!(
-            "{:<44} {:>12} {:>12} {:>10}",
-            "rule", "semi fired", "chunk fired", "new"
-        );
-        for rule in last.rules.iter().take(8) {
-            println!(
-                "{:<44} {:>12} {:>12} {:>10}",
-                rule.label, rule.semi_attempts, rule.chunked_attempts, rule.new_terms
-            );
-        }
-    }
-
-    if write_json {
-        write_saturation_blob(&rows);
-    }
-}
-
-/// Emit `BENCH_saturation.json`: per-family closure timings, terms/sec
-/// throughput, and derive-attempt counts for every saturation mode (with
-/// the closure-identity bit), plus per-rule fired/derived-new counters.
-fn write_saturation_blob(rows: &[SaturationRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("saturation.{}.{}", r.family, r.param);
-        rec.counter(&format!("{key}.nodes"), r.nodes as u64);
-        rec.counter(&format!("{key}.terms"), r.terms as u64);
-        if let Some(us) = r.naive_micros {
-            rec.counter(&format!("{key}.naive_micros"), us as u64);
-        }
-        rec.counter(&format!("{key}.semi_micros"), r.semi_micros as u64);
-        rec.counter(&format!("{key}.chunked_micros"), r.chunked_micros as u64);
-        if let Some(d) = r.naive_derives {
-            rec.counter(&format!("{key}.naive_derives"), d);
-        }
-        rec.counter(&format!("{key}.semi_derives"), r.semi_derives);
-        rec.counter(&format!("{key}.chunked_derives"), r.chunked_derives);
-        rec.counter(&format!("{key}.identical"), u64::from(r.identical));
-        if let Some(s) = r.naive_speedup() {
-            rec.gauge(&format!("{key}.naive_over_semi"), s);
-        }
-        rec.gauge(&format!("{key}.speedup"), r.chunked_speedup());
-        rec.gauge(&format!("{key}.semi_terms_per_sec"), r.semi_terms_per_sec());
-        rec.gauge(
-            &format!("{key}.chunked_terms_per_sec"),
-            r.chunked_terms_per_sec(),
-        );
-        for rule in &r.rules {
-            let rk = format!("{key}.rule.{}", rule.label);
-            if let Some(n) = rule.naive_attempts {
-                rec.counter(&format!("{rk}.naive_fired"), n);
-            }
-            rec.counter(&format!("{rk}.semi_fired"), rule.semi_attempts);
-            rec.counter(&format!("{rk}.chunked_fired"), rule.chunked_attempts);
-            rec.counter(&format!("{rk}.new"), rule.new_terms);
-        }
-    }
-    let report = rec.into_report();
-    let path = "BENCH_saturation.json";
     match std::fs::write(path, report.to_json().pretty()) {
         Ok(()) => eprintln!("metrics: wrote {path}"),
         Err(e) => eprintln!("metrics: could not write {path}: {e}"),
@@ -901,9 +822,8 @@ fn run_incremental(smoke: bool, write_json: bool) {
         if smoke { " (smoke sizes)" } else { "" }
     ));
     println!(
-        "{:<8} {:<12} {:>6} {:>5} {:>6} {:>7} {:>9} {:>11} {:>12} {:>8} {:>9} {:>9} {:>10}",
+        "{:<8} {:>6} {:>5} {:>6} {:>7} {:>9} {:>11} {:>12} {:>8} {:>9} {:>9} {:>10}",
         "family",
-        "mode",
         "width",
         "core",
         "edits",
@@ -919,9 +839,8 @@ fn run_incremental(smoke: bool, write_json: bool) {
     let rows = incremental_maintenance(smoke);
     for r in &rows {
         println!(
-            "{:<8} {:<12} {:>6} {:>5} {:>6} {:>7} {:>9} {:>11} {:>12} {:>7.2}x {:>9} {:>9} {:>10}",
+            "{:<8} {:>6} {:>5} {:>6} {:>7} {:>9} {:>11} {:>12} {:>7.2}x {:>9} {:>9} {:>10}",
             r.family,
-            r.mode,
             r.width,
             r.core,
             r.edits,
@@ -940,29 +859,25 @@ fn run_incremental(smoke: bool, write_json: bool) {
         // was compared term-for-term against a fresh saturation.
         assert!(
             r.identical,
-            "{} edit_trace({},{}) {}: maintained closure diverged from scratch",
-            r.family, r.width, r.core, r.mode
+            "{} edit_trace({},{}): maintained closure diverged from scratch",
+            r.family, r.width, r.core
         );
         // Full runs pin the headline claim: small edits against a large
-        // (rule-dense) closure are maintained at least 5× faster than
-        // recomputing the same closure in the same mode. The gate covers
-        // the largest semi-naive dense row (core >= 20), where recompute
-        // pays the full attempt storm the maintenance path skips and the
-        // ratio has noise headroom on a loaded 1-core box; core 12–16 sit
-        // in the crossover region (~4.5–5.2×) and are reported only. The
-        // chunked rows are also reported ungated: the chunked engine's
-        // derive prefilters already skip most of the storm from scratch,
-        // so its recompute baseline is ~3x cheaper and the maintenance win
-        // settles near 2x. The sparse family is the absorb-bound floor
+        // (rule-dense) closure are maintained at least 1.5× faster than
+        // recomputing the same closure. The gate covers the largest dense
+        // row (core >= 20), where recompute pays the most rule work the
+        // maintenance path skips; the engine's derive prefilters already
+        // skip most of the attempt storm from scratch, so the ratio settles
+        // near 2–3× rather than growing without bound. Core 12–16 are
+        // reported only, and the sparse family is the absorb-bound floor
         // where break-even is the honest result. Smoke sizes are too small
-        // for stable ratios either way, so CI checks identity only.
-        if !smoke && r.family == "dense" && r.mode == "semi_naive" && r.core >= 20 {
+        // for stable ratios, so CI checks identity only.
+        if !smoke && r.family == "dense" && r.core >= 20 {
             assert!(
-                r.speedup() >= 5.0,
-                "dense edit_trace({},{}) {}: maintenance speedup {:.2}x fell below 5x",
+                r.speedup() >= 1.5,
+                "dense edit_trace({},{}): maintenance speedup {:.2}x fell below 1.5x",
                 r.width,
                 r.core,
-                r.mode,
                 r.speedup()
             );
         }
@@ -978,10 +893,7 @@ fn run_incremental(smoke: bool, write_json: bool) {
 fn write_incremental_blob(rows: &[IncrementalRow]) {
     let mut rec = Recorder::new();
     for r in rows {
-        let key = format!(
-            "incremental.edit_trace.{}.{}x{}.{}",
-            r.family, r.width, r.core, r.mode
-        );
+        let key = format!("incremental.edit_trace.{}.{}x{}", r.family, r.width, r.core);
         rec.counter(&format!("{key}.width"), r.width as u64);
         rec.counter(&format!("{key}.core"), r.core as u64);
         rec.counter(&format!("{key}.edits"), r.edits as u64);

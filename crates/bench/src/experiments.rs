@@ -14,10 +14,11 @@ use secflow::algorithm::{
     analyze, analyze_batch, analyze_batch_streaming, analyze_with_config, AnalysisConfig,
     AnalysisSink, BatchOptions, BatchSchedule, ClosureCache, GroupRecord,
 };
-use secflow::closure::{Closure, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT};
+use secflow::closure::{Closure, ClosureOptions, Goal, ProofMode, DEFAULT_TERM_LIMIT};
 use secflow::reference::RefClosure;
 use secflow::report::render_derivation;
 use secflow::rules::RuleConfig;
+use secflow::stats::{ClosureStats, NoopObserver};
 use secflow::term::Term;
 use secflow::unfold::NProgram;
 use secflow_dynamic::differential::{classify, DiffReport};
@@ -602,7 +603,18 @@ pub fn e7_ablation() -> Vec<E7Row> {
 
 // --------------------------------------------------------------- fastpath
 
-/// One old-vs-new closure measurement (`fastpath` experiment).
+/// Per-rule derive counters for one [`FastpathRow`].
+pub struct RuleRow {
+    /// Table-2 rule label.
+    pub label: &'static str,
+    /// Derive attempts under the label — what survived the engine's
+    /// mirror prefilters.
+    pub attempts: u64,
+    /// New terms the rule inserted.
+    pub new_terms: u64,
+}
+
+/// One engine-vs-oracle closure measurement (`fastpath` experiment).
 pub struct FastpathRow {
     /// Schema family.
     pub family: &'static str,
@@ -610,69 +622,146 @@ pub struct FastpathRow {
     pub param: usize,
     /// Unfolded program size (numbered occurrences).
     pub nodes: usize,
-    /// Closure size (terms) — identical for both engines by construction.
+    /// Closure size (terms).
     pub terms: usize,
-    /// Reference-engine closure time, microseconds.
-    pub ref_micros: u128,
-    /// Fast-path closure time (proofs off), microseconds.
+    /// Reference-oracle closure time, microseconds — `None` past the
+    /// family's oracle cap, where only the engine runs.
+    pub ref_micros: Option<u128>,
+    /// Engine closure time (proofs off), microseconds, best of the row's
+    /// repetitions.
     pub fast_micros: u128,
-    /// Whether the two closures derived exactly the same term set.
-    pub identical: bool,
+    /// Total derive attempts of the engine.
+    pub derives: u64,
+    /// Did the engine match the oracle exactly — insertion order, rounds
+    /// and every per-expression witness? `None` on engine-only rows.
+    pub identical: Option<bool>,
+    /// Per-rule counters, sorted by attempts descending.
+    pub rules: Vec<RuleRow>,
 }
 
 impl FastpathRow {
-    /// Reference time over fast time.
-    pub fn speedup(&self) -> f64 {
-        if self.fast_micros == 0 {
-            f64::INFINITY
-        } else {
-            self.ref_micros as f64 / self.fast_micros as f64
-        }
+    /// Oracle time over engine time (oracle rows only).
+    pub fn speedup(&self) -> Option<f64> {
+        self.ref_micros
+            .map(|r| r as f64 / self.fast_micros.max(1) as f64)
+    }
+
+    /// Closure terms per second under the engine.
+    pub fn terms_per_sec(&self) -> f64 {
+        self.terms as f64 * 1e6 / self.fast_micros.max(1) as f64
     }
 }
 
-/// `fastpath` — time the retained reference engine (SipHash maps, always-on
-/// proofs) against the interned dense engine (`ProofMode::Off`) on the E5
-/// schema families, verifying the closures stay term-for-term identical.
+/// Run `f` once, then — when the first run took under `repeat_below`
+/// microseconds — `reps - 1` more times, returning the last result and the
+/// best time in microseconds.
+fn best_of<T>(reps: u32, repeat_below: u128, mut f: impl FnMut() -> T) -> (T, u128) {
+    let mut timed = || {
+        let start = Instant::now();
+        let out = f();
+        (out, start.elapsed().as_micros())
+    };
+    let (mut out, mut best) = timed();
+    if best < repeat_below {
+        for _ in 1..reps {
+            let (o, t) = timed();
+            out = o;
+            best = best.min(t);
+        }
+    }
+    (out, best)
+}
+
+/// `fastpath` — time the saturation engine (`ProofMode::Off`) against the
+/// `RefClosure` oracle (SipHash maps, always-on proofs, no prefilters) on
+/// the four E5 families plus the refiring-heavy `dense_equalities`,
+/// verifying on every oracle row that the engine reproduces the oracle
+/// exactly: insertion order, rounds and witnesses. Each row also records
+/// the engine's terms/sec and per-rule attempt/insert counters (from a
+/// separate stats-collecting run).
 ///
-/// `smoke` shrinks every family to CI-sized instances.
+/// The oracle re-fires every rule on every pop, so it blows up
+/// super-linearly; each family runs it only up to a per-family cap and
+/// lets the engine alone carry the sweep into the thousands-of-nodes sizes
+/// (`wide_grants(512)` unfolds to 2 051 numbered occurrences,
+/// `dense_equalities(48)` saturates to 1.8 M terms).
+///
+/// `smoke` shrinks every family to CI-sized instances, all oracle rows.
 pub fn closure_fastpath(smoke: bool) -> Vec<FastpathRow> {
     type Gen = fn(usize) -> ScaleCase;
-    let families: [(&'static str, Gen, &'static [usize]); 4] = if smoke {
+    let families: [(&'static str, Gen, &'static [usize], usize); 5] = if smoke {
         [
-            ("call_chain", call_chain, &[4]),
-            ("wide_grants", wide_grants, &[8]),
-            ("deep_expr", deep_expr, &[3]),
-            ("attr_fanout", attr_fanout, &[4]),
+            ("call_chain", call_chain, &[4], 4),
+            ("wide_grants", wide_grants, &[8], 8),
+            ("deep_expr", deep_expr, &[3], 3),
+            ("attr_fanout", attr_fanout, &[4], 4),
+            ("dense_equalities", dense_equalities, &[6], 6),
         ]
     } else {
         [
-            ("call_chain", call_chain, &[8, 12]),
-            ("wide_grants", wide_grants, &[32, 64]),
-            ("deep_expr", deep_expr, &[4, 5]),
-            ("attr_fanout", attr_fanout, &[8, 16]),
+            ("call_chain", call_chain, &[8, 12], 12),
+            ("wide_grants", wide_grants, &[32, 64, 128, 192, 512], 192),
+            ("deep_expr", deep_expr, &[4, 5], 5),
+            ("attr_fanout", attr_fanout, &[8, 16], 16),
+            (
+                "dense_equalities",
+                dense_equalities,
+                &[8, 12, 16, 32, 48],
+                12,
+            ),
         ]
     };
     let rules = RuleConfig::default();
     let mut rows = Vec::new();
-    for (family, gen, params) in families {
+    for (family, gen, params, oracle_cap) in families {
         for &param in params {
             let case = gen(param);
             let caps = case.schema.user_str("u").expect("scale user");
             let prog = NProgram::unfold(&case.schema, caps).expect("scale unfolds");
-            let start = Instant::now();
-            let slow = RefClosure::compute_with(&prog, &rules, DEFAULT_TERM_LIMIT)
-                .expect("reference closure");
-            let ref_micros = start.elapsed().as_micros();
-            let start = Instant::now();
-            let fast =
-                Closure::compute_with_mode(&prog, &rules, DEFAULT_TERM_LIMIT, ProofMode::Off)
-                    .expect("fast closure");
-            let fast_micros = start.elapsed().as_micros();
-            let mut tf: Vec<Term> = fast.iter().collect();
-            let mut ts: Vec<Term> = slow.iter().collect();
-            tf.sort();
-            ts.sort();
+            // Small rows finish in ~1 ms, where a single descheduling event
+            // swamps the measurement: the engine takes the best of several
+            // runs everywhere, the oracle only where a run stays under
+            // 100 ms (past that, its own noise is negligible).
+            let reps = if prog.len() < 1000 { 5 } else { 3 };
+            let opts = ClosureOptions {
+                rules,
+                term_limit: DEFAULT_TERM_LIMIT,
+                goal: Goal::Full(ProofMode::Off),
+            };
+            let (fast, fast_micros) = best_of(reps, u128::MAX, || {
+                Closure::saturate(&prog, &opts, NoopObserver)
+                    .0
+                    .expect("engine closure")
+            });
+            let (oracle, ref_micros) = (param <= oracle_cap)
+                .then(|| {
+                    best_of(reps, 100_000, || {
+                        RefClosure::compute_with(&prog, &rules, DEFAULT_TERM_LIMIT)
+                            .expect("reference closure")
+                    })
+                })
+                .unzip();
+            let identical = oracle.map(|slow| {
+                fast.iter().eq(slow.iter())
+                    && fast.rounds() == slow.rounds()
+                    && (1..=prog.len() as secflow::unfold::ExprId).all(|e| {
+                        fast.ti_witness(e) == slow.ti_witness(e)
+                            && fast.pi_witness(e) == slow.pi_witness(e)
+                    })
+            });
+
+            let stats = Closure::saturate(&prog, &opts, ClosureStats::new(DEFAULT_TERM_LIMIT)).1;
+            let mut rule_rows: Vec<RuleRow> = stats
+                .rule_attempts
+                .iter()
+                .map(|&(label, attempts)| RuleRow {
+                    label,
+                    attempts,
+                    new_terms: stats.firings_of(label),
+                })
+                .collect();
+            rule_rows.sort_by_key(|r| std::cmp::Reverse(r.attempts));
+
             rows.push(FastpathRow {
                 family,
                 param,
@@ -680,7 +769,9 @@ pub fn closure_fastpath(smoke: bool) -> Vec<FastpathRow> {
                 terms: fast.len(),
                 ref_micros,
                 fast_micros,
-                identical: tf == ts,
+                derives: stats.derive_calls,
+                identical,
+                rules: rule_rows,
             });
         }
     }
@@ -810,16 +901,26 @@ pub fn demand_vs_full(smoke: bool) -> Vec<DemandRow> {
             let prog = NProgram::unfold(&case.schema, caps).expect("scale unfolds");
 
             let start = Instant::now();
-            let full =
-                Closure::compute_with_mode(&prog, &rules, DEFAULT_TERM_LIMIT, ProofMode::Off)
-                    .expect("full closure");
+            let full_opts = ClosureOptions {
+                rules,
+                term_limit: DEFAULT_TERM_LIMIT,
+                goal: Goal::Full(ProofMode::Off),
+            };
+            let full = Closure::saturate(&prog, &full_opts, NoopObserver)
+                .0
+                .expect("full closure");
             let full_verdict = check_against(&prog, &full, &case.requirement);
             let full_micros = start.elapsed().as_micros();
 
             let start = Instant::now();
             let occs = occurrences(&prog, &case.requirement.target);
             let plan = DemandPlan::build(&prog, [(&case.requirement, occs.as_slice())]);
-            let demand = Closure::compute_demand(&prog, &rules, DEFAULT_TERM_LIMIT, &plan)
+            let demand_opts = ClosureOptions {
+                goal: Goal::Demand(&plan),
+                ..full_opts
+            };
+            let demand = Closure::saturate(&prog, &demand_opts, NoopObserver)
+                .0
                 .expect("demand closure");
             let demand_verdict = check_with_occurrences(&prog, &demand, &case.requirement, &occs);
             let demand_micros = start.elapsed().as_micros();
@@ -834,239 +935,6 @@ pub fn demand_vs_full(smoke: bool) -> Vec<DemandRow> {
                 demand_micros,
                 early_exit: demand.early_exited(),
                 identical: full_verdict == demand_verdict,
-            });
-        }
-    }
-    rows
-}
-
-// ------------------------------------------------------------- saturation
-
-/// Per-rule attempt/insertion counters for one [`SaturationRow`].
-pub struct SaturationRuleRow {
-    /// Table-2 rule label.
-    pub label: &'static str,
-    /// Derive attempts under naive saturation (full rule sweeps) — `None`
-    /// past the naive-affordable sizes, where only the delta engines run.
-    pub naive_attempts: Option<u64>,
-    /// Derive attempts under semi-naive saturation (delta-gated).
-    pub semi_attempts: u64,
-    /// Derive attempts under the chunked kernels — at most `semi_attempts`
-    /// per rule, since the diff-row prefilters only ever skip calls that
-    /// were certain to dedup.
-    pub chunked_attempts: u64,
-    /// New terms the rule inserted — identical in every mode.
-    pub new_terms: u64,
-}
-
-/// One saturation measurement: naive full sweeps (small sizes only) vs the
-/// retained semi-naive scalar baseline vs the chunked kernel engine.
-pub struct SaturationRow {
-    /// Schema family.
-    pub family: &'static str,
-    /// Size parameter.
-    pub param: usize,
-    /// Unfolded program size (numbered occurrences).
-    pub nodes: usize,
-    /// Closure size (terms) — identical for every mode by construction.
-    pub terms: usize,
-    /// Naive-saturation closure time (proofs off), microseconds — `None`
-    /// once the sweep passes the sizes where naive stays affordable.
-    pub naive_micros: Option<u128>,
-    /// Semi-naive closure time (proofs off), microseconds (best of 2).
-    pub semi_micros: u128,
-    /// Chunked-kernel closure time (proofs off), microseconds (best of 2).
-    pub chunked_micros: u128,
-    /// Total derive attempts, naive mode (when it ran).
-    pub naive_derives: Option<u64>,
-    /// Total derive attempts, semi-naive mode.
-    pub semi_derives: u64,
-    /// Total derive attempts, chunked mode.
-    pub chunked_derives: u64,
-    /// Whether every mode matched term-for-term, round-for-round,
-    /// witness-for-witness — with chunked additionally matching the scalar
-    /// baseline in exact insertion order (byte identity).
-    pub identical: bool,
-    /// Per-rule counters, sorted by semi-naive attempt count descending.
-    pub rules: Vec<SaturationRuleRow>,
-}
-
-impl SaturationRow {
-    /// Naive time over semi-naive time (when naive ran).
-    pub fn naive_speedup(&self) -> Option<f64> {
-        self.naive_micros
-            .map(|n| n as f64 / self.semi_micros.max(1) as f64)
-    }
-
-    /// Semi-naive (scalar baseline) time over chunked-kernel time — the
-    /// headline single-closure speedup.
-    pub fn chunked_speedup(&self) -> f64 {
-        self.semi_micros as f64 / self.chunked_micros.max(1) as f64
-    }
-
-    /// Closure terms per second under the scalar semi-naive baseline.
-    pub fn semi_terms_per_sec(&self) -> f64 {
-        self.terms as f64 * 1e6 / self.semi_micros.max(1) as f64
-    }
-
-    /// Closure terms per second under the chunked kernels.
-    pub fn chunked_terms_per_sec(&self) -> f64 {
-        self.terms as f64 * 1e6 / self.chunked_micros.max(1) as f64
-    }
-}
-
-/// `saturation` — time the saturation modes against each other on the two
-/// re-firing-heavy families (`wide_grants` and `dense_equalities`),
-/// verifying the closures stay byte-identical: same term set, same round
-/// count, same witnesses, and (for chunked vs the scalar baseline) the
-/// same exact insertion order. The timed runs are uninstrumented
-/// (`ProofMode::Off`, best of 2 for the delta engines); the per-rule
-/// fired/derived-new counters come from separate stats-collecting runs.
-///
-/// Naive full sweeps blow up super-linearly (the equality-clique family
-/// saturates in O(n⁴⁺) naive time, ~4 s at n = 16), so the sweep runs
-/// naive only up to `naive_cap` and lets the two delta engines carry the
-/// comparison into the thousands-of-nodes sizes (`wide_grants(512)`
-/// unfolds to 2051 numbered occurrences).
-///
-/// `smoke` shrinks both families to CI-sized instances.
-pub fn saturation_modes(smoke: bool) -> Vec<SaturationRow> {
-    type Gen = fn(usize) -> ScaleCase;
-    let families: [(&'static str, Gen, &'static [usize], usize); 2] = if smoke {
-        [
-            ("wide_grants", wide_grants, &[8], 8),
-            ("dense_equalities", dense_equalities, &[8], 8),
-        ]
-    } else {
-        [
-            ("wide_grants", wide_grants, &[64, 128, 192, 512], 192),
-            (
-                "dense_equalities",
-                dense_equalities,
-                &[8, 12, 16, 32, 48],
-                16,
-            ),
-        ]
-    };
-    let rules = RuleConfig::default();
-    let mut rows = Vec::new();
-    for (family, gen, params, naive_cap) in families {
-        for &param in params {
-            let case = gen(param);
-            let caps = case.schema.user_str("u").expect("scale user");
-            let prog = NProgram::unfold(&case.schema, caps).expect("scale unfolds");
-
-            let timed = |mode, reps: u32| {
-                let mut best = u128::MAX;
-                let mut closure = None;
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    let c = Closure::compute_with_saturation(
-                        &prog,
-                        &rules,
-                        DEFAULT_TERM_LIMIT,
-                        ProofMode::Off,
-                        mode,
-                    )
-                    .expect("scale closure");
-                    best = best.min(start.elapsed().as_micros());
-                    closure = Some(c);
-                }
-                (closure.expect("reps >= 1"), best)
-            };
-            let naive = (param <= naive_cap).then(|| timed(SaturationMode::Naive, 1));
-            // Small rows finish in ~1 ms where a single descheduling event
-            // swamps the measurement; take the best of more repetitions
-            // there (large rows amortize the noise on their own). The two
-            // delta modes are interleaved rep by rep so slow drift of the
-            // host (frequency scaling, noisy neighbours) hits both modes
-            // alike instead of whichever happens to run second.
-            let reps = if prog.len() < 1000 { 7 } else { 3 };
-            let mut semi_micros = u128::MAX;
-            let mut chunked_micros = u128::MAX;
-            let mut semi_run = None;
-            let mut chunked_run = None;
-            for _ in 0..reps {
-                let (c, t) = timed(SaturationMode::SemiNaive, 1);
-                semi_micros = semi_micros.min(t);
-                semi_run = Some(c);
-                let (c, t) = timed(SaturationMode::Chunked, 1);
-                chunked_micros = chunked_micros.min(t);
-                chunked_run = Some(c);
-            }
-            let semi = semi_run.expect("reps >= 1");
-            let chunked = chunked_run.expect("reps >= 1");
-
-            // Chunked must reproduce the scalar baseline *byte for byte*:
-            // exact insertion order, not just the same set.
-            let semi_order: Vec<Term> = semi.iter().collect();
-            let chunked_order: Vec<Term> = chunked.iter().collect();
-            let mut identical = semi_order == chunked_order
-                && semi.len() == chunked.len()
-                && semi.rounds() == chunked.rounds();
-            if let Some((naive, _)) = &naive {
-                let mut tn: Vec<Term> = naive.iter().collect();
-                let mut ts = semi_order.clone();
-                tn.sort();
-                ts.sort();
-                identical &=
-                    tn == ts && naive.len() == semi.len() && naive.rounds() == semi.rounds();
-            }
-            for e in 1..=prog.len() as secflow::unfold::ExprId {
-                identical &= semi.ti_witness(e) == chunked.ti_witness(e)
-                    && semi.pi_witness(e) == chunked.pi_witness(e);
-                if let Some((naive, _)) = &naive {
-                    identical &= naive.ti_witness(e) == semi.ti_witness(e)
-                        && naive.pi_witness(e) == semi.pi_witness(e);
-                }
-            }
-
-            let stats_for = |mode| {
-                let (c, stats) = Closure::compute_with_stats_saturation(
-                    &prog,
-                    &rules,
-                    DEFAULT_TERM_LIMIT,
-                    ProofMode::Off,
-                    mode,
-                );
-                c.expect("stats closure");
-                stats
-            };
-            let naive_stats = naive.as_ref().map(|_| stats_for(SaturationMode::Naive));
-            let semi_stats = stats_for(SaturationMode::SemiNaive);
-            let chunked_stats = stats_for(SaturationMode::Chunked);
-            let mut rule_rows: Vec<SaturationRuleRow> = semi_stats
-                .rule_attempts
-                .iter()
-                .map(|&(label, semi_attempts)| SaturationRuleRow {
-                    label,
-                    naive_attempts: naive_stats.as_ref().map(|n| n.rule_attempts_of(label)),
-                    semi_attempts,
-                    chunked_attempts: chunked_stats.rule_attempts_of(label),
-                    new_terms: semi_stats.firings_of(label),
-                })
-                .collect();
-            rule_rows.sort_by_key(|r| std::cmp::Reverse(r.semi_attempts));
-            for r in &rule_rows {
-                identical &= chunked_stats.firings_of(r.label) == r.new_terms;
-                if let Some(n) = &naive_stats {
-                    identical &= n.firings_of(r.label) == r.new_terms;
-                }
-            }
-
-            rows.push(SaturationRow {
-                family,
-                param,
-                nodes: prog.len(),
-                terms: semi.len(),
-                naive_micros: naive.as_ref().map(|(_, us)| *us),
-                semi_micros,
-                chunked_micros,
-                naive_derives: naive_stats.as_ref().map(|n| n.derive_calls),
-                semi_derives: semi_stats.derive_calls,
-                chunked_derives: chunked_stats.derive_calls,
-                identical,
-                rules: rule_rows,
             });
         }
     }
@@ -1677,7 +1545,7 @@ pub fn skew_schedule_comparison(smoke: bool) -> SkewRow {
 
 /// One edit-trace measurement: a grant/revoke script replayed against a
 /// maintained incremental closure ([`secflow::IncrementalUser`]) vs a
-/// from-scratch recompute after every edit, in one saturation mode.
+/// from-scratch recompute after every edit.
 pub struct IncrementalRow {
     /// Family label: `sparse` ([`edit_trace`]-only probes — absorb-bound,
     /// the honest worst case) or `dense` (an always-granted
@@ -1690,8 +1558,6 @@ pub struct IncrementalRow {
     pub core: usize,
     /// Edits in the script.
     pub edits: usize,
-    /// Saturation mode label (`semi_naive` / `chunked`).
-    pub mode: &'static str,
     /// Unfolded program size (numbered occurrences) before the first edit.
     pub nodes: usize,
     /// Closure size (terms) before the first edit.
@@ -1735,14 +1601,12 @@ impl IncrementalRow {
 /// under the probes: from-scratch saturation re-pays the `O(core²)`
 /// equality/transfer attempt storm on every edit, the maintenance path
 /// absorbs those terms without re-attempting a single rule, and the
-/// speedup grows with the core. The win is mode-dependent: the chunked
-/// engine's derive prefilters already skip most of the attempt storm from
-/// scratch, so its recompute baseline is several times cheaper than the
-/// scalar one and the maintenance ratio settles lower — both modes are
-/// timed so the table shows that honestly. After every edit the maintained closure is
-/// checked identical — as a sorted term set — to a fresh proof-carrying
-/// saturation of the edited capability list, so the timing rows can never
-/// drift from a correctness bug silently.
+/// speedup grows with the core — though the engine's derive prefilters
+/// already skip most of that storm from scratch, so the recompute baseline
+/// is cheap and the ratio stays modest. After every edit the maintained
+/// closure is checked identical — as a sorted term set — to a fresh
+/// proof-carrying saturation of the edited capability list, so the timing
+/// rows can never drift from a correctness bug silently.
 ///
 /// `smoke` shrinks both families to CI-sized instances.
 pub fn incremental_maintenance(smoke: bool) -> Vec<IncrementalRow> {
@@ -1765,77 +1629,64 @@ pub fn incremental_maintenance(smoke: bool) -> Vec<IncrementalRow> {
     };
     let mut rows = Vec::new();
     for &(family, width, core, edits) in fams {
-        for (mode, sat) in [
-            ("semi_naive", SaturationMode::SemiNaive),
-            ("chunked", SaturationMode::Chunked),
-        ] {
-            let case = edit_trace_dense(width, core, edits, 0xED17 + width as u64);
-            let config = AnalysisConfig {
-                saturation: sat,
-                ..AnalysisConfig::default()
-            };
-            let mut inc = IncrementalUser::new(&case.schema, &case.requirement.user, &config)
-                .expect("edit_trace materializes");
-            let nodes = inc.program().len();
-            let terms = inc.closure().len();
-            let mut caps = inc.caps().clone();
+        let case = edit_trace_dense(width, core, edits, 0xED17 + width as u64);
+        let config = AnalysisConfig::default();
+        let mut inc = IncrementalUser::new(&case.schema, &case.requirement.user, &config)
+            .expect("edit_trace materializes");
+        let nodes = inc.program().len();
+        let terms = inc.closure().len();
+        let mut caps = inc.caps().clone();
 
-            let mut incremental_micros = 0u128;
-            let mut scratch_micros = 0u128;
-            let mut identical = true;
-            let (mut deleted, mut rederived, mut survivors) = (0u64, 0u64, 0u64);
-            for op in &case.edits {
-                let start = Instant::now();
-                let outcome = match op {
-                    EditOp::Grant(f) => inc.grant(&case.schema, f),
-                    EditOp::Revoke(f) => inc.revoke(&case.schema, f),
-                }
-                .expect("edit_trace edits apply");
-                incremental_micros += start.elapsed().as_micros();
-                deleted += outcome.deleted as u64;
-                rederived += outcome.rederived as u64;
-                survivors += outcome.survivors as u64;
-
-                // The from-scratch contender re-does what maintenance
-                // avoided: unfold the edited list and saturate with proofs.
-                match op {
-                    EditOp::Grant(f) => caps.grant(f.clone()),
-                    EditOp::Revoke(f) => caps.revoke(f),
-                };
-                let start = Instant::now();
-                let prog = NProgram::unfold(&case.schema, &caps).expect("edit_trace unfolds");
-                let scratch = Closure::compute_with_saturation(
-                    &prog,
-                    &config.rules,
-                    config.term_limit,
-                    ProofMode::Full,
-                    sat,
-                )
-                .expect("edit_trace saturates");
-                scratch_micros += start.elapsed().as_micros();
-
-                let mut a: Vec<Term> = inc.closure().iter().collect();
-                let mut b: Vec<Term> = scratch.iter().collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                identical &= a == b;
+        let mut incremental_micros = 0u128;
+        let mut scratch_micros = 0u128;
+        let mut identical = true;
+        let (mut deleted, mut rederived, mut survivors) = (0u64, 0u64, 0u64);
+        for op in &case.edits {
+            let start = Instant::now();
+            let outcome = match op {
+                EditOp::Grant(f) => inc.grant(&case.schema, f),
+                EditOp::Revoke(f) => inc.revoke(&case.schema, f),
             }
-            rows.push(IncrementalRow {
-                family,
-                width,
-                core,
-                edits,
-                mode,
-                nodes,
-                terms,
-                incremental_micros,
-                scratch_micros,
-                identical,
-                deleted,
-                rederived,
-                survivors,
-            });
+            .expect("edit_trace edits apply");
+            incremental_micros += start.elapsed().as_micros();
+            deleted += outcome.deleted as u64;
+            rederived += outcome.rederived as u64;
+            survivors += outcome.survivors as u64;
+
+            // The from-scratch contender re-does what maintenance avoided:
+            // unfold the edited list and saturate with proofs.
+            match op {
+                EditOp::Grant(f) => caps.grant(f.clone()),
+                EditOp::Revoke(f) => caps.revoke(f),
+            };
+            let start = Instant::now();
+            let prog = NProgram::unfold(&case.schema, &caps).expect("edit_trace unfolds");
+            let opts = config.closure_options(Goal::Full(ProofMode::Full));
+            let scratch = Closure::saturate(&prog, &opts, NoopObserver)
+                .0
+                .expect("edit_trace saturates");
+            scratch_micros += start.elapsed().as_micros();
+
+            let mut a: Vec<Term> = inc.closure().iter().collect();
+            let mut b: Vec<Term> = scratch.iter().collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            identical &= a == b;
         }
+        rows.push(IncrementalRow {
+            family,
+            width,
+            core,
+            edits,
+            nodes,
+            terms,
+            incremental_micros,
+            scratch_micros,
+            identical,
+            deleted,
+            rederived,
+            survivors,
+        });
     }
     rows
 }
@@ -1849,21 +1700,19 @@ mod tests {
         for r in incremental_maintenance(true) {
             assert!(
                 r.identical,
-                "edit_trace({}) {}: maintained closure diverged from scratch",
-                r.width, r.mode
+                "edit_trace({}): maintained closure diverged from scratch",
+                r.width
             );
             assert!(r.terms > 0, "edit_trace({}): empty closure", r.width);
             assert!(
                 r.deleted + r.rederived > 0,
-                "edit_trace({}) {}: the script never exercised retraction or re-derivation",
-                r.width,
-                r.mode
+                "edit_trace({}): the script never exercised retraction or re-derivation",
+                r.width
             );
             assert!(
                 r.survivors > 0,
-                "edit_trace({}) {}: edits never carried terms over",
-                r.width,
-                r.mode
+                "edit_trace({}): edits never carried terms over",
+                r.width
             );
         }
     }
@@ -1936,47 +1785,6 @@ mod tests {
         let b = demand_batch(true);
         assert!(b.identical, "batch verdicts diverged");
         assert!(b.demand_terms <= b.full_terms);
-    }
-
-    #[test]
-    fn saturation_smoke_closures_identical_and_attempts_shrink() {
-        for r in saturation_modes(true) {
-            assert!(r.identical, "{} {} diverged", r.family, r.param);
-            assert!(r.terms > 0, "{} {} empty closure", r.family, r.param);
-            let naive_derives = r.naive_derives.expect("smoke sizes run naive");
-            assert!(
-                r.semi_derives <= naive_derives,
-                "{} {}: semi-naive attempted more",
-                r.family,
-                r.param
-            );
-            assert!(
-                r.chunked_derives <= r.semi_derives,
-                "{} {}: chunked attempted more than the scalar baseline",
-                r.family,
-                r.param
-            );
-            let total: u64 = r.rules.iter().map(|x| x.semi_attempts).sum();
-            assert_eq!(total, r.semi_derives, "per-rule rows partition attempts");
-            for rule in &r.rules {
-                let naive_attempts = rule.naive_attempts.expect("smoke sizes run naive");
-                assert!(
-                    rule.semi_attempts <= naive_attempts,
-                    "{} {} {}: attempts grew",
-                    r.family,
-                    r.param,
-                    rule.label
-                );
-                assert!(
-                    rule.chunked_attempts <= rule.semi_attempts,
-                    "{} {} {}: chunked attempts grew past semi-naive",
-                    r.family,
-                    r.param,
-                    rule.label
-                );
-                assert!(rule.new_terms <= rule.semi_attempts);
-            }
-        }
     }
 
     #[test]
@@ -2067,8 +1875,18 @@ mod tests {
     #[test]
     fn fastpath_smoke_closures_identical() {
         for r in closure_fastpath(true) {
-            assert!(r.identical, "{} {} diverged", r.family, r.param);
+            assert_eq!(r.identical, Some(true), "{} {} diverged", r.family, r.param);
             assert!(r.terms > 0, "{} {} empty closure", r.family, r.param);
+            let total: u64 = r.rules.iter().map(|x| x.attempts).sum();
+            assert_eq!(total, r.derives, "per-rule rows partition attempts");
+            let inserted: u64 = r.rules.iter().map(|x| x.new_terms).sum();
+            assert_eq!(
+                inserted as usize, r.terms,
+                "per-rule rows partition insertions"
+            );
+            for rule in &r.rules {
+                assert!(rule.new_terms <= rule.attempts, "{}", rule.label);
+            }
         }
     }
 

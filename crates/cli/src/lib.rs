@@ -2181,17 +2181,32 @@ impl<'s> ServeState<'s> {
             return (String::new(), false);
         }
         self.requests += 1;
-        let seq = self.requests;
         match self.dispatch(line) {
             Ok(resp) => resp,
-            Err(msg) => {
-                let obj = Json::Obj(vec![
-                    ("error".to_owned(), Json::str(&msg)),
-                    ("request".to_owned(), Json::count(seq)),
-                ]);
-                (format!("{obj}\n"), false)
+            Err(msg) => (self.error_line(&msg), false),
+        }
+    }
+
+    /// Handle one raw request line as read off the wire (line terminator
+    /// already stripped). A line that is not UTF-8 still counts as a
+    /// request and answers an error; the session keeps running.
+    fn handle_bytes(&mut self, raw: &[u8]) -> (String, bool) {
+        match std::str::from_utf8(raw) {
+            Ok(line) => self.handle(line),
+            Err(_) => {
+                self.requests += 1;
+                (self.error_line("request is not valid UTF-8"), false)
             }
         }
+    }
+
+    /// The error response to the current request.
+    fn error_line(&self, msg: &str) -> String {
+        let obj = Json::Obj(vec![
+            ("error".to_owned(), Json::str(msg)),
+            ("request".to_owned(), Json::count(self.requests)),
+        ]);
+        format!("{obj}\n")
     }
 
     fn dispatch(&mut self, line: &str) -> Result<(String, bool), String> {
@@ -2342,30 +2357,51 @@ where
     (out, exit::OK)
 }
 
-/// The real `secflow serve` loop: NDJSON requests from stdin, responses
-/// written (and flushed) to stdout line by line — a watch mode or editor
-/// integration sees each verdict delta the moment the edit lands. The
-/// buffered `(report, code)` return stays empty; everything was already
-/// streamed.
-fn serve_stdin(schema: &Schema) -> (String, i32) {
-    use std::io::{BufRead as _, Write as _};
+/// The `secflow serve` loop over any byte streams: NDJSON requests from
+/// `input`, responses written (and flushed) to `out` line by line — a watch
+/// mode or editor integration sees each verdict delta the moment the edit
+/// lands. Lines are read as raw bytes, so a request that is not UTF-8
+/// answers an error line instead of ending the session; only EOF, a
+/// `shutdown` request or a read error ends it (each followed by the
+/// matching final line). Returns the exit code.
+pub fn serve_io<R: std::io::BufRead, W: std::io::Write>(
+    schema: &Schema,
+    mut input: R,
+    mut out: W,
+) -> i32 {
     let mut state = ServeState::new(schema);
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
     let _ = out.write_all(state.ready_line().as_bytes());
     let _ = out.flush();
-    for line in std::io::stdin().lock().lines() {
-        let Ok(line) = line else { break };
-        let (resp, done) = state.handle(&line);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match input.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        // Strip `\n` or `\r\n`, exactly like `BufRead::lines`.
+        let raw = match buf.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => &buf,
+        };
+        let (resp, done) = state.handle_bytes(raw);
         let _ = out.write_all(resp.as_bytes());
         let _ = out.flush();
         if done {
-            return (String::new(), exit::OK);
+            return exit::OK;
         }
     }
     let _ = out.write_all(state.shutdown_line().as_bytes());
     let _ = out.flush();
-    (String::new(), exit::OK)
+    exit::OK
+}
+
+/// The real `secflow serve` loop: [`serve_io`] over stdin and stdout. The
+/// buffered `(report, code)` return stays empty; everything was already
+/// streamed.
+fn serve_stdin(schema: &Schema) -> (String, i32) {
+    let code = serve_io(schema, std::io::stdin().lock(), std::io::stdout().lock());
+    (String::new(), code)
 }
 
 #[cfg(test)]

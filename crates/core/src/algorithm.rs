@@ -22,11 +22,13 @@
 //!   `ta`/`pa` always, `ti`/`pi` exactly for basic-typed parameters) and
 //!   capabilities on the returned value are read off the body root.
 
-use crate::closure::{Closure, ClosureError, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT};
+use crate::closure::{
+    Closure, ClosureError, ClosureOptions, Goal, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT,
+};
 use crate::demand::{goal_exprs, DemandPlan};
 use crate::report::{Occurrence, OccurrenceKind, Verdict, Violation};
 use crate::rules::RuleConfig;
-use crate::stats::ClosureStats;
+use crate::stats::{ClosureStats, NoopObserver};
 use crate::term::Term;
 use crate::unfold::{ExprId, NKind, NProgram, UnfoldError, DEFAULT_NODE_LIMIT};
 use oodb_lang::requirement::{Cap, Requirement};
@@ -50,12 +52,24 @@ pub struct AnalysisConfig {
     pub term_limit: usize,
     /// Unfolding node budget.
     pub node_limit: usize,
-    /// Saturation strategy for the closure phase. Every mode computes the
-    /// same closure (identical terms, witnesses and verdicts — see
-    /// [`SaturationMode`]), so this knob is deliberately **excluded** from
-    /// the cache identity ([`semantic_fingerprint`]): switching it must hit
-    /// existing [`ClosureCache`] entries, not invalidate them.
+    /// Compatibility shim for the frozen `perfbench` benchmark crate,
+    /// which passes this field to
+    /// [`Closure::compute_demand_with_stats_saturation`]. It selects
+    /// nothing — [`SaturationMode`] has one variant — and is excluded from
+    /// the cache identity ([`semantic_fingerprint`]).
     pub saturation: SaturationMode,
+}
+
+impl AnalysisConfig {
+    /// The closure options for one run towards `goal` under this
+    /// configuration's rules and term budget.
+    pub fn closure_options<'d>(&self, goal: Goal<'d>) -> ClosureOptions<'d> {
+        ClosureOptions {
+            rules: self.rules,
+            term_limit: self.term_limit,
+            goal,
+        }
+    }
 }
 
 impl Default for AnalysisConfig {
@@ -72,9 +86,8 @@ impl Default for AnalysisConfig {
 /// Fingerprint of exactly the [`AnalysisConfig`] fields that can change
 /// closure *contents*: the rule-group toggles and the two budgets. Spelled
 /// out field by field — earlier revisions hashed `format!("{config:?}")`,
-/// so any `Debug`-visible but semantically neutral addition (such as
-/// [`AnalysisConfig::saturation`]) silently changed cache identity and
-/// spuriously invalidated every entry.
+/// so any `Debug`-visible but semantically neutral field silently changed
+/// cache identity and spuriously invalidated every entry.
 fn semantic_fingerprint(config: &AnalysisConfig) -> (u64, u64) {
     let r = &config.rules;
     let text = format!(
@@ -167,13 +180,8 @@ pub fn analyze_with_config(
     let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
     let occs = occurrences(&prog, &req.target);
     let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-    let closure = Closure::compute_demand_saturation(
-        &prog,
-        &config.rules,
-        config.term_limit,
-        &plan,
-        config.saturation,
-    )?;
+    let opts = config.closure_options(Goal::Demand(&plan));
+    let closure = Closure::saturate(&prog, &opts, NoopObserver).0?;
     Ok(check_with_occurrences(&prog, &closure, req, &occs))
 }
 
@@ -193,13 +201,8 @@ pub fn analyze_full(
     let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
     // Membership-only closure: verdicts never read derivations, so the
     // proof map would be pure allocation overhead here.
-    let closure = Closure::compute_with_saturation(
-        &prog,
-        &config.rules,
-        config.term_limit,
-        ProofMode::Off,
-        config.saturation,
-    )?;
+    let opts = config.closure_options(Goal::Full(ProofMode::Off));
+    let closure = Closure::saturate(&prog, &opts, NoopObserver).0?;
     Ok(check_against(&prog, &closure, req))
 }
 
@@ -249,13 +252,8 @@ pub fn analyze_with_stats(
         let occs = occurrences(&prog, &req.target);
         let (closure, cstats) = stats.phases.time("closure", || {
             let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-            Closure::compute_demand_with_stats_saturation(
-                &prog,
-                &config.rules,
-                config.term_limit,
-                &plan,
-                config.saturation,
-            )
+            let opts = config.closure_options(Goal::Demand(&plan));
+            Closure::saturate(&prog, &opts, ClosureStats::new(config.term_limit))
         });
         stats.closure = cstats;
         let closure = closure?;
@@ -935,13 +933,8 @@ fn demand_shared_cached(
             .collect();
         DemandPlan::build(&prog, pairs.iter().map(|(r, o)| (*r, o.as_slice())))
     };
-    let closure = Arc::new(Closure::compute_demand_saturation(
-        &prog,
-        &config.rules,
-        config.term_limit,
-        &plan,
-        config.saturation,
-    )?);
+    let opts = config.closure_options(Goal::Demand(&plan));
+    let closure = Arc::new(Closure::saturate(&prog, &opts, NoopObserver).0?);
     let drained = !closure.early_exited();
     ctx.cache.store(
         key,
@@ -1434,49 +1427,6 @@ fn run_group(
                 memo = cached_memo;
                 return Ok(SharedArtifacts::Shared(prog, closure));
             }
-            let caps = schema
-                .user(user)
-                .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-            let prog = group.stats.phases.time("unfold", || {
-                NProgram::unfold_with_limit(schema, caps, config.node_limit)
-            })?;
-            group.stats.program_nodes = prog.len() as u64;
-            let pairs: Vec<(usize, Arc<Vec<Occurrence>>)> = req_indexes
-                .iter()
-                .map(|&i| (i, memo.get(&prog, &reqs[i].target)))
-                .collect();
-            let closure = if opts.collect_stats {
-                let (c, cstats) = group.stats.phases.time("closure", || {
-                    let plan = DemandPlan::build(
-                        &prog,
-                        pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())),
-                    );
-                    Closure::compute_demand_with_stats_saturation(
-                        &prog,
-                        &config.rules,
-                        config.term_limit,
-                        &plan,
-                        config.saturation,
-                    )
-                });
-                group.stats.closure = cstats;
-                c?
-            } else {
-                group.stats.phases.time("closure", || {
-                    let plan = DemandPlan::build(
-                        &prog,
-                        pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())),
-                    );
-                    Closure::compute_demand_saturation(
-                        &prog,
-                        &config.rules,
-                        config.term_limit,
-                        &plan,
-                        config.saturation,
-                    )
-                })?
-            };
-            return Ok(SharedArtifacts::Owned(Box::new((prog, closure))));
         }
         let caps = schema
             .user(user)
@@ -1485,29 +1435,34 @@ fn run_group(
             NProgram::unfold_with_limit(schema, caps, config.node_limit)
         })?;
         group.stats.program_nodes = prog.len() as u64;
-        let closure = if opts.collect_stats {
-            let (c, cstats) = group.stats.phases.time("closure", || {
-                Closure::compute_with_stats_saturation(
-                    &prog,
-                    &config.rules,
-                    config.term_limit,
-                    opts.proofs,
-                    config.saturation,
-                )
-            });
-            group.stats.closure = cstats;
-            c?
+        let pairs: Vec<(usize, Arc<Vec<Occurrence>>)> = if use_demand {
+            req_indexes
+                .iter()
+                .map(|&i| (i, memo.get(&prog, &reqs[i].target)))
+                .collect()
         } else {
-            group.stats.phases.time("closure", || {
-                Closure::compute_with_saturation(
-                    &prog,
-                    &config.rules,
-                    config.term_limit,
-                    opts.proofs,
-                    config.saturation,
-                )
-            })?
+            Vec::new()
         };
+        let (closure, cstats) = group.stats.phases.time("closure", || {
+            let plan = use_demand.then(|| {
+                DemandPlan::build(&prog, pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())))
+            });
+            let goal = match &plan {
+                Some(plan) => Goal::Demand(plan),
+                None => Goal::Full(opts.proofs),
+            };
+            let copts = config.closure_options(goal);
+            if opts.collect_stats {
+                let (c, s) = Closure::saturate(&prog, &copts, ClosureStats::new(config.term_limit));
+                (c, Some(s))
+            } else {
+                (Closure::saturate(&prog, &copts, NoopObserver).0, None)
+            }
+        });
+        if let Some(s) = cstats {
+            group.stats.closure = s;
+        }
+        let closure = closure?;
         Ok(SharedArtifacts::Owned(Box::new((prog, closure))))
     })();
 
@@ -2055,43 +2010,6 @@ mod tests {
         };
         analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
         assert_eq!(cache.stats().hits, before + 1);
-    }
-
-    #[test]
-    fn saturation_mode_toggle_keeps_cache_identity() {
-        // Regression: `config_fp` once hashed the whole `Debug` rendering
-        // of `AnalysisConfig`, so any semantically neutral knob — every
-        // [`SaturationMode`] computes an identical closure — changed cache
-        // identity and spuriously invalidated entries.
-        let cache = ClosureCache::new(8);
-        let s = schema();
-        let opts = BatchOptions::default();
-        let r = [parse_requirement("(clerk, r_salary(x) : ti)").unwrap()];
-        let scalar = AnalysisConfig {
-            saturation: SaturationMode::SemiNaive,
-            ..AnalysisConfig::default()
-        };
-        let first = analyze_batch_cached(&s, &r, &scalar, &opts, Some(&cache));
-        assert_eq!(cache.stats().misses, 1, "cold miss saturates once");
-        let chunked = AnalysisConfig {
-            saturation: SaturationMode::Chunked,
-            ..AnalysisConfig::default()
-        };
-        let second = analyze_batch_cached(&s, &r, &chunked, &opts, Some(&cache));
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (1, 1),
-            "a saturation-mode toggle must hit the cached closure"
-        );
-        assert_eq!(first.verdicts, second.verdicts);
-        // A field that can change closure contents still misses.
-        let tighter = AnalysisConfig {
-            term_limit: DEFAULT_TERM_LIMIT - 1,
-            ..AnalysisConfig::default()
-        };
-        analyze_batch_cached(&s, &r, &tighter, &opts, Some(&cache));
-        assert_eq!(cache.stats().misses, 2, "budget changes are semantic");
     }
 
     #[test]

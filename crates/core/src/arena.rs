@@ -1,8 +1,8 @@
 //! Bump-arena storage for the saturation data plane.
 //!
-//! The chunked saturation mode ([`crate::closure::SaturationMode::Chunked`])
-//! keeps every dense structure of one closure in a handful of contiguous
-//! allocations instead of a forest of scatter-allocated `Vec`s:
+//! The saturation engine ([`crate::closure`]) keeps every dense structure
+//! of one closure in a handful of contiguous allocations instead of a
+//! forest of scatter-allocated `Vec`s:
 //!
 //! * [`Bump`] — an index-based bump allocator. Allocations hand back a
 //!   [`Span`] (offset + length) instead of a pointer, so the pool can grow

@@ -827,13 +827,13 @@ mod tests {
         let schema = parse_schema(STOCKBROKER).unwrap();
         oodb_lang::check_schema(&schema).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let c = Closure::compute_with_mode(
-            &prog,
-            &RuleConfig::default(),
-            crate::closure::DEFAULT_TERM_LIMIT,
-            ProofMode::Off,
-        )
-        .unwrap();
+        let opts = crate::closure::ClosureOptions {
+            goal: crate::closure::Goal::Full(ProofMode::Off),
+            ..Default::default()
+        };
+        let c = Closure::saturate(&prog, &opts, crate::stats::NoopObserver)
+            .0
+            .unwrap();
         assert_eq!(
             c.certify(&prog, &RuleConfig::default()),
             Err(CheckError::NoProofs)

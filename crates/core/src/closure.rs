@@ -5,24 +5,20 @@
 //! sized from the [`NProgram`]) replace hash-map indexes on the hot path. A
 //! worklist drives propagation, so every rule fires once per new premise.
 //!
-//! Under [`SaturationMode::Chunked`] (the default) the worklist is
-//! evaluated as a semi-naive delta fixpoint over SIMD-width kernels:
-//! chunk-padded bit-grid mirrors of the capability tables — the dense
-//! ones carved from one bump arena ([`crate::arena`]), the sparse pi*
-//! pair grids allocated lazily on first touch — answer the dedup probe
-//! with a mask test (no hashing at all: the mirrors are exact, so the
-//! interned set degenerates to an append-only log), bulk row checks run
-//! as branch-free 4×u64 lane loops ([`crate::kernels`]) that either skip
-//! a whole scan or materialize its not-yet-mirrored difference row as a
-//! per-entry prefilter, and per-node dirty kind-masks skip local-rule
+//! The worklist is evaluated as a semi-naive delta fixpoint over
+//! SIMD-width kernels: chunk-padded bit-grid mirrors of the capability
+//! tables — the dense ones carved from one bump arena ([`crate::arena`]),
+//! the sparse pi* pair grids allocated lazily on first touch — answer the
+//! dedup probe with a mask test (no hashing at all: the mirrors are exact,
+//! so the interned set degenerates to an append-only log), bulk row checks
+//! run as branch-free 4×u64 lane loops ([`crate::kernels`]) that either
+//! skip a whole scan or materialize its not-yet-mirrored difference row as
+//! a per-entry prefilter, and per-node dirty kind-masks skip local-rule
 //! evaluations whose premise tables have not changed since the node's
-//! rules last ran.
-//! [`SaturationMode::SemiNaive`] retains the word-at-a-time scalar delta
-//! engine as the dueling baseline for the kernels, and
-//! [`SaturationMode::Naive`] keeps the PR-2 behaviour (full re-evaluation,
-//! hash-only dedup). All three modes produce byte-identical closures —
-//! same insertion order, rounds, witnesses and proofs (see DESIGN.md §12
-//! and §16 for the exactness argument).
+//! rules last ran. None of it may reorder what does run: the closure —
+//! insertion order, rounds, witnesses and proofs — is exactly the one the
+//! unoptimised traversal in [`crate::reference`] computes (see DESIGN.md
+//! §12 and §16 for the exactness argument).
 //!
 //! Proof recording is a mode: under [`ProofMode::Full`] every derived term
 //! records the rule label and the exact premise terms that produced it,
@@ -46,7 +42,7 @@
 use crate::arena::{Bump, Csr, Span};
 use crate::basics::{kind, rules_for, LCap, LTerm, LocalRule, Slot};
 use crate::demand::{DemandPlan, GoalTracker};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::kernels::{self, ExceptMask};
 use crate::rules::{axioms_with, labels, RuleConfig};
 use crate::stats::{ClosureObserver, ClosureStats, NoopObserver};
@@ -81,62 +77,55 @@ pub enum ProofMode {
     Off,
 }
 
-/// Which evaluation strategy drives the saturation worklist.
-///
-/// All strategies compute the *same* closure — identical term insertion
-/// order, rounds, witnesses and proofs — so the choice is purely a
-/// performance knob. `Naive` and `SemiNaive` are kept as in-engine
-/// baselines for the `saturation` bench experiment and the differential
-/// suites.
+/// The saturation engine selector, kept only as a compatibility shim: the
+/// frozen `perfbench` benchmark crate reads
+/// [`AnalysisConfig::saturation`](crate::algorithm::AnalysisConfig) and
+/// passes it to [`Closure::compute_demand_with_stats_saturation`]. There is
+/// one engine, so the type has one variant and selects nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SaturationMode {
-    /// Re-evaluate the full local rule set of every touched node on every
-    /// pop, with a hash probe per derive call (the pre-rework engine).
-    Naive,
-    /// Semi-naive delta evaluation over word-at-a-time scalar kernels:
-    /// per-node dirty kind-masks gate local-rule evaluation and packed
-    /// bitset mirrors of the capability tables answer the dedup check
-    /// before the hash probe. Retained as the scalar baseline the chunked
-    /// kernels are dueled against.
-    SemiNaive,
-    /// Semi-naive delta evaluation over chunk-padded SIMD-width kernels
-    /// ([`crate::kernels`]) with every grid carved from one bump arena
-    /// ([`crate::arena`]). The mirrors are exact for every term kind, so
-    /// dedup needs no hash set at all — the interner becomes an
-    /// append-only log.
+    /// The chunked semi-naive engine (the only one).
     #[default]
     Chunked,
 }
 
-/// How the engine orders a node's local rules when it evaluates them.
-///
-/// Rule order within one node evaluation decides which conclusions enter
-/// the worklist first, so the two schedules produce set-identical (but not
-/// byte-identical) closures; within one schedule every [`SaturationMode`]
-/// stays byte-identical, because the profile that drives reordering counts
-/// only *insertions* — which are mode-invariant — and re-sorts on a fixed
-/// round cadence.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RuleSchedule {
-    /// Fire rules in the declared metarule order (the historical order the
-    /// differential oracles pin).
-    #[default]
-    Declared,
-    /// Profile-guided: fire each operator's rules in descending observed
-    /// productivity (terms actually inserted per rule), re-sorted every
-    /// [`PROFILE_CADENCE`] rounds. Optionally seeded from a prior run's
-    /// [`ClosureStats`] rule counters (`profile` argument of
-    /// [`Closure::compute_scheduled`]); productive conclusions then enter
-    /// the worklist earlier, which dedups re-derivations sooner on
-    /// refiring-heavy programs.
-    Profiled,
+/// What one saturation run derives.
+#[derive(Clone, Copy, Debug)]
+pub enum Goal<'d> {
+    /// Every derivable term, recording proofs per the [`ProofMode`].
+    Full(ProofMode),
+    /// Demand-driven closure: derive only terms whose mentions lie inside
+    /// the plan's relevance slice and stop as soon as the plan's goals are
+    /// all decided (see [`crate::demand`]). On the sliced expressions the
+    /// result is term- and witness-identical to full saturation (or a
+    /// prefix of it when the run early-exits with every goal derived —
+    /// which fixes the verdict either way). Proofs are never recorded:
+    /// demand runs exist for the membership-only verdict path, and
+    /// explanations stay on full saturation.
+    Demand(&'d DemandPlan),
 }
 
-/// Rounds between profile re-sorts under [`RuleSchedule::Profiled`]. A
-/// fixed cadence keeps the schedule a function of round number and
-/// insertion counts only — both mode-invariant — so profiled runs stay
-/// byte-identical across [`SaturationMode`]s.
-pub const PROFILE_CADENCE: usize = 256;
+/// Everything one [`Closure::saturate`] run is parameterised by.
+#[derive(Clone, Copy, Debug)]
+pub struct ClosureOptions<'d> {
+    /// Rule groups (ablation).
+    pub rules: RuleConfig,
+    /// Term budget; exceeding it aborts with [`ClosureError::TermLimit`].
+    pub term_limit: usize,
+    /// Full saturation (with or without proofs) or a demand slice.
+    pub goal: Goal<'d>,
+}
+
+impl Default for ClosureOptions<'_> {
+    /// Default rules and budget, full saturation with proofs.
+    fn default() -> Self {
+        ClosureOptions {
+            rules: RuleConfig::default(),
+            term_limit: DEFAULT_TERM_LIMIT,
+            goal: Goal::Full(ProofMode::Full),
+        }
+    }
+}
 
 /// Closure failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -195,244 +184,42 @@ pub struct Closure {
 }
 
 impl Closure {
-    /// Compute the closure with default configuration and budget.
+    /// Compute the closure with default configuration and budget
+    /// ([`ClosureOptions::default`]).
     pub fn compute(prog: &NProgram) -> Result<Closure, ClosureError> {
-        Self::compute_with(prog, &RuleConfig::default(), DEFAULT_TERM_LIMIT)
+        Self::saturate(prog, &ClosureOptions::default(), NoopObserver).0
     }
 
-    /// Compute with explicit rule configuration and term budget.
-    ///
-    /// Proofs are recorded ([`ProofMode::Full`]) — use
-    /// [`Closure::compute_with_mode`] to skip them on membership-only
-    /// paths.
-    pub fn compute_with(
+    /// Saturate `prog` under `opts`, reporting into `obs` and handing it
+    /// back — also when the run aborts on the term budget, so a
+    /// [`ClosureStats`] observer can show how far the saturation got. Pass
+    /// [`NoopObserver`] for an uninstrumented run: the observer is
+    /// monomorphised, so its callbacks then compile to nothing.
+    pub fn saturate<O: ClosureObserver>(
         prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-    ) -> Result<Closure, ClosureError> {
-        Self::compute_with_mode(prog, config, limit, ProofMode::Full)
+        opts: &ClosureOptions<'_>,
+        obs: O,
+    ) -> (Result<Closure, ClosureError>, O) {
+        Engine::new(prog, opts, obs).run()
     }
 
-    /// Compute with explicit configuration, budget and proof mode.
-    pub fn compute_with_mode(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        mode: ProofMode,
-    ) -> Result<Closure, ClosureError> {
-        Self::compute_with_saturation(prog, config, limit, mode, SaturationMode::default())
-    }
-
-    /// [`Closure::compute_with_mode`] with an explicit [`SaturationMode`].
-    /// Both modes produce byte-identical closures; `Naive` exists as the
-    /// baseline for the `saturation` bench and the differential suites.
-    pub fn compute_with_saturation(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        mode: ProofMode,
-        sat: SaturationMode,
-    ) -> Result<Closure, ClosureError> {
-        Engine::new(
-            prog,
-            *config,
-            limit,
-            mode,
-            sat,
-            RuleSchedule::Declared,
-            None,
-            NoopObserver,
-        )
-        .run()
-        .0
-    }
-
-    /// Like [`Closure::compute_with`], but also return [`ClosureStats`]
-    /// describing the run: term counts per capability kind, rule firings,
-    /// rounds, worklist high-water mark and dedup rate. Stats come back
-    /// even when the run aborts on the term budget, so a post-mortem can
-    /// see how far the saturation got.
-    ///
-    /// The plain `compute` paths use a monomorphised no-op observer, so
-    /// this instrumentation costs nothing when unused.
-    pub fn compute_with_stats(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-    ) -> (Result<Closure, ClosureError>, ClosureStats) {
-        Self::compute_with_stats_mode(prog, config, limit, ProofMode::Full)
-    }
-
-    /// [`Closure::compute_with_stats`] with an explicit proof mode.
-    pub fn compute_with_stats_mode(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        mode: ProofMode,
-    ) -> (Result<Closure, ClosureError>, ClosureStats) {
-        Self::compute_with_stats_saturation(prog, config, limit, mode, SaturationMode::default())
-    }
-
-    /// [`Closure::compute_with_stats_mode`] with an explicit
-    /// [`SaturationMode`]. The closure is identical in every mode; the
-    /// stats differ (fewer derive attempts and rule evaluations in
-    /// `SemiNaive` than `Naive`, and fewer still in `Chunked`, whose
-    /// diff-row prefilters skip attempts the mirrors prove would dedup —
-    /// firings and insertions stay identical throughout).
-    pub fn compute_with_stats_saturation(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        mode: ProofMode,
-        sat: SaturationMode,
-    ) -> (Result<Closure, ClosureError>, ClosureStats) {
-        let (result, mut stats) = Engine::new(
-            prog,
-            *config,
-            limit,
-            mode,
-            sat,
-            RuleSchedule::Declared,
-            None,
-            ClosureStats::new(limit),
-        )
-        .run();
-        stats.aborted = result.is_err();
-        (result, stats)
-    }
-
-    /// Demand-driven closure: derive only terms whose mentions lie inside
-    /// the plan's relevance slice and stop as soon as the plan's goals are
-    /// all decided (see [`crate::demand`]).
-    ///
-    /// On the sliced expressions the result is term- and witness-identical
-    /// to full saturation (or a prefix of it when the run early-exits with
-    /// every goal derived — which fixes the verdict either way). Proofs are
-    /// never recorded: demand mode exists for the membership-only verdict
-    /// path, explanations stay on full saturation.
-    pub fn compute_demand(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        plan: &DemandPlan,
-    ) -> Result<Closure, ClosureError> {
-        Self::compute_demand_saturation(prog, config, limit, plan, SaturationMode::default())
-    }
-
-    /// [`Closure::compute_demand`] with an explicit [`SaturationMode`].
-    pub fn compute_demand_saturation(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        plan: &DemandPlan,
-        sat: SaturationMode,
-    ) -> Result<Closure, ClosureError> {
-        let mut engine = Engine::new(
-            prog,
-            *config,
-            limit,
-            ProofMode::Off,
-            sat,
-            RuleSchedule::Declared,
-            None,
-            NoopObserver,
-        );
-        engine.demand = Some(DemandState::new(plan));
-        engine.run().0
-    }
-
-    /// [`Closure::compute_demand`] with [`ClosureStats`] collection.
-    pub fn compute_demand_with_stats(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        plan: &DemandPlan,
-    ) -> (Result<Closure, ClosureError>, ClosureStats) {
-        Self::compute_demand_with_stats_saturation(
-            prog,
-            config,
-            limit,
-            plan,
-            SaturationMode::default(),
-        )
-    }
-
-    /// [`Closure::compute_demand_with_stats`] with an explicit
-    /// [`SaturationMode`].
+    /// Compatibility shim for the frozen `perfbench` benchmark crate, which
+    /// calls exactly this signature: a demand run with [`ClosureStats`].
+    /// `_sat` selects nothing (see [`SaturationMode`]). New code calls
+    /// [`Closure::saturate`].
     pub fn compute_demand_with_stats_saturation(
         prog: &NProgram,
         config: &RuleConfig,
         limit: usize,
         plan: &DemandPlan,
-        sat: SaturationMode,
+        _sat: SaturationMode,
     ) -> (Result<Closure, ClosureError>, ClosureStats) {
-        let mut engine = Engine::new(
-            prog,
-            *config,
-            limit,
-            ProofMode::Off,
-            sat,
-            RuleSchedule::Declared,
-            None,
-            ClosureStats::new(limit),
-        );
-        engine.demand = Some(DemandState::new(plan));
-        let (result, mut stats) = engine.run();
-        stats.aborted = result.is_err();
-        (result, stats)
-    }
-
-    /// [`Closure::compute_with_saturation`] with an explicit
-    /// [`RuleSchedule`] and an optional seed profile for
-    /// [`RuleSchedule::Profiled`] (a prior run's [`ClosureStats`], whose
-    /// per-rule insertion counters order the first schedule; `None` starts
-    /// from the declared order and lets the in-run counters take over).
-    pub fn compute_scheduled(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        mode: ProofMode,
-        sat: SaturationMode,
-        schedule: RuleSchedule,
-        profile: Option<&ClosureStats>,
-    ) -> Result<Closure, ClosureError> {
-        Engine::new(
-            prog,
-            *config,
-            limit,
-            mode,
-            sat,
-            schedule,
-            profile,
-            NoopObserver,
-        )
-        .run()
-        .0
-    }
-
-    /// [`Closure::compute_scheduled`] with [`ClosureStats`] collection.
-    pub fn compute_scheduled_with_stats(
-        prog: &NProgram,
-        config: &RuleConfig,
-        limit: usize,
-        mode: ProofMode,
-        sat: SaturationMode,
-        schedule: RuleSchedule,
-        profile: Option<&ClosureStats>,
-    ) -> (Result<Closure, ClosureError>, ClosureStats) {
-        let (result, mut stats) = Engine::new(
-            prog,
-            *config,
-            limit,
-            mode,
-            sat,
-            schedule,
-            profile,
-            ClosureStats::new(limit),
-        )
-        .run();
-        stats.aborted = result.is_err();
-        (result, stats)
+        let opts = ClosureOptions {
+            rules: *config,
+            term_limit: limit,
+            goal: Goal::Demand(plan),
+        };
+        Self::saturate(prog, &opts, ClosureStats::new(limit))
     }
 
     /// Warm-restart saturation for incremental maintenance
@@ -452,27 +239,21 @@ impl Closure {
     ///
     /// Proofs are always recorded ([`ProofMode::Full`]): the incremental
     /// layer's deletion cascade walks them on the next edit, and
-    /// [`certify`](crate::checker) re-validates them. Works in every
-    /// [`SaturationMode`] — absorb maintains the same mirrors and dirty
-    /// masks `derive` would.
+    /// [`certify`](crate::checker) re-validates them. Absorb maintains the
+    /// same mirrors and dirty masks `derive` would.
     pub fn saturate_from(
         prog: &NProgram,
         config: &RuleConfig,
         limit: usize,
-        sat: SaturationMode,
         survivors: impl IntoIterator<Item = (Term, Derivation)>,
         frontier: &[Term],
     ) -> Result<Closure, ClosureError> {
-        let mut engine = Engine::new(
-            prog,
-            *config,
-            limit,
-            ProofMode::Full,
-            sat,
-            RuleSchedule::Declared,
-            None,
-            NoopObserver,
-        );
+        let opts = ClosureOptions {
+            rules: *config,
+            term_limit: limit,
+            goal: Goal::Full(ProofMode::Full),
+        };
+        let mut engine = Engine::new(prog, &opts, NoopObserver);
         for (t, d) in survivors {
             engine.absorb(t, d)?;
         }
@@ -668,13 +449,13 @@ impl<'d> DemandState<'d> {
     }
 }
 
-/// A dense two-dimensional bit table: `rows` rows of `bits_per_row` bits,
-/// packed into `u64` words with no padding — the *scalar* grid layout,
-/// retained verbatim for [`SaturationMode::SemiNaive`]. The engine keeps
-/// one grid per term kind as an *exact mirror* of the corresponding
-/// capability table — a set bit means the term is in the closure — so the
-/// dedup probe in `derive` becomes a mask test instead of a packed-u128
-/// hash-set probe.
+/// A lazily allocated bit table for the sparse per-origin `pi*` pair
+/// grids: `rows` rows of `bits_per_row` bits, padded to whole chunks so
+/// the same branch-free kernels run on it as on the arena [`Grid`]s. Still
+/// its own (lazily zero-mapped) allocation: most rows of a pair grid are
+/// never touched, so carving it from the shared bump pool would
+/// materialise pages that a fresh zeroed `Vec` leaves uncommitted (see
+/// DESIGN.md §16 on which tables live where and why).
 #[derive(Clone)]
 struct BitGrid {
     words_per_row: usize,
@@ -683,20 +464,6 @@ struct BitGrid {
 
 impl BitGrid {
     fn new(rows: usize, bits_per_row: usize) -> BitGrid {
-        let words_per_row = bits_per_row.div_ceil(64);
-        BitGrid {
-            words_per_row,
-            bits: vec![0u64; rows * words_per_row],
-        }
-    }
-
-    /// A grid whose rows are padded to whole chunks, for the chunked
-    /// kernels. Still its own (lazily zero-mapped) allocation: the lazy
-    /// per-origin `pi*` pair grids are *sparse* — most rows are never
-    /// touched — so carving them from the shared bump pool would
-    /// materialise pages the scalar layout never commits (see DESIGN.md
-    /// §16 on which tables live where and why).
-    fn new_padded(rows: usize, bits_per_row: usize) -> BitGrid {
         let words_per_row = kernels::padded_words(bits_per_row);
         BitGrid {
             words_per_row,
@@ -722,24 +489,11 @@ impl BitGrid {
     }
 }
 
-/// Is row `ra` of `a` a subset of row `rb` of `b`, ignoring the `except`
-/// bits? (`a[ra] \ (b[rb] ∪ except) = ∅`.) This is the bulk form of the
-/// dedup pre-check: when every conclusion a join loop could produce is
-/// already mirrored in `b[rb]`, the whole scan would dedup and can be
-/// skipped in O(row words) instead of O(entries) derive calls. Scalar
-/// word-at-a-time evaluation ([`kernels::reference`]).
-#[inline]
-fn row_diff_is_empty(a: &BitGrid, ra: usize, b: &BitGrid, rb: usize, except: &[usize]) -> bool {
-    debug_assert_eq!(a.words_per_row, b.words_per_row);
-    kernels::reference::row_diff_is_empty(a.row(ra), b.row(rb), except)
-}
-
-/// A chunk-padded bit grid carved out of a shared [`Bump<u64>`] pool: the
-/// *chunked* layout [`SaturationMode::Chunked`] runs on. Rows are padded
-/// to whole [`kernels::CHUNK_WORDS`]-word chunks, so every bulk row check
-/// is a fixed-lane loop with no tail; padding bits can never be set
-/// (every write targets a real bit index), so padded lanes read as zero
-/// on both sides of a diff and never flip a verdict.
+/// A chunk-padded bit grid carved out of a shared [`Bump<u64>`] pool. Rows
+/// are padded to whole [`kernels::CHUNK_WORDS`]-word chunks, so every bulk
+/// row check is a fixed-lane loop with no tail; padding bits can never be
+/// set (every write targets a real bit index), so padded lanes read as
+/// zero on both sides of a diff and never flip a verdict.
 #[derive(Clone, Copy)]
 struct Grid {
     span: Span,
@@ -780,51 +534,23 @@ fn origin_bit(o: Origin) -> usize {
     (o.num as usize) * 2 + (o.dir == Dir::Up) as usize
 }
 
-/// The scalar mirror store: one independently-allocated [`BitGrid`] per
-/// table, exactly the PR-4 layout.
-struct ScalarDelta {
-    ti: BitGrid,
-    pi: BitGrid,
-    eq: BitGrid,
-    star_by: Vec<Option<BitGrid>>,
-    star_any: BitGrid,
-    rows: usize,
-}
-
-impl ScalarDelta {
-    fn new(n: usize) -> ScalarDelta {
-        ScalarDelta {
-            ti: BitGrid::new(n, 2 * n),
-            pi: BitGrid::new(n, 2 * n),
-            eq: BitGrid::new(n, n),
-            star_by: vec![None; 2 * n],
-            star_any: BitGrid::new(n, n),
-            rows: n,
-        }
-    }
-
-    #[inline]
-    fn star(&self, ob: usize) -> Option<&BitGrid> {
-        self.star_by[ob].as_ref()
-    }
-
-    #[inline]
-    fn star_mut(&mut self, ob: usize) -> &mut BitGrid {
-        let rows = self.rows;
-        self.star_by[ob].get_or_insert_with(|| BitGrid::new(rows, rows))
-    }
-}
-
-/// The chunked mirror store. The four always-present dense tables
-/// (`ti`/`pi`/`eq`/`star_any`) — the rows every derive call and every bulk
-/// pre-check reads — are [`Span`]s into **one** bump pool, back to back in
-/// memory. The lazily-created per-origin `pi*` pair grids deliberately stay
-/// *out* of the pool: they are sparse (a grid exists per origin, but most
-/// of its rows are never written), and a fresh zeroed `Vec` leaves those
-/// rows on copy-on-write zero pages, where growing a shared pool would
-/// memset and memcpy every page of every grid. Their rows are still
-/// chunk-padded, so the same branch-free kernels run on both kinds.
-struct ChunkedDelta {
+/// Mutable delta state of a run: exact bit mirrors of the capability
+/// tables plus the per-node dirty masks.
+///
+/// The grids mirror the `ti`/`pi`/`eq` tables exactly, and the `pistar`
+/// table is mirrored per origin: `pi*` pairs can carry several origins, so
+/// one pair grid per [`origin_bit`] (allocated lazily, on the first `pi*`
+/// insert carrying that origin) keeps membership a single mask test.
+/// The four always-present dense grids (`ti`/`pi`/`eq`/`star_any`) and the
+/// single-row `ta`/`pa` mirrors — the rows every derive call and every
+/// bulk pre-check reads — are [`Span`]s into **one** bump pool, back to
+/// back in memory; the sparse pair grids deliberately stay out of it (see
+/// [`BitGrid`]). `dirty[node]` accumulates the kinds of premise-shaped
+/// terms inserted on the node's slot expressions since the node's local
+/// rules last ran — a rule set is only re-evaluated when its premise-kind
+/// mask intersects the accumulated mask (see `fire_local_rules`; DESIGN.md
+/// §12 proves this skips only evaluations that would derive nothing new).
+struct DeltaState {
     pool: Bump<u64>,
     ti: Grid,
     pi: Grid,
@@ -839,10 +565,17 @@ struct ChunkedDelta {
     ta: Grid,
     pa: Grid,
     rows: usize,
+    /// Does `pistar[e]` hold any entry with a non-axiom origin? Gates the
+    /// non-axiom `pi*` scan in the `Eq` arm and the all-axiom transfer
+    /// skip.
+    star_mixed: Vec<bool>,
+    /// node → kinds (see [`crate::basics::kind`]) inserted on its slot
+    /// expressions since the node's local rules last ran.
+    dirty: Vec<u8>,
 }
 
-impl ChunkedDelta {
-    fn new(n: usize) -> ChunkedDelta {
+impl DeltaState {
+    fn new(n: usize) -> DeltaState {
         // The always-present grids, back to back; the capacity is exact,
         // so the pool never regrows.
         let mut pool = Bump::with_capacity(
@@ -856,7 +589,7 @@ impl ChunkedDelta {
         let star_any = Grid::new(&mut pool, n, n);
         let ta = Grid::new(&mut pool, 1, n);
         let pa = Grid::new(&mut pool, 1, n);
-        ChunkedDelta {
+        DeltaState {
             pool,
             ti,
             pi,
@@ -866,6 +599,8 @@ impl ChunkedDelta {
             ta,
             pa,
             rows: n,
+            star_mixed: vec![false; n],
+            dirty: vec![0u8; n],
         }
     }
 
@@ -875,257 +610,117 @@ impl ChunkedDelta {
     }
 
     #[inline]
-    fn star_mut(&mut self, ob: usize) -> &mut BitGrid {
-        let rows = self.rows;
-        self.star_by[ob].get_or_insert_with(|| BitGrid::new_padded(rows, rows))
-    }
-}
-
-/// The per-mode mirror storage behind [`DeltaState`]: scalar grids for
-/// [`SaturationMode::SemiNaive`], arena-backed chunked grids for
-/// [`SaturationMode::Chunked`]. Every bulk pre-check below exists in both
-/// flavours with identical semantics; the differential suites pin them to
-/// each other.
-enum DeltaStore {
-    Scalar(ScalarDelta),
-    Chunked(ChunkedDelta),
-}
-
-impl DeltaStore {
-    #[inline]
     fn ti_get(&self, e: usize, ob: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => d.ti.get(e, ob),
-            DeltaStore::Chunked(d) => d.ti.get(&d.pool, e, ob),
-        }
+        self.ti.get(&self.pool, e, ob)
     }
 
     #[inline]
     fn pi_get(&self, e: usize, ob: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => d.pi.get(e, ob),
-            DeltaStore::Chunked(d) => d.pi.get(&d.pool, e, ob),
-        }
+        self.pi.get(&self.pool, e, ob)
     }
 
     #[inline]
     fn eq_get(&self, a: usize, b: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => d.eq.get(a, b),
-            DeltaStore::Chunked(d) => d.eq.get(&d.pool, a, b),
-        }
+        self.eq.get(&self.pool, a, b)
     }
 
     #[inline]
     fn star_get(&self, ob: usize, a: usize, b: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => d.star(ob).is_some_and(|g| g.get(a, b)),
-            DeltaStore::Chunked(d) => d.star(ob).is_some_and(|g| g.get(a, b)),
-        }
+        self.star(ob).is_some_and(|g| g.get(a, b))
     }
 
     #[inline]
     fn ti_set(&mut self, e: usize, ob: usize) {
-        match self {
-            DeltaStore::Scalar(d) => d.ti.set(e, ob),
-            DeltaStore::Chunked(d) => d.ti.set(&mut d.pool, e, ob),
-        }
+        self.ti.set(&mut self.pool, e, ob);
     }
 
     #[inline]
     fn pi_set(&mut self, e: usize, ob: usize) {
-        match self {
-            DeltaStore::Scalar(d) => d.pi.set(e, ob),
-            DeltaStore::Chunked(d) => d.pi.set(&mut d.pool, e, ob),
-        }
+        self.pi.set(&mut self.pool, e, ob);
     }
 
     #[inline]
     fn eq_set_sym(&mut self, a: usize, b: usize) {
-        match self {
-            DeltaStore::Scalar(d) => {
-                d.eq.set(a, b);
-                d.eq.set(b, a);
-            }
-            DeltaStore::Chunked(d) => {
-                d.eq.set(&mut d.pool, a, b);
-                d.eq.set(&mut d.pool, b, a);
-            }
-        }
+        self.eq.set(&mut self.pool, a, b);
+        self.eq.set(&mut self.pool, b, a);
     }
 
     #[inline]
     fn star_any_set_sym(&mut self, a: usize, b: usize) {
-        match self {
-            DeltaStore::Scalar(d) => {
-                d.star_any.set(a, b);
-                d.star_any.set(b, a);
-            }
-            DeltaStore::Chunked(d) => {
-                d.star_any.set(&mut d.pool, a, b);
-                d.star_any.set(&mut d.pool, b, a);
-            }
-        }
+        self.star_any.set(&mut self.pool, a, b);
+        self.star_any.set(&mut self.pool, b, a);
     }
 
     #[inline]
     fn star_set_sym(&mut self, ob: usize, a: usize, b: usize) {
-        match self {
-            DeltaStore::Scalar(d) => {
-                let g = d.star_mut(ob);
-                g.set(a, b);
-                g.set(b, a);
-            }
-            DeltaStore::Chunked(d) => {
-                let g = d.star_mut(ob);
-                g.set(a, b);
-                g.set(b, a);
-            }
-        }
+        let rows = self.rows;
+        let g = self.star_by[ob].get_or_insert_with(|| BitGrid::new(rows, rows));
+        g.set(a, b);
+        g.set(b, a);
     }
 
-    /// `pi*` composition pre-check: is every candidate partner of `via`
-    /// already paired with `end` under origin bit `ob` (ignoring the two
-    /// endpoints themselves)?
+    /// Record a `ta`/`pa` insertion in the single-row mirrors.
     #[inline]
-    fn star_join_skip(&self, ob: usize, via: usize, end: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => d
-                .star(ob)
-                .is_some_and(|g| row_diff_is_empty(&d.star_any, via, g, end, &[end, via])),
-            DeltaStore::Chunked(d) => d.star(ob).is_some_and(|g| {
-                kernels::row_diff_is_empty(
-                    d.star_any.row(&d.pool, via),
-                    g.row(end),
-                    ExceptMask::two(end, via),
-                )
-            }),
-        }
+    fn alter_mark(&mut self, e: usize, total: bool) {
+        let row = if total { self.ta } else { self.pa };
+        row.set(&mut self.pool, 0, e);
     }
 
     /// Transitivity pre-check: is every eq-partner of `x` already adjacent
     /// to `y` (ignoring `y` itself)?
     #[inline]
     fn eq_trans_skip(&self, x: usize, y: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => row_diff_is_empty(&d.eq, x, &d.eq, y, &[y]),
-            DeltaStore::Chunked(d) => kernels::row_diff_is_empty(
-                d.eq.row(&d.pool, x),
-                d.eq.row(&d.pool, y),
-                ExceptMask::one(y),
-            ),
-        }
+        kernels::row_diff_is_empty(
+            self.eq.row(&self.pool, x),
+            self.eq.row(&self.pool, y),
+            ExceptMask::one(y),
+        )
     }
 
-    /// `pi*`-transfer pre-check: does every eq-partner of `e` already
-    /// carry `pi*[(p, other), o]` (ignoring `other` itself)?
+    /// Scan prefilter for the alterability equality transfer: materialize
+    /// into `out` the eq-partners of `e` not yet carrying `ta`/`pa`. Same
+    /// contract as [`DeltaState::star_join_diff`].
     #[inline]
-    fn star_eq_transfer_skip(&self, ob: usize, e: usize, other: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => d
-                .star(ob)
-                .is_some_and(|g| row_diff_is_empty(&d.eq, e, g, other, &[other])),
-            DeltaStore::Chunked(d) => d.star(ob).is_some_and(|g| {
-                kernels::row_diff_is_empty(
-                    d.eq.row(&d.pool, e),
-                    g.row(other),
-                    ExceptMask::one(other),
-                )
-            }),
-        }
+    fn alter_transfer_diff(&self, total: bool, e: usize, out: &mut Vec<u64>) -> bool {
+        let caps = if total { self.ta } else { self.pa };
+        kernels::row_diff_into(
+            self.eq.row(&self.pool, e),
+            caps.row(&self.pool, 0),
+            ExceptMask::none(),
+            out,
+        )
     }
 
-    /// Record a `ta`/`pa` insertion in the chunked single-row mirrors (the
-    /// scalar store keeps none — its mode never prefilters these scans).
-    #[inline]
-    fn alter_mark(&mut self, e: usize, total: bool) {
-        if let DeltaStore::Chunked(d) = self {
-            if total {
-                d.ta.set(&mut d.pool, 0, e);
-            } else {
-                d.pa.set(&mut d.pool, 0, e);
-            }
-        }
-    }
-
-    /// Chunked-only scan prefilter for the alterability equality transfer:
-    /// eq-partners of `e` not yet carrying `ta`/`pa`. Same contract as
-    /// [`DeltaStore::star_join_diff`] (but `SemiNaive` has no all-or-nothing
-    /// fallback here — it never pre-checked this scan).
-    #[inline]
-    fn alter_transfer_diff(&self, total: bool, e: usize, out: &mut Vec<u64>) -> Option<bool> {
-        match self {
-            DeltaStore::Scalar(_) => None,
-            DeltaStore::Chunked(d) => {
-                let caps = if total {
-                    d.ta.row(&d.pool, 0)
-                } else {
-                    d.pa.row(&d.pool, 0)
-                };
-                Some(kernels::row_diff_into(
-                    d.eq.row(&d.pool, e),
-                    caps,
-                    ExceptMask::none(),
-                    out,
-                ))
-            }
-        }
-    }
-
-    /// Chunked-only scan prefilter for the `pi*` composition: materialize
-    /// into `out` the bit row of candidates `c` adjacent to `via` whose
-    /// conclusion `pi*[(end, c), ob]` is *not* yet mirrored.
+    /// Scan prefilter for the `pi*` composition: materialize into `out` the
+    /// bit row of candidates `c` adjacent to `via` whose conclusion
+    /// `pi*[(end, c), ob]` is *not* yet mirrored.
     ///
-    /// Returns `None` on the scalar store (the caller falls back to the
-    /// all-or-nothing [`DeltaStore::star_join_skip`], keeping `SemiNaive`
-    /// the unchanged baseline) and `Some(non_empty)` on the chunked store:
-    /// `Some(false)` means the whole scan would dedup — skip it;
-    /// `Some(true)` means walk the adjacency list in its insertion order
-    /// but only call derive where the candidate's bit is set in `out`.
-    /// Clear bits are already mirrored and terms are never removed, so
-    /// skipping them cannot change what gets inserted or in which order.
+    /// `false` means the difference is empty and the whole scan would
+    /// dedup — skip it; `true` means walk the adjacency list in its
+    /// insertion order but only call derive where the candidate's bit is
+    /// set in `out`. Clear bits are already mirrored and terms are never
+    /// removed, so skipping them cannot change what gets inserted or in
+    /// which order.
     #[inline]
-    fn star_join_diff(
-        &self,
-        ob: usize,
-        via: usize,
-        end: usize,
-        out: &mut Vec<u64>,
-    ) -> Option<bool> {
-        match self {
-            DeltaStore::Scalar(_) => None,
-            DeltaStore::Chunked(d) => {
-                let a = d.star_any.row(&d.pool, via);
-                let except = ExceptMask::two(end, via);
-                Some(match d.star(ob) {
-                    Some(g) => kernels::row_diff_into(a, g.row(end), except, out),
-                    None => kernels::row_copy_except_into(a, except, out),
-                })
-            }
+    fn star_join_diff(&self, ob: usize, via: usize, end: usize, out: &mut Vec<u64>) -> bool {
+        let a = self.star_any.row(&self.pool, via);
+        let except = ExceptMask::two(end, via);
+        match self.star(ob) {
+            Some(g) => kernels::row_diff_into(a, g.row(end), except, out),
+            None => kernels::row_copy_except_into(a, except, out),
         }
     }
 
-    /// Chunked-only scan prefilter for the `pi*` equality transfer:
-    /// candidates `p` eq-adjacent to `e` whose `pi*[(p, other), ob]` is not
-    /// yet mirrored. Same contract as [`DeltaStore::star_join_diff`].
+    /// Scan prefilter for the `pi*` equality transfer: candidates `p`
+    /// eq-adjacent to `e` whose `pi*[(p, other), ob]` is not yet mirrored.
+    /// Same contract as [`DeltaState::star_join_diff`].
     #[inline]
-    fn star_eq_transfer_diff(
-        &self,
-        ob: usize,
-        e: usize,
-        other: usize,
-        out: &mut Vec<u64>,
-    ) -> Option<bool> {
-        match self {
-            DeltaStore::Scalar(_) => None,
-            DeltaStore::Chunked(d) => {
-                let a = d.eq.row(&d.pool, e);
-                let except = ExceptMask::one(other);
-                Some(match d.star(ob) {
-                    Some(g) => kernels::row_diff_into(a, g.row(other), except, out),
-                    None => kernels::row_copy_except_into(a, except, out),
-                })
-            }
+    fn star_eq_transfer_diff(&self, ob: usize, e: usize, other: usize, out: &mut Vec<u64>) -> bool {
+        let a = self.eq.row(&self.pool, e);
+        let except = ExceptMask::one(other);
+        match self.star(ob) {
+            Some(g) => kernels::row_diff_into(a, g.row(other), except, out),
+            None => kernels::row_copy_except_into(a, except, out),
         }
     }
 
@@ -1133,27 +728,21 @@ impl DeltaStore {
     /// origin `from` carries?
     #[inline]
     fn ti_transfer_skip(&self, from: usize, to: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => row_diff_is_empty(&d.ti, from, &d.ti, to, &[]),
-            DeltaStore::Chunked(d) => kernels::row_diff_is_empty(
-                d.ti.row(&d.pool, from),
-                d.ti.row(&d.pool, to),
-                ExceptMask::none(),
-            ),
-        }
+        kernels::row_diff_is_empty(
+            self.ti.row(&self.pool, from),
+            self.ti.row(&self.pool, to),
+            ExceptMask::none(),
+        )
     }
 
     /// Capability-transfer pre-check for `pi`.
     #[inline]
     fn pi_transfer_skip(&self, from: usize, to: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => row_diff_is_empty(&d.pi, from, &d.pi, to, &[]),
-            DeltaStore::Chunked(d) => kernels::row_diff_is_empty(
-                d.pi.row(&d.pool, from),
-                d.pi.row(&d.pool, to),
-                ExceptMask::none(),
-            ),
-        }
+        kernels::row_diff_is_empty(
+            self.pi.row(&self.pool, from),
+            self.pi.row(&self.pool, to),
+            ExceptMask::none(),
+        )
     }
 
     /// All-axiom `pi*` transfer pre-check (caller has already established
@@ -1161,75 +750,14 @@ impl DeltaStore {
     /// of `from` already paired with `to` in the axiom grid `ob`?
     #[inline]
     fn star_axiom_transfer_skip(&self, ob: usize, from: usize, to: usize) -> bool {
-        match self {
-            DeltaStore::Scalar(d) => d
-                .star(ob)
-                .is_some_and(|g| row_diff_is_empty(&d.star_any, from, g, to, &[to])),
-            DeltaStore::Chunked(d) => d.star(ob).is_some_and(|g| {
-                kernels::row_diff_is_empty(
-                    d.star_any.row(&d.pool, from),
-                    g.row(to),
-                    ExceptMask::one(to),
-                )
-            }),
-        }
+        self.star(ob).is_some_and(|g| {
+            kernels::row_diff_is_empty(
+                self.star_any.row(&self.pool, from),
+                g.row(to),
+                ExceptMask::one(to),
+            )
+        })
     }
-}
-
-/// Mutable state of a delta-mode ([`SaturationMode::SemiNaive`] or
-/// [`SaturationMode::Chunked`]) run.
-///
-/// The grids mirror the `ti`/`pi`/`eq` tables exactly, and the `pistar`
-/// table is mirrored per origin: `pi*` pairs can carry several origins, so
-/// one pair grid per [`origin_bit`] (allocated lazily, on the first `pi*`
-/// insert carrying that origin) keeps membership a single mask test.
-/// `dirty[node]` accumulates the kinds of premise-shaped terms inserted on
-/// the node's slot expressions since the node's local rules last ran — a
-/// rule set is only re-evaluated when its premise-kind mask intersects the
-/// accumulated mask (see `fire_local_rules`; DESIGN.md §12 proves this
-/// skips only evaluations that would derive nothing new).
-struct DeltaState {
-    /// The per-mode grid storage.
-    store: DeltaStore,
-    /// Does `pistar[e]` hold any entry with a non-axiom origin? Gates the
-    /// non-axiom `pi*` scan in the `Eq` arm and the all-axiom transfer
-    /// skip.
-    star_mixed: Vec<bool>,
-    /// node → kinds (see [`crate::basics::kind`]) inserted on its slot
-    /// expressions since the node's local rules last ran.
-    dirty: Vec<u8>,
-}
-
-impl DeltaState {
-    fn new(n: usize, chunked: bool) -> DeltaState {
-        DeltaState {
-            store: if chunked {
-                DeltaStore::Chunked(ChunkedDelta::new(n))
-            } else {
-                DeltaStore::Scalar(ScalarDelta::new(n))
-            },
-            star_mixed: vec![false; n],
-            dirty: vec![0u8; n],
-        }
-    }
-}
-
-/// Per-operator profile state for [`RuleSchedule::Profiled`]: the current
-/// evaluation order of the operator's rules (a permutation of rule
-/// indices) and the insertion count per rule slot the next re-sort ranks
-/// by. Insertions are mode-invariant, so the schedule — and with it the
-/// closure — stays byte-identical across [`SaturationMode`]s.
-struct OpSched {
-    order: Vec<u32>,
-    inserts: Vec<u64>,
-}
-
-/// Profile-guided rule scheduler: one [`OpSched`] per operator, re-sorted
-/// every [`PROFILE_CADENCE`] rounds (stable, descending inserts, original
-/// index as tie-break — fully deterministic).
-struct Scheduler {
-    op_index: FxHashMap<BasicOp, u32>,
-    scheds: Vec<OpSched>,
 }
 
 struct Engine<'p, O: ClosureObserver> {
@@ -1265,37 +793,20 @@ struct Engine<'p, O: ClosureObserver> {
     /// ([`LocalRule::premise_kinds`]) so a dirty-mask intersection can skip
     /// rules none of whose premise tables changed.
     op_rules: FxHashMap<BasicOp, Rc<[(u8, LocalRule)]>>,
-    /// Hash-set dedup (`None` under [`SaturationMode::Chunked`], whose
-    /// mirrors answer membership exactly for every term kind; `Naive`
-    /// dedups only here; the delta modes drop the set entirely — their bit
-    /// mirrors answer membership exactly for every term kind, so a second
-    /// hash probe per insertion would buy nothing).
-    seen: Option<FxHashSet<TermId>>,
-    /// Delta-mode state (`None` = [`SaturationMode::Naive`]).
-    delta: Option<DeltaState>,
-    /// Profile-guided rule ordering (`None` = [`RuleSchedule::Declared`]).
-    sched: Option<Scheduler>,
+    /// Bit mirrors and dirty masks. The mirrors answer membership exactly
+    /// for every term kind, so the engine keeps no hash set at all.
+    delta: DeltaState,
     /// Demand mode: slice filter + goal tracking (`None` = full saturation).
     demand: Option<DemandState<'p>>,
-    /// Reusable row buffer for the chunked scan prefilters
-    /// ([`DeltaStore::star_join_diff`] / [`DeltaStore::star_eq_transfer_diff`]);
-    /// taken out of the engine for the duration of a scan so the borrow
-    /// checker lets derive calls run against it.
+    /// Reusable row buffer for the scan prefilters
+    /// ([`DeltaState::star_join_diff`] and friends); taken out of the
+    /// engine for the duration of a scan so the borrow checker lets derive
+    /// calls run against it.
     scratch: Vec<u64>,
 }
 
 impl<'p, O: ClosureObserver> Engine<'p, O> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        prog: &'p NProgram,
-        config: RuleConfig,
-        limit: usize,
-        mode: ProofMode,
-        sat: SaturationMode,
-        schedule: RuleSchedule,
-        profile: Option<&ClosureStats>,
-        obs: O,
-    ) -> Engine<'p, O> {
+    fn new(prog: &'p NProgram, opts: &ClosureOptions<'p>, obs: O) -> Engine<'p, O> {
         let n = prog.len() + 1; // ExprIds are 1-based
         let mut basic_nodes: Vec<Vec<ExprId>> = vec![Vec::new(); n];
         let mut basic_info: Vec<Option<(BasicOp, [ExprId; 4], u8)>> = vec![None; n];
@@ -1361,39 +872,14 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
             }
         }
 
-        // Profiled schedule: one permutation + counter array per operator,
-        // optionally pre-ordered by a prior run's per-rule insertion
-        // counters ("observed productivity"); ties and unseeded starts
-        // keep the declared order.
-        let sched = (schedule == RuleSchedule::Profiled).then(|| {
-            let mut op_index = FxHashMap::default();
-            let mut scheds = Vec::with_capacity(op_rules.len());
-            let mut ops: Vec<BasicOp> = op_rules.keys().copied().collect();
-            ops.sort_by_key(|op| format!("{op:?}"));
-            for op in ops {
-                let rules = &op_rules[&op];
-                let mut order: Vec<u32> = (0..rules.len() as u32).collect();
-                if let Some(stats) = profile {
-                    order.sort_by_key(|&i| {
-                        (
-                            std::cmp::Reverse(stats.firings_of(rules[i as usize].1.name)),
-                            i,
-                        )
-                    });
-                }
-                op_index.insert(op, scheds.len() as u32);
-                scheds.push(OpSched {
-                    order,
-                    inserts: vec![0u64; rules.len()],
-                });
-            }
-            Scheduler { op_index, scheds }
-        });
-
+        let (mode, demand) = match opts.goal {
+            Goal::Full(mode) => (mode, None),
+            Goal::Demand(plan) => (ProofMode::Off, Some(DemandState::new(plan))),
+        };
         Engine {
             prog,
-            config,
-            limit,
+            config: opts.rules,
+            limit: opts.term_limit,
             mode,
             obs,
             out: Closure {
@@ -1420,17 +906,17 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
             writes_by_recv: Csr::from_nested(writes_by_recv),
             ctor_args: Csr::from_nested(ctor_args),
             op_rules,
-            seen: (sat == SaturationMode::Naive).then(FxHashSet::default),
-            delta: (sat != SaturationMode::Naive)
-                .then(|| DeltaState::new(n, sat == SaturationMode::Chunked)),
-            sched,
-            demand: None,
+            delta: DeltaState::new(n),
+            demand,
             scratch: Vec::new(),
         }
     }
 
     fn run(mut self) -> (Result<Closure, ClosureError>, O) {
         let result = self.saturate();
+        if result.is_err() {
+            self.obs.aborted();
+        }
         self.obs
             .interner(self.out.log.capacity(), self.mode == ProofMode::Full);
         if let Some(d) = &self.demand {
@@ -1504,12 +990,6 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         while let Some(t) = self.queue.pop_front() {
             self.out.rounds += 1;
             self.obs.round();
-            // Re-sort the profiled schedule on a fixed round cadence,
-            // *before* propagating: the schedule is then a function of
-            // (round, insertion counts) only, both mode-invariant.
-            if self.sched.is_some() && self.out.rounds.is_multiple_of(PROFILE_CADENCE) {
-                self.resort_schedule();
-            }
             self.propagate(t)?;
             if self.goals_decided() {
                 self.out.early_exit = true;
@@ -1521,9 +1001,9 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
 
     /// Insert a term **without** scheduling it for propagation: the warm
     /// path of [`Closure::saturate_from`]. The term lands in the log, the
-    /// proof store, the dense tables and — in the delta modes — the bit
-    /// mirrors and dirty kind-masks, exactly as [`Engine::derive`] would
-    /// put it there, but the worklist is left alone. Re-marking the dirty
+    /// proof store, the dense tables, the bit mirrors and the dirty
+    /// kind-masks, exactly as [`Engine::derive`] would put it there, but
+    /// the worklist is left alone. Re-marking the dirty
     /// masks for every absorbed term is deliberate: local rules only
     /// re-evaluate when a later *popped* term visits the node, so the cost
     /// stays proportional to what actually propagates while the masks never
@@ -1533,19 +1013,10 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         if self.mirror_contains(&t) {
             return Ok(());
         }
-        let id = TermId::new(t);
-        if let Some(seen) = &mut self.seen {
-            if !seen.insert(id) {
-                return Ok(());
-            }
-        }
         if self.out.log.len() >= self.limit {
-            if let Some(seen) = &mut self.seen {
-                seen.remove(&id);
-            }
             return Err(ClosureError::TermLimit { limit: self.limit });
         }
-        self.out.log.push(id);
+        self.out.log.push(TermId::new(t));
         if self.mode == ProofMode::Full {
             self.out.proofs.push(deriv);
         }
@@ -1567,19 +1038,6 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         Ok(())
     }
 
-    /// Stable re-sort of every operator's rule order by observed
-    /// productivity: descending insertions, original index as tie-break.
-    fn resort_schedule(&mut self) {
-        let Some(s) = &mut self.sched else {
-            return;
-        };
-        for os in &mut s.scheds {
-            let inserts = &os.inserts;
-            os.order
-                .sort_by_key(|&i| (std::cmp::Reverse(inserts[i as usize]), i));
-        }
-    }
-
     /// The constructor argument feeding attribute `attr` when `e` is a
     /// `new C(…)` node (unfolding pairs each constructor argument with the
     /// attribute it initialises).
@@ -1591,38 +1049,20 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
             .map(|(_, id)| *id)
     }
 
-    /// Internal membership probe: the mirrors answer exactly in the delta
-    /// modes; `Naive` keeps the hash-set probe.
-    #[inline]
-    fn has_term(&self, t: Term) -> bool {
-        if self.delta.is_some() {
-            self.mirror_contains(&t)
-        } else {
-            self.seen
-                .as_ref()
-                .expect("naive mode keeps a hash set")
-                .contains(&TermId::new(t))
-        }
-    }
-
-    /// Delta-mode dedup pre-check: do the bit mirrors prove the term is
-    /// already in the closure? Exact, never over-approximate: bits are set
-    /// only when a term actually lands in the tables (after the budget
-    /// check), so a hit here implies a hash probe would have deduped —
-    /// which is why `Chunked` needs no hash set at all. Always `false` in
-    /// `Naive` mode.
+    /// Membership probe: do the bit mirrors prove the term is already in
+    /// the closure? Exact, never over-approximate: bits are set only when a
+    /// term actually lands in the tables (after the budget check), which is
+    /// why the engine needs no hash set at all.
     #[inline]
     fn mirror_contains(&self, t: &Term) -> bool {
-        let Some(delta) = &self.delta else {
-            return false;
-        };
+        let d = &self.delta;
         match *t {
             Term::Ta(e) => self.out.ta[e as usize],
             Term::Pa(e) => self.out.pa[e as usize],
-            Term::Ti(e, o) => delta.store.ti_get(e as usize, origin_bit(o)),
-            Term::Pi(e, o) => delta.store.pi_get(e as usize, origin_bit(o)),
-            Term::Eq(a, b) => delta.store.eq_get(a as usize, b as usize),
-            Term::PiStar(a, b, o) => delta.store.star_get(origin_bit(o), a as usize, b as usize),
+            Term::Ti(e, o) => d.ti_get(e as usize, origin_bit(o)),
+            Term::Pi(e, o) => d.pi_get(e as usize, origin_bit(o)),
+            Term::Eq(a, b) => d.eq_get(a as usize, b as usize),
+            Term::PiStar(a, b, o) => d.star_get(origin_bit(o), a as usize, b as usize),
         }
     }
 
@@ -1633,43 +1073,39 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
     /// derives, which mark on their own insertion).
     #[inline]
     fn note_delta(&mut self, t: &Term) {
-        let Some(delta) = &mut self.delta else {
-            return;
-        };
+        let delta = &mut self.delta;
         match *t {
             Term::Ta(e) => {
-                delta.store.alter_mark(e as usize, true);
+                delta.alter_mark(e as usize, true);
                 for &node in self.basic_nodes.row(e as usize) {
                     delta.dirty[node as usize] |= kind::TA;
                 }
             }
             Term::Pa(e) => {
-                delta.store.alter_mark(e as usize, false);
+                delta.alter_mark(e as usize, false);
                 for &node in self.basic_nodes.row(e as usize) {
                     delta.dirty[node as usize] |= kind::PA;
                 }
             }
             Term::Ti(e, o) => {
-                delta.store.ti_set(e as usize, origin_bit(o));
+                delta.ti_set(e as usize, origin_bit(o));
                 for &node in self.basic_nodes.row(e as usize) {
                     delta.dirty[node as usize] |= kind::TI;
                 }
             }
             Term::Pi(e, o) => {
-                delta.store.pi_set(e as usize, origin_bit(o));
+                delta.pi_set(e as usize, origin_bit(o));
                 for &node in self.basic_nodes.row(e as usize) {
                     delta.dirty[node as usize] |= kind::PI;
                 }
             }
             Term::PiStar(a, b, o) => {
-                delta.store.star_any_set_sym(a as usize, b as usize);
+                delta.star_any_set_sym(a as usize, b as usize);
                 if o != Origin::AXIOM {
                     delta.star_mixed[a as usize] = true;
                     delta.star_mixed[b as usize] = true;
                 }
-                delta
-                    .store
-                    .star_set_sym(origin_bit(o), a as usize, b as usize);
+                delta.star_set_sym(origin_bit(o), a as usize, b as usize);
                 for e in [a, b] {
                     for &node in self.basic_nodes.row(e as usize) {
                         delta.dirty[node as usize] |= kind::PISTAR;
@@ -1680,19 +1116,19 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                 // Both directions: the mirror probe only needs the
                 // normalised `(a, b)` bit, but the bulk transitivity test
                 // reads rows as adjacency sets.
-                delta.store.eq_set_sym(a as usize, b as usize);
+                delta.eq_set_sym(a as usize, b as usize);
             }
         }
     }
 
-    /// Attempt one conclusion; returns whether it was a *new* insertion
-    /// (the profiled schedule's productivity signal).
+    /// Attempt one conclusion: dedup it against the mirrors or insert it
+    /// and queue it for propagation.
     fn derive(
         &mut self,
         t: Term,
         rule: &'static str,
         premises: &[Term],
-    ) -> Result<bool, ClosureError> {
+    ) -> Result<(), ClosureError> {
         // Demand filter, ahead of `derive_attempt` so the stats invariant
         // `derive_calls == dedup_hits + total_terms` holds in every mode.
         // Dropping the term is sound: the slice is closed under the rule
@@ -1701,35 +1137,23 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         if let Some(d) = &self.demand {
             if !d.plan.covers(&t) {
                 self.obs.sliced_out();
-                return Ok(false);
+                return Ok(());
             }
         }
         self.obs.derive_attempt();
         self.obs.rule_fired(rule);
-        // Delta modes: the bit mirrors prove membership without hashing —
-        // the dominant outcome on equality-dense programs, where >99% of
-        // derive calls are dedup-rejected re-derivations. The mirrors are
-        // exact, so under `Chunked` (no hash set) this is the *only* dedup
-        // check.
+        // The bit mirrors prove membership without hashing — the dominant
+        // outcome on equality-dense programs, where >99% of derive calls
+        // are dedup-rejected re-derivations. The mirrors are exact, so this
+        // is the *only* dedup check.
         if self.mirror_contains(&t) {
             self.obs.dedup_hit();
-            return Ok(false);
-        }
-        let id = TermId::new(t);
-        if let Some(seen) = &mut self.seen {
-            if !seen.insert(id) {
-                self.obs.dedup_hit();
-                return Ok(false);
-            }
+            return Ok(());
         }
         if self.out.log.len() >= self.limit {
-            // An aborted insert must leave no trace.
-            if let Some(seen) = &mut self.seen {
-                seen.remove(&id);
-            }
             return Err(ClosureError::TermLimit { limit: self.limit });
         }
-        self.out.log.push(id);
+        self.out.log.push(TermId::new(t));
         self.obs.term_inserted(&t, rule);
         if self.mode == ProofMode::Full {
             self.out.proofs.push(Derivation {
@@ -1761,7 +1185,7 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         }
         self.queue.push_back(t);
         self.obs.worklist_len(self.queue.len());
-        Ok(true)
+        Ok(())
     }
 
     fn propagate(&mut self, t: Term) -> Result<(), ClosureError> {
@@ -1815,13 +1239,12 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
             Term::PiStar(a, b, o) => {
                 if self.config.pi_star {
                     // Joint constraint on equals (see the Eq arm).
-                    if o != Origin::AXIOM && self.has_term(Term::Eq(a, b)) {
-                        let eq = Term::Eq(a, b);
-                        if !self.pi_mirrored_chunked(a, o) {
-                            self.derive(Term::Pi(a, o), labels::PI_STAR_ON_EQUALS, &[eq, t])?;
-                        }
-                        if !self.pi_mirrored_chunked(b, o) {
-                            self.derive(Term::Pi(b, o), labels::PI_STAR_ON_EQUALS, &[eq, t])?;
+                    let eq = Term::Eq(a, b);
+                    if o != Origin::AXIOM && self.mirror_contains(&eq) {
+                        for x in [a, b] {
+                            if !self.delta.pi_get(x as usize, origin_bit(o)) {
+                                self.derive(Term::Pi(x, o), labels::PI_STAR_ON_EQUALS, &[eq, t])?;
+                            }
                         }
                     }
                     // Compose pi* chains. The snapshot length bounds the
@@ -1831,53 +1254,35 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                     // lists the candidate `c`s and the `o` pair grid proves
                     // presence (it exists — the popped term is mirrored).
                     //
-                    // Chunked: one `row_diff_into` materializes the
-                    // not-yet-mirrored candidates; an empty diff skips the
-                    // scan outright, a non-empty one prefilters each entry
-                    // with a single bit test instead of a derive call (the
-                    // adjacency walk order — hence insertion order and
-                    // witnesses — is untouched). SemiNaive keeps the
-                    // original all-or-nothing row pre-check.
+                    // One `row_diff_into` materializes the not-yet-mirrored
+                    // candidates; an empty diff skips the scan outright, a
+                    // non-empty one prefilters each entry with a single bit
+                    // test instead of a derive call (the adjacency walk
+                    // order — hence insertion order and witnesses — is
+                    // untouched).
                     let mut scratch = std::mem::take(&mut self.scratch);
                     for (end, via) in [(a, b), (b, a)] {
-                        let mut filtered = false;
-                        if let Some(d) = &self.delta {
-                            match d.store.star_join_diff(
-                                origin_bit(o),
-                                via as usize,
-                                end as usize,
-                                &mut scratch,
-                            ) {
-                                Some(false) => continue,
-                                Some(true) => filtered = true,
-                                None => {
-                                    if d.store.star_join_skip(
-                                        origin_bit(o),
-                                        via as usize,
-                                        end as usize,
-                                    ) {
-                                        continue;
-                                    }
-                                }
-                            }
+                        if !self.delta.star_join_diff(
+                            origin_bit(o),
+                            via as usize,
+                            end as usize,
+                            &mut scratch,
+                        ) {
+                            continue;
                         }
                         let len = self.out.pistar[via as usize].len();
                         for k in 0..len {
                             let (c, o2) = self.out.pistar[via as usize][k];
-                            if filtered {
-                                // The adjacency list repeats a candidate
-                                // once per origin it was inserted under,
-                                // but the conclusion depends only on `c`:
-                                // after the first visit it is mirrored
-                                // either way, so clear the bit and let the
-                                // duplicates fall through the prefilter
-                                // (exactly the entries the scalar scan
-                                // burns a dedup derive call on).
-                                if !kernels::row_bit(&scratch, c as usize) {
-                                    continue;
-                                }
-                                kernels::row_clear_bit(&mut scratch, c as usize);
+                            // The adjacency list repeats a candidate once
+                            // per origin it was inserted under, but the
+                            // conclusion depends only on `c`: after the
+                            // first visit it is mirrored either way, so
+                            // clear the bit and let the duplicates fall
+                            // through the prefilter.
+                            if !kernels::row_bit(&scratch, c as usize) {
+                                continue;
                             }
+                            kernels::row_clear_bit(&mut scratch, c as usize);
                             if c != end && c != via {
                                 if let Some(nt) = Term::pi_star(end, c, o) {
                                     let other =
@@ -1896,16 +1301,13 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                 }
             }
             Term::Eq(a, b) => {
-                // Transitivity. Bulk pre-check (semi-naive): every partner
-                // of `x` already adjacent to `y` means the whole scan would
-                // dedup — one row test replaces O(clique) derive calls,
-                // which is where saturated equality cliques spend their
-                // time.
+                // Transitivity. Bulk pre-check: every partner of `x`
+                // already adjacent to `y` means the whole scan would dedup
+                // — one row test replaces O(clique) derive calls, which is
+                // where saturated equality cliques spend their time.
                 for (x, y) in [(a, b), (b, a)] {
-                    if let Some(d) = &self.delta {
-                        if d.store.eq_trans_skip(x as usize, y as usize) {
-                            continue;
-                        }
+                    if self.delta.eq_trans_skip(x as usize, y as usize) {
+                        continue;
                     }
                     let len = self.out.eq[x as usize].len();
                     for k in 0..len {
@@ -1963,18 +1365,21 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                 if self.config.pi_star
                     // The scan only looks for non-axiom entries; skip it
                     // when the mirror proves there are none.
-                    && self.delta.as_ref().is_none_or(|d| d.star_mixed[a as usize])
+                    && self.delta.star_mixed[a as usize]
                 {
                     let len = self.out.pistar[a as usize].len();
                     for k in 0..len {
                         let (x, o) = self.out.pistar[a as usize][k];
                         if x == b && o != Origin::AXIOM {
                             let star = Term::pi_star(a, b, o).expect("stored pi* is proper");
-                            if !self.pi_mirrored_chunked(a, o) {
-                                self.derive(Term::Pi(a, o), labels::PI_STAR_ON_EQUALS, &[t, star])?;
-                            }
-                            if !self.pi_mirrored_chunked(b, o) {
-                                self.derive(Term::Pi(b, o), labels::PI_STAR_ON_EQUALS, &[t, star])?;
+                            for y in [a, b] {
+                                if !self.delta.pi_get(y as usize, origin_bit(o)) {
+                                    self.derive(
+                                        Term::Pi(y, o),
+                                        labels::PI_STAR_ON_EQUALS,
+                                        &[t, star],
+                                    )?;
+                                }
                             }
                         }
                     }
@@ -1988,20 +1393,11 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                     self.try_diagonal(node)?;
                 }
                 // pi* from equality. On a large clique almost every pop
-                // re-derives an existing axiom pair; the chunked pair grid
-                // answers that in one probe (conservative: a miss just
-                // means derive runs and dedups as before).
+                // re-derives an existing axiom pair; the pair grid answers
+                // that in one probe.
                 if self.config.pi_star {
                     if let Some(nt) = Term::pi_star(a, b, Origin::AXIOM) {
-                        let mirrored = self.delta.as_ref().is_some_and(|d| {
-                            matches!(d.store, DeltaStore::Chunked(_))
-                                && d.store.star_get(
-                                    origin_bit(Origin::AXIOM),
-                                    a as usize,
-                                    b as usize,
-                                )
-                        });
-                        if !mirrored {
+                        if !self.mirror_contains(&nt) {
                             self.derive(nt, labels::PI_STAR_FROM_EQ, &[t])?;
                         }
                     }
@@ -2038,7 +1434,7 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
             return Ok(());
         };
         let eq = Term::eq(a, b).expect("diagonal args are distinct");
-        if !self.has_term(eq) {
+        if !self.mirror_contains(&eq) {
             return Ok(());
         }
         let origin = Origin::new(node, Dir::Up);
@@ -2075,16 +1471,6 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         Ok(())
     }
 
-    /// Chunked-only dedup pre-test: is `pi[e, o]` already mirrored?
-    ///
-    /// Always false outside the chunked store so the scalar baseline keeps
-    /// running every derive unfiltered.
-    fn pi_mirrored_chunked(&self, e: ExprId, o: Origin) -> bool {
-        self.delta.as_ref().is_some_and(|d| {
-            matches!(d.store, DeltaStore::Chunked(_)) && d.store.pi_get(e as usize, origin_bit(o))
-        })
-    }
-
     fn transfer_all_caps(
         &mut self,
         from: ExprId,
@@ -2093,35 +1479,22 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
     ) -> Result<(), ClosureError> {
         // `out.ta`/`out.pa` are the authoritative membership tables, so a
         // set bit at `to` means the conclusion already exists and derive
-        // could only dedup; chunked skips the whole ceremony for it.
-        // SemiNaive deliberately stays on the unfiltered baseline.
-        let chunked = self
-            .delta
-            .as_ref()
-            .is_some_and(|d| matches!(d.store, DeltaStore::Chunked(_)));
-        if self.out.ta[from as usize] && !(chunked && self.out.ta[to as usize]) {
+        // could only dedup; skip the whole ceremony for it.
+        if self.out.ta[from as usize] && !self.out.ta[to as usize] {
             self.derive(Term::Ta(to), labels::ALTER_BY_EQ, &[eq, Term::Ta(from)])?;
         }
-        if self.out.pa[from as usize] && !(chunked && self.out.pa[to as usize]) {
+        if self.out.pa[from as usize] && !self.out.pa[to as usize] {
             self.derive(Term::Pa(to), labels::ALTER_BY_EQ, &[eq, Term::Pa(from)])?;
         }
-        // Bulk pre-checks (semi-naive): when `to` already mirrors every
-        // origin `from` carries, the whole per-origin loop would dedup.
-        let skip_ti = self
-            .delta
-            .as_ref()
-            .is_some_and(|d| d.store.ti_transfer_skip(from as usize, to as usize));
-        if !skip_ti {
+        // Bulk pre-checks: when `to` already mirrors every origin `from`
+        // carries, the whole per-origin loop would dedup. When the row test
+        // fails, each individually-mirrored origin is still skipped.
+        if !self.delta.ti_transfer_skip(from as usize, to as usize) {
             let n_ti = self.out.ti[from as usize].len();
             for k in 0..n_ti {
                 let o = self.out.ti[from as usize][k];
-                // The row pre-check above is all-or-nothing; when it fails,
-                // chunked still skips each individually-mirrored origin.
-                if chunked {
-                    let d = self.delta.as_ref().expect("chunked implies delta");
-                    if d.store.ti_get(to as usize, origin_bit(o)) {
-                        continue;
-                    }
+                if self.delta.ti_get(to as usize, origin_bit(o)) {
+                    continue;
                 }
                 self.derive(
                     Term::Ti(to, o),
@@ -2130,19 +1503,12 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                 )?;
             }
         }
-        let skip_pi = self
-            .delta
-            .as_ref()
-            .is_some_and(|d| d.store.pi_transfer_skip(from as usize, to as usize));
-        if !skip_pi {
+        if !self.delta.pi_transfer_skip(from as usize, to as usize) {
             let n_pi = self.out.pi[from as usize].len();
             for k in 0..n_pi {
                 let o = self.out.pi[from as usize][k];
-                if chunked {
-                    let d = self.delta.as_ref().expect("chunked implies delta");
-                    if d.store.pi_get(to as usize, origin_bit(o)) {
-                        continue;
-                    }
+                if self.delta.pi_get(to as usize, origin_bit(o)) {
+                    continue;
                 }
                 self.derive(
                     Term::Pi(to, o),
@@ -2152,46 +1518,35 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
             }
         }
         if self.config.pi_star {
-            // Valid only when every entry is axiom-origin (the axiom pair
-            // grid can then prove presence of each conclusion).
-            let skip_star = self.delta.as_ref().is_some_and(|d| {
-                !d.star_mixed[from as usize]
-                    && d.store.star_axiom_transfer_skip(
-                        origin_bit(Origin::AXIOM),
-                        from as usize,
-                        to as usize,
-                    )
-            });
+            // The row pre-check is valid only when every entry is
+            // axiom-origin (the axiom pair grid can then prove presence of
+            // each conclusion).
+            let skip_star = !self.delta.star_mixed[from as usize]
+                && self.delta.star_axiom_transfer_skip(
+                    origin_bit(Origin::AXIOM),
+                    from as usize,
+                    to as usize,
+                );
             if !skip_star {
                 // Mixed-origin rows can't use a single-row pre-check (each
                 // entry's conclusion carries its own origin), but the
-                // chunked mirrors can still answer per entry: a mirrored
-                // conclusion would dedup inside derive anyway, so test the
-                // one bit here and skip the whole derive ceremony (term
+                // mirrors can still answer per entry: a mirrored conclusion
+                // would dedup inside derive anyway, so test the one bit
+                // here and skip the whole derive ceremony (term
                 // normalization, premise construction, stats) for it.
-                // SemiNaive deliberately stays on the unfiltered baseline.
-                let per_entry = self
-                    .delta
-                    .as_ref()
-                    .is_some_and(|d| matches!(d.store, DeltaStore::Chunked(_)));
                 let n_star = self.out.pistar[from as usize].len();
                 for k in 0..n_star {
                     let (other, o) = self.out.pistar[from as usize][k];
-                    if other != to {
-                        if per_entry
-                            && self
-                                .delta
-                                .as_ref()
-                                .expect("per_entry implies delta")
-                                .store
-                                .star_get(origin_bit(o), to as usize, other as usize)
-                        {
-                            continue;
-                        }
-                        if let Some(nt) = Term::pi_star(to, other, o) {
-                            let prem = Term::pi_star(from, other, o).expect("stored pi* is proper");
-                            self.derive(nt, labels::INFER_BY_EQ, &[eq, prem])?;
-                        }
+                    if other == to
+                        || self
+                            .delta
+                            .star_get(origin_bit(o), to as usize, other as usize)
+                    {
+                        continue;
+                    }
+                    if let Some(nt) = Term::pi_star(to, other, o) {
+                        let prem = Term::pi_star(from, other, o).expect("stored pi* is proper");
+                        self.derive(nt, labels::INFER_BY_EQ, &[eq, prem])?;
                     }
                 }
             }
@@ -2204,101 +1559,50 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         if !self.config.eq_transfer {
             return Ok(());
         }
-        // Bulk pre-check for `pi*` pops (the high-volume case on equality
-        // cliques, where `pi*` terms mirror the full clique): every
-        // eq-partner `p` of `e` already carrying `pi*[(p,other), o]` means
-        // the scan below would dedup entirely. Chunked additionally keeps
-        // the materialized difference row as a per-partner prefilter when
-        // the scan does run (same order-preservation argument as the `pi*`
-        // join in `propagate`).
+        // Scan prefilter for `pi*` pops (the high-volume case on equality
+        // cliques, where `pi*` terms mirror the full clique) and for
+        // `ta`/`pa` pops (alterability rides the same cliques): materialize
+        // the eq-partners whose conclusion is not yet mirrored. An empty
+        // difference means the scan would dedup entirely; otherwise it
+        // prefilters each partner (same order-preservation argument as the
+        // `pi*` join in `propagate`).
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut filtered = false;
-        match t {
+        let filtered = match t {
             Term::PiStar(x, y, o) => {
                 let other = if x == e { y } else { x };
-                if let Some(d) = &self.delta {
-                    match d.store.star_eq_transfer_diff(
-                        origin_bit(o),
-                        e as usize,
-                        other as usize,
-                        &mut scratch,
-                    ) {
-                        Some(false) => {
-                            self.scratch = scratch;
-                            return Ok(());
-                        }
-                        Some(true) => filtered = true,
-                        None => {
-                            if d.store.star_eq_transfer_skip(
-                                origin_bit(o),
-                                e as usize,
-                                other as usize,
-                            ) {
-                                self.scratch = scratch;
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
+                Some(self.delta.star_eq_transfer_diff(
+                    origin_bit(o),
+                    e as usize,
+                    other as usize,
+                    &mut scratch,
+                ))
             }
-            // Alterability rides the same equality cliques (each `ta`/`pa`
-            // pop rescans the full clique, almost always to dedup); the
-            // chunked single-row mirrors prefilter it the same way.
-            Term::Ta(_) | Term::Pa(_) => {
-                if let Some(d) = &self.delta {
-                    match d.store.alter_transfer_diff(
-                        matches!(t, Term::Ta(_)),
-                        e as usize,
-                        &mut scratch,
-                    ) {
-                        Some(false) => {
-                            self.scratch = scratch;
-                            return Ok(());
-                        }
-                        Some(true) => filtered = true,
-                        None => {}
-                    }
-                }
-            }
-            _ => {}
-        }
-        // `ti`/`pi` pops derive a single-origin conclusion per clique
-        // member, but the capability mirrors are per-*expression* rows
-        // (origin bits as columns), so no row diff applies — test the one
-        // mirror bit per entry instead, chunked only (a set bit means the
-        // conclusion exists and derive could only dedup).
-        let pre_test = match t {
-            Term::Ti(_, o) | Term::Pi(_, o)
-                if self
-                    .delta
-                    .as_ref()
-                    .is_some_and(|d| matches!(d.store, DeltaStore::Chunked(_))) =>
-            {
-                Some((matches!(t, Term::Ti(..)), origin_bit(o)))
-            }
+            Term::Ta(_) | Term::Pa(_) => Some(self.delta.alter_transfer_diff(
+                matches!(t, Term::Ta(_)),
+                e as usize,
+                &mut scratch,
+            )),
             _ => None,
         };
+        if filtered == Some(false) {
+            self.scratch = scratch;
+            return Ok(());
+        }
         let len = self.out.eq[e as usize].len();
         for k in 0..len {
             let b = self.out.eq[e as usize][k];
-            if filtered && !kernels::row_bit(&scratch, b as usize) {
+            if filtered.is_some() && !kernels::row_bit(&scratch, b as usize) {
                 continue;
             }
-            if let Some((is_ti, ob)) = pre_test {
-                let d = self.delta.as_ref().expect("pre_test implies delta");
-                let mirrored = if is_ti {
-                    d.store.ti_get(b as usize, ob)
-                } else {
-                    d.store.pi_get(b as usize, ob)
-                };
-                if mirrored {
-                    continue;
-                }
-            }
-            let eq_term = Term::eq(e, b).expect("adjacency implies distinct");
             let (derived, label) = match t {
                 Term::Ta(_) => (Some(Term::Ta(b)), labels::ALTER_BY_EQ),
                 Term::Pa(_) => (Some(Term::Pa(b)), labels::ALTER_BY_EQ),
+                // `ti`/`pi` pops derive a single-origin conclusion per
+                // clique member, but the capability mirrors are
+                // per-*expression* rows (origin bits as columns), so no row
+                // diff applies — test the one mirror bit per entry instead.
+                Term::Ti(_, o) if self.delta.ti_get(b as usize, origin_bit(o)) => continue,
+                Term::Pi(_, o) if self.delta.pi_get(b as usize, origin_bit(o)) => continue,
                 Term::Ti(_, o) => (Some(Term::Ti(b, o)), labels::INFER_BY_EQ),
                 Term::Pi(_, o) => (Some(Term::Pi(b, o)), labels::INFER_BY_EQ),
                 Term::PiStar(x, y, o) => {
@@ -2312,6 +1616,7 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                 Term::Eq(..) => (None, labels::RULE_EQ),
             };
             if let Some(nt) = derived {
+                let eq_term = Term::eq(e, b).expect("adjacency implies distinct");
                 self.derive(nt, label, &[eq_term, t])?;
             }
         }
@@ -2322,7 +1627,7 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
     /// Fire local (basic-function) rules at the nodes where `e` fills a
     /// slot.
     ///
-    /// Semi-naive: a node's rules are only evaluated when premise-shaped
+    /// A node's rules are only evaluated when premise-shaped
     /// terms were inserted on its slot expressions since they last ran
     /// (`dirty[node] != 0`), and then only the rules whose premise-kind
     /// mask intersects the accumulated kinds. Skipped evaluations have
@@ -2337,18 +1642,10 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         }
         for k in 0..self.basic_nodes.row(e as usize).len() {
             let node = self.basic_nodes.row(e as usize)[k];
-            let want = match &mut self.delta {
-                Some(delta) => {
-                    let mask = delta.dirty[node as usize];
-                    if mask == 0 {
-                        continue;
-                    }
-                    delta.dirty[node as usize] = 0;
-                    mask
-                }
-                None => kind::ALL,
-            };
-            self.try_node(node, want)?;
+            let want = std::mem::take(&mut self.delta.dirty[node as usize]);
+            if want != 0 {
+                self.try_node(node, want)?;
+            }
         }
         Ok(())
     }
@@ -2359,23 +1656,6 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         };
         let args = &buf[..len as usize];
         let rules = Rc::clone(self.op_rules.get(&op).expect("rules built for every op"));
-        // Profiled schedule: evaluate the operator's rules in the current
-        // productivity permutation, feeding each insertion back into the
-        // slot counter the next re-sort ranks by.
-        if let Some(s) = &self.sched {
-            let si = s.op_index[&op] as usize;
-            for k in 0..rules.len() {
-                let idx = self.sched.as_ref().expect("checked above").scheds[si].order[k] as usize;
-                let (premise_mask, rule) = &rules[idx];
-                if premise_mask & want == 0 {
-                    continue;
-                }
-                if self.try_rule(node, args, rule)? {
-                    self.sched.as_mut().expect("checked above").scheds[si].inserts[idx] += 1;
-                }
-            }
-            return Ok(());
-        }
         for (premise_mask, rule) in rules.iter() {
             if premise_mask & want == 0 {
                 continue;
@@ -2392,14 +1672,13 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
         }
     }
 
-    /// Evaluate one local rule at `node`; returns whether its conclusion
-    /// was a new insertion (the profiled schedule's feedback signal).
+    /// Evaluate one local rule at `node`.
     fn try_rule(
         &mut self,
         node: ExprId,
         args: &[ExprId],
         rule: &LocalRule,
-    ) -> Result<bool, ClosureError> {
+    ) -> Result<(), ClosureError> {
         // Direction of the conclusion decides the feedback guard.
         let conclusion_down = match rule.conclusion {
             LTerm::Cap(_, Slot::Ret) => true,
@@ -2465,7 +1744,7 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
                     pbuf[pn] = t;
                     pn += 1;
                 }
-                None => return Ok(false),
+                None => return Ok(()),
             }
         }
 
@@ -2489,17 +1768,45 @@ impl<'p, O: ClosureObserver> Engine<'p, O> {
             }
         };
         if let Some(c) = conclusion {
-            let premises = &pbuf[..pn];
-            return self.derive(c, rule.name, premises);
+            self.derive(c, rule.name, &pbuf[..pn])?;
         }
-        Ok(false)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::RefClosure;
     use oodb_lang::parse_schema;
+
+    /// Full saturation with proofs under explicit rules and budget.
+    fn compute_with(
+        prog: &NProgram,
+        rules: &RuleConfig,
+        limit: usize,
+    ) -> Result<Closure, ClosureError> {
+        let opts = ClosureOptions {
+            rules: *rules,
+            term_limit: limit,
+            ..ClosureOptions::default()
+        };
+        Closure::saturate(prog, &opts, NoopObserver).0
+    }
+
+    /// Full saturation under `mode` with a [`ClosureStats`] observer.
+    fn with_stats(
+        prog: &NProgram,
+        limit: usize,
+        mode: ProofMode,
+    ) -> (Result<Closure, ClosureError>, ClosureStats) {
+        let opts = ClosureOptions {
+            term_limit: limit,
+            goal: Goal::Full(mode),
+            ..ClosureOptions::default()
+        };
+        Closure::saturate(prog, &opts, ClosureStats::new(limit))
+    }
 
     fn closure_for(src: &str, user: &str) -> (NProgram, Closure) {
         let schema = parse_schema(src).unwrap();
@@ -2560,13 +1867,9 @@ mod tests {
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
         let full = Closure::compute(&prog).unwrap();
-        let fast = Closure::compute_with_mode(
-            &prog,
-            &RuleConfig::default(),
-            DEFAULT_TERM_LIMIT,
-            ProofMode::Off,
-        )
-        .unwrap();
+        let fast = with_stats(&prog, DEFAULT_TERM_LIMIT, ProofMode::Off)
+            .0
+            .unwrap();
         assert_eq!(fast.proof_mode(), ProofMode::Off);
         let mut t1: Vec<Term> = full.iter().collect();
         let mut t2: Vec<Term> = fast.iter().collect();
@@ -2592,7 +1895,7 @@ mod tests {
             write_read: false,
             ..RuleConfig::default()
         };
-        let c = Closure::compute_with(&prog, &cfg, DEFAULT_TERM_LIMIT).unwrap();
+        let c = compute_with(&prog, &cfg, DEFAULT_TERM_LIMIT).unwrap();
         assert!(
             !c.has_ti(5),
             "without write-read equality the attack is invisible (unsound!)"
@@ -2621,7 +1924,7 @@ mod tests {
             eq_transfer: false,
             ..RuleConfig::default()
         };
-        let ablated = Closure::compute_with(&prog, &cfg, DEFAULT_TERM_LIMIT).unwrap();
+        let ablated = compute_with(&prog, &cfg, DEFAULT_TERM_LIMIT).unwrap();
         // The value argument of w_salary is the let(calcSalary) node — the
         // binding of the occurrence found by the algorithm.
         let w_salary_val = prog
@@ -2642,7 +1945,7 @@ mod tests {
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
         assert!(matches!(
-            Closure::compute_with(&prog, &RuleConfig::default(), 5),
+            compute_with(&prog, &RuleConfig::default(), 5),
             Err(ClosureError::TermLimit { limit: 5 })
         ));
     }
@@ -2651,8 +1954,7 @@ mod tests {
     fn stats_are_consistent_with_the_closure() {
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let (result, stats) =
-            Closure::compute_with_stats(&prog, &RuleConfig::default(), DEFAULT_TERM_LIMIT);
+        let (result, stats) = with_stats(&prog, DEFAULT_TERM_LIMIT, ProofMode::Full);
         let c = result.unwrap();
         assert!(!stats.aborted);
         assert_eq!(stats.rounds as usize, c.rounds());
@@ -2694,9 +1996,9 @@ mod tests {
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
         let plain = Closure::compute(&prog).unwrap();
-        let (instrumented, _) =
-            Closure::compute_with_stats(&prog, &RuleConfig::default(), DEFAULT_TERM_LIMIT);
-        let instrumented = instrumented.unwrap();
+        let instrumented = with_stats(&prog, DEFAULT_TERM_LIMIT, ProofMode::Full)
+            .0
+            .unwrap();
         let mut t1: Vec<Term> = plain.iter().collect();
         let mut t2: Vec<Term> = instrumented.iter().collect();
         t1.sort();
@@ -2709,7 +2011,7 @@ mod tests {
     fn stats_survive_a_term_limit_abort() {
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let (result, stats) = Closure::compute_with_stats(&prog, &RuleConfig::default(), 5);
+        let (result, stats) = with_stats(&prog, 5, ProofMode::Full);
         assert!(matches!(result, Err(ClosureError::TermLimit { limit: 5 })));
         assert!(stats.aborted);
         assert_eq!(stats.total_terms(), 5, "budget filled exactly");
@@ -2718,217 +2020,99 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_semi_naive_are_byte_identical() {
-        // The saturation mode is a pure performance knob: same insertion
-        // order, so same term set, rounds, witnesses — and same proofs,
-        // premise for premise (each derivation is recorded at the term's
-        // first insertion, which the delta scheme must not move).
+    fn matches_the_oracle_byte_for_byte() {
+        // The mirrors, prefilters and dirty masks only ever skip derive
+        // calls that would dedup — never reorder what does run — so the
+        // closure is the reference traversal's exactly: same insertion
+        // order, rounds, witnesses, equality rows and proofs (each
+        // derivation is recorded at the term's first insertion).
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let cfg = RuleConfig::default();
-        let naive = Closure::compute_with_saturation(
-            &prog,
-            &cfg,
-            DEFAULT_TERM_LIMIT,
-            ProofMode::Full,
-            SaturationMode::Naive,
-        )
-        .unwrap();
-        let semi = Closure::compute_with_saturation(
-            &prog,
-            &cfg,
-            DEFAULT_TERM_LIMIT,
-            ProofMode::Full,
-            SaturationMode::SemiNaive,
-        )
-        .unwrap();
-        assert_eq!(naive.len(), semi.len());
-        assert_eq!(naive.rounds(), semi.rounds());
-        let mut t1: Vec<Term> = naive.iter().collect();
-        let mut t2: Vec<Term> = semi.iter().collect();
-        t1.sort();
-        t2.sort();
-        assert_eq!(t1, t2);
+        let engine = Closure::compute(&prog).unwrap();
+        let oracle = RefClosure::compute(&prog).unwrap();
+        assert_eq!(
+            engine.iter().collect::<Vec<Term>>(),
+            oracle.iter().collect::<Vec<Term>>(),
+            "insertion order must match exactly"
+        );
+        assert_eq!(engine.rounds(), oracle.rounds());
         for e in 1..=prog.len() as ExprId {
-            assert_eq!(naive.ti_witness(e), semi.ti_witness(e));
-            assert_eq!(naive.pi_witness(e), semi.pi_witness(e));
-            assert_eq!(naive.has_ta(e), semi.has_ta(e));
-            assert_eq!(naive.has_pa(e), semi.has_pa(e));
-            assert_eq!(naive.equal_to(e), semi.equal_to(e));
+            assert_eq!(engine.ti_witness(e), oracle.ti_witness(e));
+            assert_eq!(engine.pi_witness(e), oracle.pi_witness(e));
+            assert_eq!(engine.has_ta(e), oracle.has_ta(e));
+            assert_eq!(engine.has_pa(e), oracle.has_pa(e));
+            assert_eq!(engine.equal_to(e), oracle.equal_to(e));
         }
-        for t in naive.iter() {
-            assert_eq!(naive.proof(&t), semi.proof(&t), "proof of {t} differs");
-        }
-    }
-
-    #[test]
-    fn chunked_is_byte_identical_to_scalar_modes() {
-        // The chunked mode swaps storage (arena grids, no hash set) and
-        // skips derive calls only when the mirrors prove they would dedup
-        // — never reordering what does run: insertion order, rounds,
-        // witnesses and proofs all match the scalar baselines bit for bit.
-        let schema = parse_schema(STOCKBROKER).unwrap();
-        let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let cfg = RuleConfig::default();
-        let compute = |sat| {
-            Closure::compute_with_saturation(&prog, &cfg, DEFAULT_TERM_LIMIT, ProofMode::Full, sat)
-                .unwrap()
-        };
-        let semi = compute(SaturationMode::SemiNaive);
-        let chunked = compute(SaturationMode::Chunked);
-        assert_eq!(chunked.len(), semi.len());
-        assert_eq!(chunked.rounds(), semi.rounds());
-        let t1: Vec<Term> = semi.iter().collect();
-        let t2: Vec<Term> = chunked.iter().collect();
-        assert_eq!(t1, t2, "insertion order must match exactly");
-        for e in 1..=prog.len() as ExprId {
-            assert_eq!(chunked.ti_witness(e), semi.ti_witness(e));
-            assert_eq!(chunked.pi_witness(e), semi.pi_witness(e));
-            assert_eq!(chunked.equal_to(e), semi.equal_to(e));
-        }
-        for t in semi.iter() {
-            assert!(chunked.contains(&t));
-            assert_eq!(chunked.proof(&t), semi.proof(&t), "proof of {t} differs");
+        for t in oracle.iter() {
+            assert!(engine.contains(&t));
+            assert_eq!(engine.proof(&t), oracle.proof(&t), "proof of {t} differs");
         }
         // Un-normalised pair probes answer false, as they always did.
-        assert!(!chunked.contains(&Term::Eq(8, 1)));
+        assert!(!engine.contains(&Term::Eq(8, 1)));
     }
 
     #[test]
-    fn profiled_schedule_is_set_identical_and_mode_invariant() {
-        // Reordering rules changes which conclusion enters the worklist
-        // first, so Profiled is only *set*-identical to Declared — but
-        // across saturation modes (whose byte-identity the differential
-        // suites pin) a profiled run must stay byte-identical, because the
-        // schedule is a function of mode-invariant insertion counts.
+    fn prefilters_skip_attempts_not_insertions() {
+        // Skipped derive calls are all would-be dedups, so every rule
+        // inserts exactly the terms the oracle records under its label.
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let cfg = RuleConfig::default();
-        let declared = Closure::compute(&prog).unwrap();
-        // Seed the profile from a prior run's stats, like the bench does.
-        let (_, stats) = Closure::compute_with_stats(&prog, &cfg, DEFAULT_TERM_LIMIT);
-        for profile in [None, Some(&stats)] {
-            let runs: Vec<Closure> = [
-                SaturationMode::Naive,
-                SaturationMode::SemiNaive,
-                SaturationMode::Chunked,
-            ]
-            .into_iter()
-            .map(|sat| {
-                Closure::compute_scheduled(
-                    &prog,
-                    &cfg,
-                    DEFAULT_TERM_LIMIT,
-                    ProofMode::Full,
-                    sat,
-                    RuleSchedule::Profiled,
-                    profile,
-                )
-                .unwrap()
-            })
-            .collect();
-            let order0: Vec<Term> = runs[0].iter().collect();
-            for r in &runs[1..] {
-                let order: Vec<Term> = r.iter().collect();
-                assert_eq!(order, order0, "profiled runs diverged across modes");
-                assert_eq!(r.rounds(), runs[0].rounds());
+        let (engine, stats) = with_stats(&prog, DEFAULT_TERM_LIMIT, ProofMode::Off);
+        let oracle = RefClosure::compute(&prog).unwrap();
+        assert_eq!(engine.unwrap().len(), oracle.len());
+        let mut by_label: Vec<(&'static str, u64)> = Vec::new();
+        for t in oracle.iter() {
+            let rule = oracle
+                .proof(&t)
+                .expect("the oracle records every proof")
+                .rule;
+            match by_label.iter_mut().find(|(l, _)| *l == rule) {
+                Some((_, n)) => *n += 1,
+                None => by_label.push((rule, 1)),
             }
-            // Same closure as Declared, as a set.
-            let mut profiled: Vec<Term> = order0;
-            let mut base: Vec<Term> = declared.iter().collect();
-            profiled.sort();
-            base.sort();
-            assert_eq!(profiled, base, "profiled schedule changed the fixpoint");
+        }
+        assert_eq!(
+            stats.firings, by_label,
+            "per-rule insertions, in first-firing order"
+        );
+        assert_eq!(stats.derive_calls, stats.dedup_hits + stats.total_terms());
+        let attempted: u64 = stats.rule_attempts.iter().map(|(_, n)| *n).sum();
+        assert_eq!(attempted, stats.derive_calls);
+        for (label, n) in &stats.firings {
+            assert!(stats.rule_attempts_of(label) >= *n, "{label}");
+        }
+    }
+
+    /// Records every inserted term in order.
+    #[derive(Default)]
+    struct InsertLog(Vec<Term>);
+
+    impl ClosureObserver for InsertLog {
+        fn term_inserted(&mut self, t: &Term, _rule: &'static str) {
+            self.0.push(*t);
         }
     }
 
     #[test]
-    fn semi_naive_skips_attempts_not_insertions() {
-        let schema = parse_schema(STOCKBROKER).unwrap();
-        let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let cfg = RuleConfig::default();
-        let (naive, naive_stats) = Closure::compute_with_stats_saturation(
-            &prog,
-            &cfg,
-            DEFAULT_TERM_LIMIT,
-            ProofMode::Off,
-            SaturationMode::Naive,
-        );
-        let (semi, semi_stats) = Closure::compute_with_stats_saturation(
-            &prog,
-            &cfg,
-            DEFAULT_TERM_LIMIT,
-            ProofMode::Off,
-            SaturationMode::SemiNaive,
-        );
-        assert_eq!(naive.unwrap().len(), semi.unwrap().len());
-        assert_eq!(naive_stats.total_terms(), semi_stats.total_terms());
-        // The delta scheme only drops would-be dedups.
-        assert!(semi_stats.derive_calls < naive_stats.derive_calls);
-        assert!(semi_stats.dedup_hits < naive_stats.dedup_hits);
-        // Per-label: never more attempts than naive, identical insertions.
-        for (label, n) in &semi_stats.rule_attempts {
-            assert!(*n <= naive_stats.rule_attempts_of(label), "{label}");
-        }
-        for (label, n) in &naive_stats.firings {
-            assert_eq!(semi_stats.firings_of(label), *n, "{label}");
-        }
-        // Both satisfy the per-run attempt partition.
-        for s in [&naive_stats, &semi_stats] {
-            assert_eq!(s.derive_calls, s.dedup_hits + s.total_terms());
-            let attempted: u64 = s.rule_attempts.iter().map(|(_, n)| *n).sum();
-            assert_eq!(attempted, s.derive_calls);
-        }
-    }
-
-    #[test]
-    fn term_limit_aborts_identically_across_modes() {
+    fn term_limit_aborts_like_the_oracle() {
         // The abort point depends on the insertion sequence, so a matching
-        // limit error is itself an order-identity check — and the mirrors
-        // must not retain bits from the aborted insertion (exercised by the
-        // stats run continuing to answer membership).
+        // limit error over a matching inserted prefix is itself an
+        // order-identity check.
         let schema = parse_schema(STOCKBROKER).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
         let cfg = RuleConfig::default();
+        let full_order: Vec<Term> = RefClosure::compute(&prog).unwrap().iter().collect();
         for limit in [5usize, 17, 40] {
-            let (naive, naive_stats) = Closure::compute_with_stats_saturation(
-                &prog,
-                &cfg,
-                limit,
-                ProofMode::Off,
-                SaturationMode::Naive,
-            );
-            let (semi, semi_stats) = Closure::compute_with_stats_saturation(
-                &prog,
-                &cfg,
-                limit,
-                ProofMode::Off,
-                SaturationMode::SemiNaive,
-            );
-            let (chunked, chunked_stats) = Closure::compute_with_stats_saturation(
-                &prog,
-                &cfg,
-                limit,
-                ProofMode::Off,
-                SaturationMode::Chunked,
-            );
-            assert!(matches!(naive, Err(ClosureError::TermLimit { .. })));
-            let semi_err = semi.unwrap_err();
-            assert_eq!(naive.unwrap_err(), semi_err, "limit {limit}");
-            assert_eq!(semi_err, chunked.unwrap_err(), "limit {limit}");
-            // Same insertion sequence up to the abort, so identical term
-            // counts; semi-naive may have skipped some dedup attempts.
-            assert_eq!(
-                naive_stats.total_terms(),
-                semi_stats.total_terms(),
-                "limit {limit}"
-            );
-            assert_eq!(
-                semi_stats.total_terms(),
-                chunked_stats.total_terms(),
-                "limit {limit}"
-            );
-            assert!(semi_stats.derive_calls <= naive_stats.derive_calls);
+            let opts = ClosureOptions {
+                term_limit: limit,
+                goal: Goal::Full(ProofMode::Off),
+                ..ClosureOptions::default()
+            };
+            let (engine, log) = Closure::saturate(&prog, &opts, InsertLog::default());
+            let oracle = RefClosure::compute_with(&prog, &cfg, limit);
+            assert!(matches!(oracle, Err(ClosureError::TermLimit { .. })));
+            assert_eq!(engine.unwrap_err(), oracle.unwrap_err(), "limit {limit}");
+            assert_eq!(log.0, full_order[..limit], "limit {limit}");
         }
     }
 
@@ -2995,7 +2179,7 @@ mod tests {
             printable_oids: true,
             ..RuleConfig::default()
         };
-        let printable = Closure::compute_with(&prog, &cfg, DEFAULT_TERM_LIMIT).unwrap();
+        let printable = compute_with(&prog, &cfg, DEFAULT_TERM_LIMIT).unwrap();
         assert!(printable.has_ti(1), "printable OIDs are directly known");
         // The regime only adds terms (monotone).
         assert!(printable.len() >= opaque.len());

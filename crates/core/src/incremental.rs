@@ -56,9 +56,10 @@
 use crate::algorithm::{
     check_with_occurrences, occurrences, AnalysisConfig, AnalysisError, CapabilityView,
 };
-use crate::closure::{Closure, Derivation, ProofMode};
+use crate::closure::{Closure, Derivation, Goal, ProofMode};
 use crate::fxhash::FxHashSet;
 use crate::report::Verdict;
+use crate::stats::NoopObserver;
 use crate::term::{Origin, Term, TermId};
 use crate::unfold::{ExprId, NKind, NProgram};
 use oodb_lang::requirement::Requirement;
@@ -135,13 +136,8 @@ impl IncrementalUser {
             .cloned()
             .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
         let prog = NProgram::unfold_with_limit(schema, &caps, config.node_limit)?;
-        let closure = Closure::compute_with_saturation(
-            &prog,
-            &config.rules,
-            config.term_limit,
-            ProofMode::Full,
-            config.saturation,
-        )?;
+        let opts = config.closure_options(Goal::Full(ProofMode::Full));
+        let closure = Closure::saturate(&prog, &opts, NoopObserver).0?;
         Ok(IncrementalUser {
             user: user.clone(),
             caps,
@@ -210,7 +206,6 @@ impl IncrementalUser {
             &prog,
             &self.config.rules,
             self.config.term_limit,
-            self.config.saturation,
             survivors,
             &[],
         )?;
@@ -292,7 +287,6 @@ impl IncrementalUser {
             &prog,
             &self.config.rules,
             self.config.term_limit,
-            self.config.saturation,
             survivors,
             &frontier,
         )?;

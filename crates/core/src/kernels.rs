@@ -1,12 +1,12 @@
-//! SIMD-width bitset row kernels for the chunked saturation mode.
+//! SIMD-width bitset row kernels for the saturation engine.
 //!
-//! The semi-naive engine's bulk dedup pre-checks all reduce to one row
-//! primitive: *is `rowA \ (rowB ∪ except)` empty?* — an AND-NOT merge of
-//! two bit rows OR-reduced to a single emptiness verdict. The scalar
-//! engine evaluates it word-at-a-time with a per-word branch and a linear
-//! `except: &[usize]` membership scan inside the loop (O(words × excepts)).
+//! The engine's bulk dedup pre-checks all reduce to one row primitive: *is
+//! `rowA \ (rowB ∪ except)` empty?* — an AND-NOT merge of two bit rows
+//! OR-reduced to a single emptiness verdict. Evaluated word-at-a-time, it
+//! pays a per-word branch and a linear `except: &[usize]` membership scan
+//! inside the loop (O(words × excepts)); see [`reference`].
 //!
-//! This module provides the chunked replacement:
+//! This module provides the chunked form:
 //!
 //! * rows are padded to a fixed chunk width of [`CHUNK_WORDS`] × `u64`
 //!   lanes (256 bits), so the inner loop is a fixed-trip-count lane loop
@@ -22,10 +22,11 @@
 //! ([`row_diff_is_empty`]), and individual entries otherwise (the scan
 //! walks in its original order but consults the materialized difference
 //! row from [`row_diff_into`] one bit at a time) — so a false "empty"
-//! would silently drop closure terms. [`reference`] keeps the original word-at-a-time scalar
-//! implementation verbatim; `tests/kernel_differential.rs` duels the two
-//! on random rows and exception sets, and the mode-differential suites pin
-//! the engines built on top of them to byte-identical closures.
+//! would silently drop closure terms. [`reference`] keeps the original
+//! word-at-a-time scalar implementation verbatim;
+//! `tests/kernel_differential.rs` duels the two on random rows and
+//! exception sets, and the engine differential suites pin the closures
+//! built on top of them to the `RefClosure` oracle byte for byte.
 
 /// Fixed chunk width in `u64` words (4 × 64 = 256-bit lanes).
 pub const CHUNK_WORDS: usize = 4;
@@ -221,8 +222,7 @@ pub fn row_or_into(dst: &mut [u64], src: &[u64]) {
 
 /// Retained scalar reference implementations, kept verbatim from the
 /// pre-chunking engine as the dueling partner for
-/// `tests/kernel_differential.rs` (and still what
-/// [`SaturationMode::SemiNaive`](crate::closure::SaturationMode) runs on).
+/// `tests/kernel_differential.rs`.
 pub mod reference {
     /// Word-at-a-time `a \ (b ∪ except)` emptiness with a linear `except`
     /// membership scan inside the word loop — the original O(words ×

@@ -74,7 +74,7 @@ pub use algorithm::{
     BatchOutcome, CacheStats, CapabilityView, ClosureCache,
 };
 pub use checker::{Certificate, CheckError};
-pub use closure::{Closure, ProofMode, SaturationMode};
+pub use closure::{Closure, ClosureOptions, Goal, ProofMode};
 pub use demand::{DemandPlan, GoalTracker};
 pub use incremental::{CanonicalView, EditOutcome, IncrementalUser};
 pub use provenance::{

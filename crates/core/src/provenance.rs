@@ -673,13 +673,13 @@ mod tests {
         let schema = parse_schema(STOCKBROKER).unwrap();
         oodb_lang::check_schema(&schema).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let closure = Closure::compute_with_mode(
-            &prog,
-            &crate::rules::RuleConfig::default(),
-            crate::closure::DEFAULT_TERM_LIMIT,
-            ProofMode::Off,
-        )
-        .unwrap();
+        let opts = crate::closure::ClosureOptions {
+            goal: crate::closure::Goal::Full(ProofMode::Off),
+            ..Default::default()
+        };
+        let closure = Closure::saturate(&prog, &opts, crate::stats::NoopObserver)
+            .0
+            .unwrap();
         let sink = closure.ti_witness(5).unwrap();
         assert_eq!(
             flaw_paths(&closure, &sink, &ProvenanceOptions::default()),

@@ -4,10 +4,12 @@
 //! This module preserves the pre-fast-path representation: terms live in a
 //! SipHash `HashSet<Term>`, capability indexes are `HashMap<ExprId, Vec<…>>`,
 //! proofs are always recorded, and the hot loops clone their index snapshots
-//! instead of iterating in place. It exists so the differential tests (and
-//! the `closure_fastpath` bench experiment) can assert that the interned,
-//! dense-table engine derives *exactly* the same term set, witnesses and
-//! verdicts — byte for byte — on every workload.
+//! instead of iterating in place, and no mirror, prefilter or dirty mask
+//! skips any work. It is the one whole-closure oracle: the differential
+//! tests (and the `fastpath` bench experiment) assert that the interned,
+//! dense-table engine derives *exactly* the same terms in the same
+//! insertion order, with the same witnesses, proofs and verdicts — byte for
+//! byte — on every workload.
 //!
 //! The traversal order is kept identical to the fast engine: same axiom
 //! order, same worklist discipline, and the same keyed diagonal index (the
@@ -35,6 +37,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 #[derive(Debug)]
 pub struct RefClosure {
     terms: HashSet<Term>,
+    /// Every term in insertion order: what [`RefClosure::iter`] yields, so
+    /// the differential suites can compare the fast engine's exact order.
+    log: Vec<Term>,
     proofs: HashMap<Term, Derivation>,
     ta: HashSet<ExprId>,
     pa: HashSet<ExprId>,
@@ -124,9 +129,9 @@ impl RefClosure {
         self.pi.get(&e).map(|os| Term::Pi(e, os[0]))
     }
 
-    /// Iterate over all terms (unordered).
+    /// Iterate over all terms in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = Term> + '_ {
-        self.terms.iter().copied()
+        self.log.iter().copied()
     }
 }
 
@@ -228,6 +233,7 @@ impl<'p> RefEngine<'p> {
             limit,
             out: RefClosure {
                 terms: HashSet::new(),
+                log: Vec::new(),
                 proofs: HashMap::new(),
                 ta: HashSet::new(),
                 pa: HashSet::new(),
@@ -301,6 +307,7 @@ impl<'p> RefEngine<'p> {
             return Err(ClosureError::TermLimit { limit: self.limit });
         }
         self.out.terms.insert(t);
+        self.out.log.push(t);
         self.out.proofs.insert(t, Derivation { rule, premises });
         match t {
             Term::Ta(e) => {
@@ -754,11 +761,9 @@ mod tests {
             let prog = prog_for(user);
             let slow = RefClosure::compute(&prog).unwrap();
             let fast = Closure::compute(&prog).unwrap();
-            let mut t1: Vec<Term> = slow.iter().collect();
-            let mut t2: Vec<Term> = fast.iter().collect();
-            t1.sort();
-            t2.sort();
-            assert_eq!(t1, t2, "term sets differ for {user}");
+            let t1: Vec<Term> = slow.iter().collect();
+            let t2: Vec<Term> = fast.iter().collect();
+            assert_eq!(t1, t2, "insertion orders differ for {user}");
             assert_eq!(slow.rounds(), fast.rounds(), "rounds differ for {user}");
             for e in 1..=prog.len() as ExprId {
                 assert_eq!(slow.ti_witness(e), fast.ti_witness(e), "ti witness @{e}");

@@ -1,11 +1,10 @@
 //! Closure instrumentation: the observer hook and [`ClosureStats`].
 //!
-//! The closure engine is generic over a [`ClosureObserver`]; the default
-//! [`NoopObserver`] monomorphises every callback to nothing, so the
-//! uninstrumented entry points ([`crate::closure::Closure::compute`],
-//! [`crate::closure::Closure::compute_with`]) compile to exactly the code
-//! they compiled to before this module existed. The stats-collecting entry
-//! point pays for what it counts and nothing else.
+//! The closure engine is generic over a [`ClosureObserver`]: its one entry
+//! point, [`crate::closure::Closure::saturate`], takes the observer and
+//! hands it back. The [`NoopObserver`] monomorphises every callback to
+//! nothing, so an uninstrumented run compiles to the bare engine; a
+//! [`ClosureStats`] run pays for what it counts and nothing else.
 
 use crate::term::Term;
 use secflow_obs::MetricsSink;
@@ -54,10 +53,15 @@ pub trait ClosureObserver {
     /// whether the run stopped early with every goal derived.
     #[inline]
     fn demand(&mut self, _slice_nodes: usize, _early_exit: bool) {}
+
+    /// The run hit its term budget and returns
+    /// [`crate::closure::ClosureError::TermLimit`].
+    #[inline]
+    fn aborted(&mut self) {}
 }
 
-/// The observer that observes nothing. This is what the plain `compute`
-/// paths use; the optimiser deletes every callback.
+/// The observer that observes nothing: the optimiser deletes every
+/// callback.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 
@@ -89,7 +93,7 @@ pub struct ClosureStats {
     pub firings: Vec<(&'static str, u64)>,
     /// Conclusion attempts per rule label, in first-attempt order
     /// ("fired", deduplicated or not). `fired - derived_new` per label is
-    /// the re-derivation volume semi-naive evaluation eliminates; the sum
+    /// the re-derivation volume the engine's prefilters did not skip; the sum
     /// over labels equals [`ClosureStats::derive_calls`].
     pub rule_attempts: Vec<(&'static str, u64)>,
     /// Worklist items processed (equals [`crate::closure::Closure::rounds`]
@@ -370,6 +374,10 @@ impl ClosureObserver for ClosureStats {
     fn demand(&mut self, slice_nodes: usize, early_exit: bool) {
         self.slice_nodes = slice_nodes as u64;
         self.early_exit = early_exit;
+    }
+
+    fn aborted(&mut self) {
+        self.aborted = true;
     }
 }
 

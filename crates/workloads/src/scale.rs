@@ -14,8 +14,8 @@
 //! * [`dense_equalities`] — `=[e1,e2]` cross-joins: every probe shares the
 //!   same `int` parameter and the same `r_a0` read, so the equality rules
 //!   build cliques over the argument and read occurrences — the worst case
-//!   for naive re-firing and the headline family of the `saturation`
-//!   experiment.
+//!   for unoptimised re-firing and the refiring-heavy family of the
+//!   `fastpath` experiment.
 //!
 //! [`multi_user`] builds a *batch* case — one schema, many users, one
 //! requirement each — for the `analyze_batch` driver and the `--jobs`
@@ -506,8 +506,8 @@ pub fn clustered_giants(
 /// into `=`-cliques, and transfer-by-equality then copies every capability
 /// across each clique: `O(n²)` equality edges with `O(n²)` transfer work on
 /// top. This is the densest `=[e1, e2]` cross-join the language produces —
-/// the workload where naive saturation re-derives hardest, built for the
-/// `saturation` (naive-vs-semi-naive) experiment.
+/// the workload where unoptimised saturation re-derives hardest, and the
+/// refiring-heavy family of the `fastpath` (engine-vs-oracle) experiment.
 pub fn dense_equalities(n: usize) -> ScaleCase {
     let n = n.max(1);
     let mut schema = Schema::new();
@@ -819,7 +819,7 @@ mod tests {
 
     #[test]
     fn scale_families_reach_thousands_of_nodes() {
-        // The saturation bench leans on these families at kernel-stressing
+        // The fastpath bench leans on these families at kernel-stressing
         // sizes; pin the unfolded program size so "thousands of numbered
         // occurrences" stays true if the generators change shape.
         use secflow::unfold::NProgram;

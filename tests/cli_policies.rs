@@ -392,6 +392,33 @@ fn serve_session_maintains_stockbroker_verdicts() {
 }
 
 #[test]
+fn serve_answers_a_non_utf8_request_and_keeps_serving() {
+    // An undecodable request line is one bad request, not the end of the
+    // stream: it answers an error record and the requests after it are
+    // still served, up to the EOF shutdown line.
+    let src = std::fs::read_to_string(policy("stockbroker")).unwrap();
+    let schema = secflow_cli::load_str(&src).unwrap();
+    let input: &[u8] = b"{\"op\":\"check\",\"user\":\"clerk\"}\n\
+        {\"op\":\"check\",\"user\":\"cl\xffrk\"}\n\
+        {\"op\":\"check\",\"user\":\"clerk\"}\n\
+        {\"op\":\"stats\"}\n";
+    let mut out = Vec::new();
+    let code = secflow_cli::serve_io(&schema, input, &mut out);
+    assert_eq!(code, secflow_cli::exit::OK);
+    let out = String::from_utf8(out).expect("responses are UTF-8");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 6, "ready + 4 responses + shutdown:\n{out}");
+    assert!(lines[1].contains("\"op\":\"check\""));
+    assert_eq!(
+        lines[2],
+        r#"{"error":"request is not valid UTF-8","request":2}"#
+    );
+    assert_eq!(lines[3], lines[1], "request 3 is served like request 1");
+    assert!(lines[4].contains("\"stats\":{\"requests\":4"));
+    assert_eq!(lines[5], r#"{"shutdown":{"requests":4,"edits":0}}"#);
+}
+
+#[test]
 fn usage_documents_serve() {
     assert!(secflow_cli::USAGE.contains("serve"));
     assert!(secflow_cli::USAGE.contains("shutdown"));

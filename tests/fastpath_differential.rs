@@ -1,154 +1,96 @@
-//! Differential testing of the fast-path closure engine against the
-//! retained slow-path reference (`secflow::reference`).
+//! Differential testing of the saturation engine against the retained
+//! slow-path reference (`secflow::reference`), the one whole-closure
+//! oracle.
 //!
-//! The fast engine interns terms, uses dense capability tables and an Fx
-//! hasher, and skips proof recording on `analyze`; the reference keeps the
-//! historical hash-map representation with SipHash and always-on proofs.
-//! Both are supposed to run the *same* deterministic traversal, so on every
-//! workload the closure term sets must be identical — not merely equal as
-//! sets of verdicts — and every `analyze` verdict (including witness terms
-//! inside violations) must match exactly.
+//! The engine interns terms, uses dense capability tables, exact bit
+//! mirrors, diff-row prefilters and dirty masks, and skips proof recording
+//! on `analyze`; the reference keeps the historical hash-map
+//! representation with SipHash, always-on proofs and no skipped work. Both
+//! run the *same* deterministic traversal, so on every workload the
+//! closures must be identical in exact insertion order — with the same
+//! rounds, witnesses, equality rows and proofs — and every `analyze`
+//! verdict (including witness terms inside violations) must match exactly.
 
 use proptest::prelude::*;
 use secflow::algorithm::{analyze_with_config, AnalysisConfig};
-use secflow::closure::{Closure, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT};
+use secflow::closure::{Closure, ClosureOptions, Goal, ProofMode};
 use secflow::reference::{analyze_ref, RefClosure};
 use secflow::rules::RuleConfig;
+use secflow::stats::NoopObserver;
 use secflow::term::Term;
 use secflow::unfold::{ExprId, NProgram};
 use secflow_workloads::random::{random_case, RandomSpec};
 use secflow_workloads::scale;
 
-/// Both engines on one unfolded program: identical term sets, rounds and
-/// per-occurrence witnesses.
-fn assert_closures_identical(prog: &NProgram, label: &str) {
-    let fast = Closure::compute(prog).unwrap_or_else(|e| panic!("{label}: fast engine: {e}"));
-    let slow = RefClosure::compute(prog).unwrap_or_else(|e| panic!("{label}: reference: {e}"));
-    assert_eq!(fast.len(), slow.len(), "{label}: term counts differ");
-    assert_eq!(fast.rounds(), slow.rounds(), "{label}: rounds differ");
-    let mut tf: Vec<Term> = fast.iter().collect();
-    let mut ts: Vec<Term> = slow.iter().collect();
-    tf.sort();
-    ts.sort();
-    assert_eq!(tf, ts, "{label}: closure term sets differ");
-    for e in 1..=prog.len() as ExprId {
-        assert_eq!(
-            fast.ti_witness(e),
-            slow.ti_witness(e),
-            "{label}: ti witness differs at {e}"
-        );
-        assert_eq!(
-            fast.pi_witness(e),
-            slow.pi_witness(e),
-            "{label}: pi witness differs at {e}"
-        );
-        assert_eq!(fast.has_ta(e), slow.has_ta(e), "{label}: ta differs at {e}");
-        assert_eq!(fast.has_pa(e), slow.has_pa(e), "{label}: pa differs at {e}");
-    }
-}
-
-/// Naive full-sweep saturation vs the semi-naive delta engine vs the
-/// chunked-kernel engine on one program: the delta bookkeeping must not
-/// change the insertion sequence, so term sets, rounds, witnesses and
-/// proofs all match — and the chunked engine must track the scalar
-/// baseline in *exact insertion order*, not just as a set.
-fn assert_saturation_modes_identical(prog: &NProgram, label: &str) {
+/// The engine against the oracle on one unfolded program: identical
+/// insertion order, rounds, witnesses, alterability, equality rows and
+/// proofs, and a certificate covering every term. The membership-only
+/// [`ProofMode::Off`] run must walk the same insertion order too.
+fn assert_matches_oracle(prog: &NProgram, label: &str) {
     let cfg = RuleConfig::default();
-    let naive = Closure::compute_with_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        ProofMode::Full,
-        SaturationMode::Naive,
-    )
-    .unwrap_or_else(|e| panic!("{label}: naive: {e}"));
-    let semi = Closure::compute_with_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        ProofMode::Full,
-        SaturationMode::SemiNaive,
-    )
-    .unwrap_or_else(|e| panic!("{label}: semi-naive: {e}"));
-    let chunked = Closure::compute_with_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        ProofMode::Full,
-        SaturationMode::Chunked,
-    )
-    .unwrap_or_else(|e| panic!("{label}: chunked: {e}"));
+    let engine = Closure::compute(prog).unwrap_or_else(|e| panic!("{label}: engine: {e}"));
+    let oracle = RefClosure::compute(prog).unwrap_or_else(|e| panic!("{label}: reference: {e}"));
     assert_eq!(
-        semi.iter().collect::<Vec<Term>>(),
-        chunked.iter().collect::<Vec<Term>>(),
-        "{label}: chunked insertion order diverges from the scalar baseline"
+        engine.iter().collect::<Vec<Term>>(),
+        oracle.iter().collect::<Vec<Term>>(),
+        "{label}: insertion order diverges from the oracle"
     );
-    assert_eq!(
-        semi.rounds(),
-        chunked.rounds(),
-        "{label}: chunked rounds differ"
-    );
+    assert_eq!(engine.rounds(), oracle.rounds(), "{label}: rounds differ");
     for e in 1..=prog.len() as ExprId {
         assert_eq!(
-            semi.ti_witness(e),
-            chunked.ti_witness(e),
-            "{label}: chunked ti witness differs at {e}"
-        );
-        assert_eq!(
-            semi.pi_witness(e),
-            chunked.pi_witness(e),
-            "{label}: chunked pi witness differs at {e}"
-        );
-    }
-    for t in semi.iter() {
-        assert_eq!(
-            semi.proof(&t),
-            chunked.proof(&t),
-            "{label}: chunked proof differs for {t}"
-        );
-    }
-    assert_eq!(naive.len(), semi.len(), "{label}: term counts differ");
-    assert_eq!(naive.rounds(), semi.rounds(), "{label}: rounds differ");
-    let mut tn: Vec<Term> = naive.iter().collect();
-    let mut ts: Vec<Term> = semi.iter().collect();
-    tn.sort();
-    ts.sort();
-    assert_eq!(tn, ts, "{label}: closure term sets differ");
-    for e in 1..=prog.len() as ExprId {
-        assert_eq!(
-            naive.ti_witness(e),
-            semi.ti_witness(e),
+            engine.ti_witness(e),
+            oracle.ti_witness(e),
             "{label}: ti witness differs at {e}"
         );
         assert_eq!(
-            naive.pi_witness(e),
-            semi.pi_witness(e),
+            engine.pi_witness(e),
+            oracle.pi_witness(e),
             "{label}: pi witness differs at {e}"
         );
-    }
-    for t in naive.iter() {
         assert_eq!(
-            naive.proof(&t),
-            semi.proof(&t),
+            engine.has_ta(e),
+            oracle.has_ta(e),
+            "{label}: ta differs at {e}"
+        );
+        assert_eq!(
+            engine.has_pa(e),
+            oracle.has_pa(e),
+            "{label}: pa differs at {e}"
+        );
+        assert_eq!(
+            engine.equal_to(e),
+            oracle.equal_to(e),
+            "{label}: equality row differs at {e}"
+        );
+    }
+    for t in oracle.iter() {
+        assert_eq!(
+            engine.proof(&t),
+            oracle.proof(&t),
             "{label}: proof differs for {t}"
         );
     }
-    // All runs recorded proofs, so all must certify: every derivation
-    // re-validates against the Table-2 schemas independently of the engine.
-    for (mode, c) in [
-        ("naive", &naive),
-        ("semi-naive", &semi),
-        ("chunked", &chunked),
-    ] {
-        let cert = c
-            .certify(prog, &cfg)
-            .unwrap_or_else(|e| panic!("{label}: {mode} closure fails certification: {e}"));
-        assert_eq!(
-            cert.terms_checked,
-            c.len(),
-            "{label}: {mode} certificate covers every term"
-        );
-    }
+    // Every derivation re-validates against the Table-2 schemas
+    // independently of the engine.
+    let cert = engine
+        .certify(prog, &cfg)
+        .unwrap_or_else(|e| panic!("{label}: closure fails certification: {e}"));
+    assert_eq!(
+        cert.terms_checked,
+        engine.len(),
+        "{label}: certificate covers every term"
+    );
+    let opts = ClosureOptions {
+        goal: Goal::Full(ProofMode::Off),
+        ..ClosureOptions::default()
+    };
+    let off = Closure::saturate(prog, &opts, NoopObserver)
+        .0
+        .unwrap_or_else(|e| panic!("{label}: proof-free engine: {e}"));
+    assert!(
+        off.iter().eq(engine.iter()) && off.rounds() == engine.rounds(),
+        "{label}: the proof mode changed the traversal"
+    );
 }
 
 /// A schema whose probe bodies repeat one subexpression (`r_a0(c) + x`)
@@ -188,8 +130,7 @@ fn scale_families_are_engine_identical() {
     for (label, case) in cases {
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
-        assert_closures_identical(&prog, label);
-        assert_saturation_modes_identical(&prog, label);
+        assert_matches_oracle(&prog, label);
         // End-to-end verdicts agree, witnesses included (Verdict: PartialEq).
         let fast = analyze_with_config(&case.schema, &case.requirement, &config);
         let slow = analyze_ref(&case.schema, &case.requirement, &config);
@@ -199,25 +140,25 @@ fn scale_families_are_engine_identical() {
 
 #[test]
 fn refiring_heavy_families_are_mode_identical() {
-    // The two saturation-experiment families, at sizes past the smoke
-    // tier: wide equality fan-out and dense `=`-cliques with multi-origin
-    // joint constraints — the workloads the delta engine reworks hardest.
+    // The refiring-heavy families, at sizes past the smoke tier: wide
+    // equality fan-out and dense `=`-cliques with multi-origin joint
+    // constraints — the workloads the mirrors and prefilters skip the most
+    // work on. Both proof modes walk the oracle's order.
     for (label, case) in [
         ("wide_grants", scale::wide_grants(24)),
         ("dense_equalities", scale::dense_equalities(6)),
     ] {
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
-        assert_closures_identical(&prog, label);
-        assert_saturation_modes_identical(&prog, label);
+        assert_matches_oracle(&prog, label);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random corpus: the interned dense engine and the reference engine
-    /// derive byte-identical closures and verdicts.
+    /// Random corpus: the engine and the reference oracle derive
+    /// byte-identical closures (in insertion order) and verdicts.
     #[test]
     fn random_cases_are_engine_identical(seed in 0u64..2000) {
         let case = random_case(seed, &RandomSpec::default());
@@ -225,11 +166,9 @@ proptest! {
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
         let fast = Closure::compute(&prog).unwrap();
         let slow = RefClosure::compute(&prog).unwrap();
-        let mut tf: Vec<Term> = fast.iter().collect();
-        let mut ts: Vec<Term> = slow.iter().collect();
-        tf.sort();
-        ts.sort();
-        prop_assert_eq!(tf, ts, "closure term sets differ for seed {}", seed);
+        let tf: Vec<Term> = fast.iter().collect();
+        let ts: Vec<Term> = slow.iter().collect();
+        prop_assert_eq!(tf, ts, "insertion orders differ for seed {}", seed);
         prop_assert_eq!(fast.rounds(), slow.rounds());
         let config = AnalysisConfig::default();
         for req in &case.requirements {
@@ -242,15 +181,16 @@ proptest! {
 }
 
 proptest! {
-    // Each case saturates three engines over a shared-subexpression clique;
-    // the instances grow fast, so fewer, smaller cases than the random
-    // corpus above.
+    // Each case saturates the engine in both proof modes and the oracle
+    // over a shared-subexpression clique; the instances grow fast, so
+    // fewer, smaller cases than the random corpus above.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Shared-subexpression corpus: one subexpression repeated across
     /// occurrences and functions, shrinkable over repetition count, fan-out
-    /// and the write grant. Both the reference engine and the naive
-    /// saturation mode must agree with the semi-naive default.
+    /// and the write grant — the case where delta-frontier bookkeeping
+    /// would diverge from the oracle's full re-firing if a dirty mark were
+    /// dropped or double-cleared.
     #[test]
     fn shared_subexpr_cases_are_engine_and_mode_identical(
         fns in 1usize..3,
@@ -261,7 +201,6 @@ proptest! {
         let caps = schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&schema, caps).unwrap();
         let label = format!("fns={fns} reuse={reuse} grant={grant_write}");
-        assert_closures_identical(&prog, &label);
-        assert_saturation_modes_identical(&prog, &label);
+        assert_matches_oracle(&prog, &label);
     }
 }

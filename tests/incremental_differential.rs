@@ -7,13 +7,13 @@
 //! legitimately differs — retraction replays survivors before the frontier),
 //! its recorded proofs pass the certifying checker, and verdicts — read
 //! through [`CanonicalView`] on *both* sides, so witness selection is
-//! order-independent — match byte-for-byte. All of it in both delta
-//! saturation modes, `SemiNaive` and `Chunked`.
+//! order-independent — match byte-for-byte.
 
 use proptest::prelude::*;
 use secflow::algorithm::{check_with_occurrences, occurrences, AnalysisConfig};
-use secflow::closure::{Closure, ProofMode, SaturationMode};
+use secflow::closure::{Closure, Goal, ProofMode};
 use secflow::incremental::{CanonicalView, IncrementalUser};
+use secflow::stats::NoopObserver;
 use secflow::term::Term;
 use secflow::unfold::NProgram;
 use secflow_workloads::fixtures;
@@ -31,14 +31,10 @@ fn assert_matches_scratch_with(
 ) {
     let prog = NProgram::unfold_with_limit(schema, inc.caps(), config.node_limit)
         .unwrap_or_else(|e| panic!("{label}: scratch unfold: {e}"));
-    let scratch = Closure::compute_with_saturation(
-        &prog,
-        &config.rules,
-        config.term_limit,
-        ProofMode::Full,
-        config.saturation,
-    )
-    .unwrap_or_else(|e| panic!("{label}: scratch closure: {e}"));
+    let opts = config.closure_options(Goal::Full(ProofMode::Full));
+    let scratch = Closure::saturate(&prog, &opts, NoopObserver)
+        .0
+        .unwrap_or_else(|e| panic!("{label}: scratch closure: {e}"));
 
     // Term-set identity.
     let mut a: Vec<Term> = inc.closure().iter().collect();
@@ -67,13 +63,9 @@ fn assert_matches_scratch_with(
     assert_eq!(got, want, "{label}: verdicts diverge");
 }
 
-/// Replay an edit-trace case in one saturation mode, checking identity
-/// after every single edit.
-fn replay(case: &scale::EditTraceCase, sat: SaturationMode, label: &str) {
-    let config = AnalysisConfig {
-        saturation: sat,
-        ..AnalysisConfig::default()
-    };
+/// Replay an edit-trace case, checking identity after every single edit.
+fn replay(case: &scale::EditTraceCase, label: &str) {
+    let config = AnalysisConfig::default();
     let mut inc = IncrementalUser::new(&case.schema, &case.requirement.user, &config)
         .unwrap_or_else(|e| panic!("{label}: materialize: {e}"));
     assert_matches_scratch_with(&case.schema, &inc, &config, &case.requirement, label);
@@ -90,19 +82,9 @@ fn replay(case: &scale::EditTraceCase, sat: SaturationMode, label: &str) {
 }
 
 #[test]
-fn edit_trace_identity_semi_naive() {
-    let case = scale::edit_trace(8, 24, 11);
-    replay(&case, SaturationMode::SemiNaive, "edit_trace(8,24,11) semi");
-}
-
-#[test]
 fn edit_trace_identity_chunked() {
     let case = scale::edit_trace(8, 24, 11);
-    replay(
-        &case,
-        SaturationMode::Chunked,
-        "edit_trace(8,24,11) chunked",
-    );
+    replay(&case, "edit_trace(8,24,11)");
 }
 
 /// The dense equality-clique family: a block of always-granted functions
@@ -110,26 +92,10 @@ fn edit_trace_identity_chunked() {
 /// so derived-equality chains cross outer boundaries. Retraction must hold
 /// identity here too, not just on the sparse probe family.
 #[test]
-fn edit_trace_dense_identity_semi_naive() {
-    for seed in 0..3u64 {
-        let case = scale::edit_trace_dense(3, 4, 6, seed);
-        replay(
-            &case,
-            SaturationMode::SemiNaive,
-            &format!("edit_trace_dense(3,4,6,{seed}) semi"),
-        );
-    }
-}
-
-#[test]
 fn edit_trace_dense_identity_chunked() {
     for seed in 0..3u64 {
         let case = scale::edit_trace_dense(3, 4, 6, seed);
-        replay(
-            &case,
-            SaturationMode::Chunked,
-            &format!("edit_trace_dense(3,4,6,{seed}) chunked"),
-        );
+        replay(&case, &format!("edit_trace_dense(3,4,6,{seed})"));
     }
 }
 
@@ -146,35 +112,30 @@ fn stockbroker_grant_revoke_round_trip() {
         .first()
         .map(|r| (r.user.clone(), r.clone()))
         .expect("stockbroker declares requirements");
-    for sat in [SaturationMode::SemiNaive, SaturationMode::Chunked] {
-        let config = AnalysisConfig {
-            saturation: sat,
-            ..AnalysisConfig::default()
-        };
-        let mut inc = IncrementalUser::new(&schema, &user, &config).expect("materialize");
-        let base_caps = inc.caps().clone();
-        let granted: Vec<FnRef> = base_caps.iter().cloned().collect();
-        // Revoke everything one by one (closure shrinks to axioms of the
-        // remainder), then grant it all back: the final closure must be
-        // byte-identical to the starting one.
-        let mut start: Vec<Term> = inc.closure().iter().collect();
-        start.sort();
-        for f in &granted {
-            let out = inc.revoke(&schema, f).expect("revoke");
-            assert!(out.changed);
-            assert_matches_scratch_with(&schema, &inc, &config, &req, &format!("revoke {f}"));
-        }
-        assert!(inc.caps().is_empty());
-        for f in &granted {
-            let out = inc.grant(&schema, f).expect("grant");
-            assert!(out.changed);
-            assert_matches_scratch_with(&schema, &inc, &config, &req, &format!("grant {f}"));
-        }
-        let mut end: Vec<Term> = inc.closure().iter().collect();
-        end.sort();
-        assert_eq!(start, end, "{sat:?}: round trip changed the closure");
-        assert_eq!(inc.caps(), &base_caps);
+    let config = AnalysisConfig::default();
+    let mut inc = IncrementalUser::new(&schema, &user, &config).expect("materialize");
+    let base_caps = inc.caps().clone();
+    let granted: Vec<FnRef> = base_caps.iter().cloned().collect();
+    // Revoke everything one by one (closure shrinks to axioms of the
+    // remainder), then grant it all back: the final closure must be
+    // byte-identical to the starting one.
+    let mut start: Vec<Term> = inc.closure().iter().collect();
+    start.sort();
+    for f in &granted {
+        let out = inc.revoke(&schema, f).expect("revoke");
+        assert!(out.changed);
+        assert_matches_scratch_with(&schema, &inc, &config, &req, &format!("revoke {f}"));
     }
+    assert!(inc.caps().is_empty());
+    for f in &granted {
+        let out = inc.grant(&schema, f).expect("grant");
+        assert!(out.changed);
+        assert_matches_scratch_with(&schema, &inc, &config, &req, &format!("grant {f}"));
+    }
+    let mut end: Vec<Term> = inc.closure().iter().collect();
+    end.sort();
+    assert_eq!(start, end, "round trip changed the closure");
+    assert_eq!(inc.caps(), &base_caps);
 }
 
 /// No-op edits (granting a held function, revoking an absent one) must not
@@ -212,23 +173,21 @@ fn failed_edit_is_transactional() {
     let after: Vec<Term> = inc.closure().iter().collect();
     assert_eq!(before, after, "failed grant mutated state");
     // The trace still replays to identity afterwards.
-    replay(&case, SaturationMode::SemiNaive, "post-failure replay");
+    replay(&case, "post-failure replay");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random edit scripts over random widths and seeds, identity after
-    /// every edit, in both delta modes.
+    /// every edit.
     #[test]
     fn random_edit_scripts_match_scratch(
         width in 2usize..7,
         edits in 1usize..10,
         seed in 0u64..1_000,
-        chunked in any::<bool>(),
     ) {
         let case = scale::edit_trace(width, edits, seed);
-        let sat = if chunked { SaturationMode::Chunked } else { SaturationMode::SemiNaive };
-        replay(&case, sat, &format!("edit_trace({width},{edits},{seed}) {sat:?}"));
+        replay(&case, &format!("edit_trace({width},{edits},{seed})"));
     }
 }
