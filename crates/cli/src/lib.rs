@@ -2041,13 +2041,20 @@ impl ReqStatus {
     }
 }
 
-/// The state behind one `secflow serve` session: per-user incremental
-/// closures materialised on first edit, the last-reported statuses the
-/// edit deltas are diffed against, and the process-wide [`ClosureCache`]
-/// answering checks of users that were never edited.
+/// The state behind one `secflow serve` session: each user's requirement
+/// indexes, per-user incremental closures materialised on first edit, the
+/// last-reported statuses the edit deltas are diffed against, and the
+/// process-wide [`ClosureCache`] answering checks of users that were never
+/// edited.
 struct ServeState<'s> {
     schema: &'s Schema,
     config: AnalysisConfig,
+    /// Every requirement's `(user, index into schema.requirements)`,
+    /// sorted once, so each user's requirements are one contiguous run in
+    /// declaration order and a request never scans the whole list. One
+    /// sorted vector builds several times faster than a map of per-user
+    /// vectors, and it is built before the session answers `ready`.
+    reqs_by_user: Vec<(&'s UserName, usize)>,
     resident: std::collections::BTreeMap<UserName, IncrementalUser>,
     last: std::collections::BTreeMap<UserName, Vec<(usize, ReqStatus)>>,
     requests: u64,
@@ -2056,9 +2063,17 @@ struct ServeState<'s> {
 
 impl<'s> ServeState<'s> {
     fn new(schema: &'s Schema) -> ServeState<'s> {
+        let mut reqs_by_user: Vec<(&UserName, usize)> = schema
+            .requirements
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (&r.user, i))
+            .collect();
+        reqs_by_user.sort_unstable();
         ServeState {
             schema,
             config: AnalysisConfig::default(),
+            reqs_by_user,
             resident: std::collections::BTreeMap::new(),
             last: std::collections::BTreeMap::new(),
             requests: 0,
@@ -2094,29 +2109,29 @@ impl<'s> ServeState<'s> {
         format!("{obj}\n")
     }
 
-    /// Current statuses of every requirement naming `user`: read through
-    /// the maintained incremental closure when the user is resident, the
-    /// cached batch path otherwise.
+    /// `user`'s run of the index: their requirements in declaration order.
+    fn reqs_of(&self, user: &UserName) -> &[(&'s UserName, usize)] {
+        let start = self.reqs_by_user.partition_point(|&(u, _)| u < user);
+        let run = &self.reqs_by_user[start..];
+        &run[..run.partition_point(|&(u, _)| u == user)]
+    }
+
+    /// Current statuses of every requirement naming `user`, in declaration
+    /// order: read through the maintained incremental closure when the user
+    /// is resident, the cached batch path otherwise.
     fn statuses(&self, user: &UserName) -> Vec<(usize, ReqStatus)> {
-        let idxs: Vec<usize> = self
-            .schema
-            .requirements
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| &r.user == user)
-            .map(|(i, _)| i)
-            .collect();
+        let run = self.reqs_of(user);
         if let Some(inc) = self.resident.get(user) {
-            idxs.into_iter()
-                .map(|i| {
+            run.iter()
+                .map(|&(_, i)| {
                     let v = inc.check(&self.schema.requirements[i]);
                     (i, ReqStatus::of(&Ok(v)))
                 })
                 .collect()
         } else {
-            let reqs: Vec<_> = idxs
+            let reqs: Vec<_> = run
                 .iter()
-                .map(|&i| self.schema.requirements[i].clone())
+                .map(|&(_, i)| self.schema.requirements[i].clone())
                 .collect();
             let outcome = analyze_batch_cached(
                 self.schema,
@@ -2125,9 +2140,9 @@ impl<'s> ServeState<'s> {
                 &BatchOptions::default(),
                 Some(closure_cache()),
             );
-            idxs.iter()
+            run.iter()
                 .zip(&outcome.verdicts)
-                .map(|(&i, v)| (i, ReqStatus::of(v)))
+                .map(|(&(_, i), v)| (i, ReqStatus::of(v)))
                 .collect()
         }
     }
@@ -2193,11 +2208,14 @@ impl<'s> ServeState<'s> {
     fn handle_bytes(&mut self, raw: &[u8]) -> (String, bool) {
         match std::str::from_utf8(raw) {
             Ok(line) => self.handle(line),
-            Err(_) => {
-                self.requests += 1;
-                (self.error_line("request is not valid UTF-8"), false)
-            }
+            Err(_) => (self.refuse("request is not valid UTF-8"), false),
         }
+    }
+
+    /// Count a request that cannot be dispatched and answer its error.
+    fn refuse(&mut self, msg: &str) -> String {
+        self.requests += 1;
+        self.error_line(msg)
     }
 
     /// The error response to the current request.
@@ -2357,11 +2375,66 @@ where
     (out, exit::OK)
 }
 
+/// The longest request line `serve` accepts, in bytes before its `\n`.
+/// Longer lines are answered with an error and never buffered whole, so a
+/// client that never sends a newline cannot grow the process.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// What [`read_request_line`] found.
+enum RequestLine {
+    /// End of input before the first byte of a line.
+    Eof,
+    /// A line, without its `\n`, is in the buffer.
+    Line,
+    /// The line was longer than [`MAX_REQUEST_LINE`]; it was read to its
+    /// end and dropped.
+    TooLong,
+}
+
+/// Read one request line into `buf`, without its `\n`, buffering at most
+/// [`MAX_REQUEST_LINE`] bytes. The rest of an over-long line is consumed
+/// chunk by chunk straight from `input`'s buffer and discarded.
+fn read_request_line<R: std::io::BufRead>(
+    input: &mut R,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<RequestLine> {
+    buf.clear();
+    let mut too_long = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let eof = chunk.is_empty();
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        if too_long || buf.len() + part.len() > MAX_REQUEST_LINE {
+            too_long = true;
+            buf.clear();
+        } else {
+            buf.extend_from_slice(part);
+        }
+        let used = part.len() + usize::from(newline.is_some());
+        input.consume(used);
+        if eof || newline.is_some() {
+            return Ok(if too_long {
+                RequestLine::TooLong
+            } else if eof && buf.is_empty() {
+                RequestLine::Eof
+            } else {
+                RequestLine::Line
+            });
+        }
+    }
+}
+
 /// The `secflow serve` loop over any byte streams: NDJSON requests from
 /// `input`, responses written (and flushed) to `out` line by line — a watch
 /// mode or editor integration sees each verdict delta the moment the edit
 /// lands. Lines are read as raw bytes, so a request that is not UTF-8
-/// answers an error line instead of ending the session; only EOF, a
+/// answers an error line instead of ending the session, and so does a line
+/// longer than 64 KiB, which is discarded as it is read; only EOF, a
 /// `shutdown` request or a read error ends it (each followed by the
 /// matching final line). Returns the exit code.
 pub fn serve_io<R: std::io::BufRead, W: std::io::Write>(
@@ -2374,17 +2447,15 @@ pub fn serve_io<R: std::io::BufRead, W: std::io::Write>(
     let _ = out.flush();
     let mut buf = Vec::new();
     loop {
-        buf.clear();
-        match input.read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        // Strip `\n` or `\r\n`, exactly like `BufRead::lines`.
-        let raw = match buf.strip_suffix(b"\n") {
-            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
-            None => &buf,
+        let (resp, done) = match read_request_line(&mut input, &mut buf) {
+            Ok(RequestLine::Eof) | Err(_) => break,
+            Ok(RequestLine::TooLong) => (
+                state.refuse(&format!("request line exceeds {MAX_REQUEST_LINE} bytes")),
+                false,
+            ),
+            // Strip a `\r` left by `\r\n`, exactly like `BufRead::lines`.
+            Ok(RequestLine::Line) => state.handle_bytes(buf.strip_suffix(b"\r").unwrap_or(&buf)),
         };
-        let (resp, done) = state.handle_bytes(raw);
         let _ = out.write_all(resp.as_bytes());
         let _ = out.flush();
         if done {
@@ -3661,5 +3732,31 @@ mod tests {
         let safe = delta_statuses(&lines[3], "verdicts");
         assert_eq!(clerk[0].1, safe[0].1, "edited clerk ≡ safe_clerk");
         assert_eq!(clerk[0].1, "satisfied");
+    }
+
+    #[test]
+    fn request_lines_are_capped_at_their_bytes_before_the_newline() {
+        for (len, too_long) in [(MAX_REQUEST_LINE, false), (MAX_REQUEST_LINE + 1, true)] {
+            let mut input = vec![b'x'; len];
+            input.extend_from_slice(b"\nnext");
+            // A buffer smaller than the line: the cap holds across chunks.
+            let mut reader = std::io::BufReader::with_capacity(1000, &input[..]);
+            let mut buf = Vec::new();
+            let first = read_request_line(&mut reader, &mut buf).unwrap();
+            assert_eq!(matches!(first, RequestLine::TooLong), too_long, "len {len}");
+            assert_eq!(buf.len(), if too_long { 0 } else { len });
+            let next = read_request_line(&mut reader, &mut buf).unwrap();
+            assert!(matches!(next, RequestLine::Line));
+            assert_eq!(buf, b"next", "an unterminated last line still counts");
+            let end = read_request_line(&mut reader, &mut buf).unwrap();
+            assert!(matches!(end, RequestLine::Eof));
+        }
+        // An empty line is a line (the session skips it), not the end.
+        let mut reader: &[u8] = b"\n";
+        let mut buf = Vec::new();
+        let blank = read_request_line(&mut reader, &mut buf).unwrap();
+        assert!(matches!(blank, RequestLine::Line) && buf.is_empty());
+        let end = read_request_line(&mut reader, &mut buf).unwrap();
+        assert!(matches!(end, RequestLine::Eof));
     }
 }

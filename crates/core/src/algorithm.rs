@@ -585,13 +585,34 @@ fn fingerprint(tag: &str, text: &str) -> (u64, u64) {
     (h1.finish(), h2.finish())
 }
 
-/// Cache key: schema, capability-list and configuration fingerprints. The
-/// user's *name* is deliberately excluded — two users granted identical
+/// Fingerprint of exactly the part of a schema [`NProgram::unfold_with_limit`]
+/// reads: the class and access-function definitions, printed in the order
+/// `Schema`'s `Display` prints them. Users and requirements are left out:
+/// `S'(F)` for one capability list never reads another user's grants or
+/// any requirement, so a policy that only gains users or requirements keeps
+/// every cached closure, and a key costs the program's text rather than
+/// the whole policy's.
+fn program_fingerprint(schema: &Schema) -> (u64, u64) {
+    use std::fmt::Write;
+    let mut text = String::new();
+    for class in schema.classes.iter() {
+        let _ = writeln!(text, "{class}");
+    }
+    for func in schema.functions.values() {
+        let _ = writeln!(text, "{func}");
+    }
+    fingerprint("program", &text)
+}
+
+/// Cache key: program ([`program_fingerprint`]), capability-list and
+/// configuration fingerprints — everything a cached closure depends on.
+/// The user's *name* is deliberately excluded — two users granted identical
 /// capability lists unfold to the same `S'(F)` and saturate to the same
-/// closure, so they share an entry.
+/// closure, so they share an entry — and so are the other users and the
+/// requirement set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct CacheKey {
-    schema_fp: (u64, u64),
+    program_fp: (u64, u64),
     caps_fp: (u64, u64),
     config_fp: (u64, u64),
 }
@@ -648,21 +669,25 @@ pub struct CacheStats {
 }
 
 /// A cross-call cache of demand-driven closures, keyed by
-/// `(schema, capability list, analysis config)` fingerprints.
+/// `(program, capability list, analysis config)` fingerprints, where the
+/// program is the schema's class and access-function definitions.
 ///
-/// `A(R)`'s expensive phases depend only on that triple plus the goal set;
-/// repeated [`analyze_batch_cached`] calls against the same policy (a
-/// REPL-style CLI session, a watch loop, the advisor's repair search)
-/// rediscover the same closures. A hit requires the cached run to *cover*
-/// the new requirements: either the same requirement shape was analyzed
-/// before, or the cached worklist drained and every new goal expression
-/// lies inside the cached slice (the partial closure then already contains
-/// every term the verdict can observe). Anything else recomputes — against
-/// the cached unfolding — with the union of old and new goals, and the
-/// refreshed entry replaces the old one.
+/// `A(R)`'s expensive phases depend only on that triple plus the goal set.
+/// Other users and the requirement set are not part of the key, since
+/// `S'(F)` never reads them, and computing a key never prints the whole
+/// policy: a check costs one user's closure, however many users and
+/// requirements the policy holds. Repeated [`analyze_batch_cached`] calls
+/// against the same policy (a `serve` session, a watch loop, the advisor's
+/// repair search) rediscover the same closures. A hit requires the cached
+/// run to *cover* the new requirements: either the same requirement shape
+/// was analyzed before, or the cached worklist drained and every new goal
+/// expression lies inside the cached slice (the partial closure then
+/// already contains every term the verdict can observe). Anything else
+/// recomputes — against the cached unfolding — with the union of old and
+/// new goals, and the refreshed entry replaces the old one.
 ///
 /// Bounded LRU, lock-striped: entries are spread over `shard_count()`
-/// independently locked segments keyed by the capability-list fingerprint,
+/// independently locked segments chosen by a mix of all three fingerprints,
 /// so concurrent hits on different keys never contend on one mutex. Each
 /// shard evicts its least-recently-touched entry past its share of the
 /// capacity (a hit refreshes recency). Lookups hold a shard lock only
@@ -753,7 +778,7 @@ impl ClosureCache {
     }
 
     fn shard_for(&self, key: &CacheKey) -> &Mutex<CacheShard> {
-        // Stripe on every key component. Within one batch the schema and
+        // Stripe on every key component. Within one batch the program and
         // config fingerprints are constant, but the cache outlives batches:
         // a resident process serving several policies (or re-checking one
         // policy under different budgets) holds entries whose keys differ
@@ -763,8 +788,8 @@ impl ClosureCache {
         // The rotations keep the three double-hashes from cancelling.
         let mix = key.caps_fp.0
             ^ key.caps_fp.1.rotate_left(11)
-            ^ key.schema_fp.0.rotate_left(23)
-            ^ key.schema_fp.1.rotate_left(31)
+            ^ key.program_fp.0.rotate_left(23)
+            ^ key.program_fp.1.rotate_left(31)
             ^ key.config_fp.0.rotate_left(43)
             ^ key.config_fp.1.rotate_left(53);
         let idx = mix as usize % self.shards.len();
@@ -872,10 +897,11 @@ fn entry_covers(entry: &CacheEntry, reqs: &[&Requirement]) -> bool {
 }
 
 /// Shared per-batch cache context: the cache plus the fingerprints that are
-/// constant across groups (schema and config), computed once per call.
+/// constant across groups (program and config), computed once per call.
+/// Only the capability-list part of a [`CacheKey`] varies per group.
 struct CacheCtx<'a> {
     cache: &'a ClosureCache,
-    schema_fp: (u64, u64),
+    program_fp: (u64, u64),
     config_fp: (u64, u64),
 }
 
@@ -1019,7 +1045,7 @@ pub fn analyze_batch_cached(
 ) -> BatchOutcome {
     let ctx = cache.map(|cache| CacheCtx {
         cache,
-        schema_fp: fingerprint("schema", &schema.to_string()),
+        program_fp: program_fingerprint(schema),
         config_fp: semantic_fingerprint(config),
     });
     let grouped = group_by_user(reqs);
@@ -1281,7 +1307,7 @@ pub fn analyze_batch_streaming(
 ) -> StreamSummary {
     let ctx = cache.map(|cache| CacheCtx {
         cache,
-        schema_fp: fingerprint("schema", &schema.to_string()),
+        program_fp: program_fingerprint(schema),
         config_fp: semantic_fingerprint(config),
     });
     let grouped = group_by_user(reqs);
@@ -1410,7 +1436,7 @@ fn run_group(
         if use_demand {
             if let Some(ctx) = cache.filter(|_| !opts.collect_stats) {
                 let key = CacheKey {
-                    schema_fp: ctx.schema_fp,
+                    program_fp: ctx.program_fp,
                     caps_fp: {
                         let caps = schema
                             .user(user)
@@ -2010,6 +2036,47 @@ mod tests {
         };
         analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
         assert_eq!(cache.stats().hits, before + 1);
+    }
+
+    #[test]
+    fn cache_key_covers_the_program_but_not_other_users_or_requirements() {
+        // Regression: the key once fingerprinted the whole printed schema,
+        // so a policy that only gained an unrelated user or requirement
+        // missed on every closure, and every key re-printed the policy.
+        // `S'(F)` reads the class and function definitions and one
+        // capability list, and nothing else.
+        let cache = ClosureCache::new(16);
+        let config = AnalysisConfig::default();
+        let opts = BatchOptions::default();
+        let reqs = batch_reqs();
+        let groups = 4;
+        let run = |text: &str| {
+            let s = parse_schema(text).unwrap();
+            oodb_lang::check_schema(&s).unwrap();
+            let before = cache.stats();
+            let out = analyze_batch_cached(&s, &reqs, &config, &opts, Some(&cache));
+            assert_eq!(
+                out.verdicts,
+                analyze_batch(&s, &reqs, &config, &opts).verdicts
+            );
+            let after = cache.stats();
+            (after.hits - before.hits, after.misses - before.misses)
+        };
+        assert_eq!(run(STOCKBROKER), (0, groups), "cold cache");
+        let unrelated = format!(
+            "{STOCKBROKER}\n user auditor {{ r_profit }}\n require (auditor, r_profit(x) : ti)"
+        );
+        assert_eq!(
+            run(&unrelated),
+            (groups, 0),
+            "another user and requirement hit"
+        );
+        let budget = STOCKBROKER.replace("10 * r_salary", "20 * r_salary");
+        assert_ne!(budget, STOCKBROKER);
+        assert_eq!(run(&budget), (0, groups), "a changed function body misses");
+        let class = STOCKBROKER.replace("profit: int }", "profit: int, bonus: int }");
+        assert_ne!(class, STOCKBROKER);
+        assert_eq!(run(&class), (0, groups), "a changed class misses");
     }
 
     #[test]

@@ -419,6 +419,197 @@ fn serve_answers_a_non_utf8_request_and_keeps_serving() {
 }
 
 #[test]
+fn serve_bounds_request_lines_and_keeps_serving() {
+    // A 1 MiB line is answered with one error and dropped as it is read;
+    // the check after it is served and EOF still ends with the shutdown
+    // line. The small buffer makes the reader discard the long line chunk
+    // by chunk rather than find its end in one buffer.
+    let src = std::fs::read_to_string(policy("stockbroker")).unwrap();
+    let schema = secflow_cli::load_str(&src).unwrap();
+    let mut input = vec![b'x'; 1 << 20];
+    input.extend_from_slice(b"\n{\"op\":\"check\",\"user\":\"clerk\"}\n");
+    let (expected_check, _) =
+        secflow_cli::serve_session(&schema, [r#"{"op":"check","user":"clerk"}"#]);
+    let expected_check = expected_check.lines().nth(1).unwrap().to_owned();
+    for capacity in [None, Some(4096)] {
+        let mut out = Vec::new();
+        let cursor = std::io::Cursor::new(&input);
+        let code = match capacity {
+            None => secflow_cli::serve_io(&schema, cursor, &mut out),
+            Some(c) => secflow_cli::serve_io(
+                &schema,
+                std::io::BufReader::with_capacity(c, cursor),
+                &mut out,
+            ),
+        };
+        assert_eq!(code, secflow_cli::exit::OK);
+        let out = String::from_utf8(out).expect("responses are UTF-8");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "ready + 2 responses + shutdown:\n{out}");
+        assert_eq!(
+            lines[1],
+            r#"{"error":"request line exceeds 65536 bytes","request":1}"#
+        );
+        assert_eq!(lines[2], expected_check);
+        assert_eq!(lines[3], r#"{"shutdown":{"requests":2,"edits":0}}"#);
+    }
+}
+
+/// A `serve_mixed`-shaped policy in miniature: 40 users over a pool of 8
+/// probe functions. Users `n`, `n + 10`, `n + 20` and `n + 30` hold one
+/// capability list, and so do `u0` and `u8`, `u1` and `u9`. Every user but
+/// `u7` has one to three requirements, and each user's requirements are
+/// interleaved with other users' in the file.
+fn many_user_policy() -> String {
+    use std::fmt::Write;
+    const POOL: usize = 8;
+    const USERS: usize = 40;
+    let mut src = String::new();
+    let attrs: Vec<String> = (0..POOL).map(|i| format!("a{i}: int")).collect();
+    let _ = writeln!(src, "class C {{ {} }}", attrs.join(", "));
+    for i in 0..POOL {
+        let _ = writeln!(src, "fn p{i}(c: C): bool {{ r_a{i}(c) >= {i} }}");
+    }
+    for n in 0..USERS {
+        let k = n % 10;
+        let mut grants = vec![format!("p{}", k % POOL), format!("p{}", (3 * k + 1) % POOL)];
+        if k % 2 == 0 {
+            grants.push(format!("w_a{}", k % POOL));
+        }
+        let _ = writeln!(src, "user u{n} {{ {} }}", grants.join(", "));
+    }
+    let count = |n: usize| if n == 7 { 0 } else { 1 + n % 3 };
+    for r in 0..3 {
+        // 17 is coprime to 40: every round visits every user once, in an
+        // order unrelated to their numbers.
+        for n in (0..USERS).map(|j| j * 17 % USERS) {
+            if r < count(n) {
+                let cap = if r == 1 { "pi" } else { "ti" };
+                let t = (n + 3 * r) % POOL;
+                let _ = writeln!(src, "require (u{n}, r_a{t}(x) : {cap})");
+            }
+        }
+    }
+    src
+}
+
+#[test]
+fn serve_checks_agree_with_batch_analysis_on_a_many_user_policy() {
+    use oodb_model::{FnRef, UserName};
+    use secflow::algorithm::{analyze_batch, AnalysisConfig, BatchOptions};
+    use secflow::Verdict;
+    use secflow_obs::Json;
+
+    let schema = secflow_cli::load_str(&many_user_policy()).unwrap();
+    let users: Vec<String> = (0..40).map(|n| format!("u{n}")).collect();
+    let check = |u: &String| format!(r#"{{"op":"check","user":"{u}"}}"#);
+    let edits = [
+        ("revoke", "u0", "w_a0"),
+        ("grant", "u0", "p6"),
+        ("grant", "u13", "p0"),
+        ("revoke", "u13", "p2"),
+    ];
+    let mut script: Vec<String> = users.iter().map(check).collect();
+    for (op, user, f) in edits {
+        script.push(format!(r#"{{"op":"{op}","user":"{user}","fn":"{f}"}}"#));
+    }
+    script.extend(users.iter().map(check));
+    let (out, code) = secflow_cli::serve_session(&schema, &script);
+    assert_eq!(code, secflow_cli::exit::OK);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(
+        lines.len(),
+        script.len() + 2,
+        "ready + responses + shutdown"
+    );
+
+    // The oracle: uncached batch analysis of the whole policy, before and
+    // after the same edits are applied to the capability lists.
+    type Row = (u64, String, Option<u64>);
+    let expected = |schema: &oodb_lang::Schema| -> Vec<(String, Row)> {
+        let outcome = analyze_batch(
+            schema,
+            &schema.requirements,
+            &AnalysisConfig::default(),
+            &BatchOptions::default(),
+        );
+        schema
+            .requirements
+            .iter()
+            .zip(&outcome.verdicts)
+            .enumerate()
+            .map(|(i, (r, v))| {
+                let (status, occs) = match v {
+                    Ok(Verdict::Satisfied) => ("satisfied", None),
+                    Ok(Verdict::Violated(vs)) => ("violated", Some(vs.len() as u64)),
+                    Err(e) => panic!("requirement {i}: {e}"),
+                };
+                (r.user.to_string(), (i as u64, status.to_owned(), occs))
+            })
+            .collect()
+    };
+    let before = expected(&schema);
+    let mut edited = schema.clone();
+    for (op, user, f) in edits {
+        let caps = edited.users.get_mut(&UserName::new(user)).unwrap();
+        let fn_ref: FnRef = f.parse().unwrap();
+        let changed = if op == "grant" {
+            caps.grant(fn_ref)
+        } else {
+            caps.revoke(&fn_ref)
+        };
+        assert!(changed, "{op} {f} on {user} changes the capability list");
+    }
+    let after = expected(&edited);
+    assert!(
+        before != after,
+        "the edits flip at least one verdict, so the re-checks see them"
+    );
+    for statuses in [&before, &after] {
+        assert!(statuses.iter().any(|(_, (_, s, _))| s == "satisfied"));
+        assert!(statuses.iter().any(|(_, (_, s, _))| s == "violated"));
+    }
+
+    let mut checked = 0;
+    for (line, resp) in script.iter().zip(&lines[1..]) {
+        let req = Json::parse(line).unwrap();
+        if req.get("op").and_then(Json::as_str) != Some("check") {
+            assert!(resp.contains(r#""changed":true"#), "{line} -> {resp}");
+            continue;
+        }
+        let user = req.get("user").and_then(Json::as_str).unwrap();
+        let oracle = if checked < users.len() {
+            &before
+        } else {
+            &after
+        };
+        checked += 1;
+        let want: Vec<&Row> = oracle
+            .iter()
+            .filter(|(u, _)| u == user)
+            .map(|(_, row)| row)
+            .collect();
+        let doc = Json::parse(resp).unwrap_or_else(|e| panic!("{resp}: {e}"));
+        let got: Vec<Row> = doc
+            .get("verdicts")
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("no verdicts in {resp}"))
+            .iter()
+            .map(|v| {
+                (
+                    v.get("requirement").and_then(Json::as_u64).unwrap(),
+                    v.get("status").and_then(Json::as_str).unwrap().to_owned(),
+                    v.get("occurrences").and_then(Json::as_u64),
+                )
+            })
+            .collect();
+        assert_eq!(got.iter().collect::<Vec<_>>(), want, "check of {user}");
+        assert_eq!(got.is_empty(), user == "u7", "only u7 has no requirements");
+    }
+    assert_eq!(checked, 2 * users.len());
+}
+
+#[test]
 fn usage_documents_serve() {
     assert!(secflow_cli::USAGE.contains("serve"));
     assert!(secflow_cli::USAGE.contains("shutdown"));
