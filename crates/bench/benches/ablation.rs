@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oodb_lang::parse_requirement;
-use secflow::algorithm::{analyze_with_config, AnalysisConfig};
+use secflow::algorithm::{analyze_batch, AnalysisConfig, BatchOptions};
 use secflow_bench::ablation_variants;
 use secflow_workloads::scale::wide_grants;
 use secflow_workloads::stockbroker;
@@ -22,11 +22,14 @@ fn ablation(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
             b.iter(|| {
-                analyze_with_config(
+                analyze_batch(
                     std::hint::black_box(&schema),
-                    std::hint::black_box(&req),
+                    std::slice::from_ref(std::hint::black_box(&req)),
                     config,
+                    &BatchOptions::default(),
                 )
+                .verdicts
+                .remove(0)
                 .expect("runs")
             })
         });
@@ -43,11 +46,14 @@ fn ablation(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
             b.iter(|| {
-                analyze_with_config(
+                analyze_batch(
                     std::hint::black_box(&case.schema),
-                    std::hint::black_box(&case.requirement),
+                    std::slice::from_ref(std::hint::black_box(&case.requirement)),
                     config,
+                    &BatchOptions::default(),
                 )
+                .verdicts
+                .remove(0)
                 .expect("runs")
             })
         });

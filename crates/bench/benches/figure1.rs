@@ -1,5 +1,6 @@
-//! E1 timing — the full `A(R)` pipeline on the paper's own example, and
-//! its phases (unfold, closure, check) separately.
+//! E1 timing — the demand-driven `A(R)` pipeline on the paper's own
+//! example, and the full closure's phases (unfold, closure, check)
+//! separately.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oodb_lang::parse_requirement;
@@ -13,7 +14,7 @@ fn figure1(c: &mut Criterion) {
     let req = parse_requirement("(clerk, r_salary(x) : ti)").expect("parses");
     let caps = schema.user_str("clerk").expect("clerk");
 
-    c.bench_function("figure1/analyze_full", |b| {
+    c.bench_function("figure1/analyze", |b| {
         b.iter(|| analyze(std::hint::black_box(&schema), std::hint::black_box(&req)))
     });
     c.bench_function("figure1/unfold", |b| {

@@ -11,8 +11,8 @@ use oodb_engine::Database;
 use oodb_lang::{parse_query, parse_requirement};
 use oodb_model::{UserName, Value};
 use secflow::algorithm::{
-    analyze, analyze_batch, analyze_batch_streaming, analyze_with_config, AnalysisConfig,
-    AnalysisSink, BatchOptions, BatchSchedule, ClosureCache, GroupRecord,
+    analyze, analyze_batch, analyze_batch_streaming, AnalysisConfig, AnalysisSink, BatchOptions,
+    BatchSchedule, ClosureCache, GroupRecord,
 };
 use secflow::closure::{Closure, ClosureOptions, Goal, ProofMode, DEFAULT_TERM_LIMIT};
 use secflow::reference::RefClosure;
@@ -580,8 +580,15 @@ pub fn e7_ablation() -> Vec<E7Row> {
             let mut false_alarms = 0;
             for (schema, req_text, expect) in &cases {
                 let req = parse_requirement(req_text).expect("round-trip");
-                let verdict =
-                    analyze_with_config(schema, &req, &config).expect("ablation analyses run");
+                let verdict = analyze_batch(
+                    schema,
+                    std::slice::from_ref(&req),
+                    &config,
+                    &BatchOptions::default(),
+                )
+                .verdicts
+                .remove(0)
+                .expect("ablation analyses run");
                 if *expect {
                     total += 1;
                     if verdict.is_violated() {
@@ -1547,10 +1554,10 @@ pub fn skew_schedule_comparison(smoke: bool) -> SkewRow {
 /// maintained incremental closure ([`secflow::IncrementalUser`]) vs a
 /// from-scratch recompute after every edit.
 pub struct IncrementalRow {
-    /// Family label: `sparse` ([`edit_trace`]-only probes — absorb-bound,
-    /// the honest worst case) or `dense` (an always-granted
-    /// equality-clique core under the probes — the small-edit/large-closure
-    /// regime the maintenance path is built for).
+    /// Family label: `sparse` ([`secflow_workloads::scale::edit_trace`]-only
+    /// probes — absorb-bound, the honest worst case) or `dense` (an
+    /// always-granted equality-clique core under the probes — the
+    /// small-edit/large-closure regime the maintenance path is built for).
     pub family: &'static str,
     /// Probe-pool width of the `edit_trace` family.
     pub width: usize,

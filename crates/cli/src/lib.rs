@@ -38,7 +38,7 @@ use secflow::algorithm::{
     analyze_batch_cached, analyze_batch_streaming, occurrences, AnalysisConfig, AnalysisSink,
     BatchOptions, BatchOutcome, CacheStats, ClosureCache, GroupRecord,
 };
-use secflow::closure::{Closure, ProofMode};
+use secflow::closure::Closure;
 use secflow::incremental::IncrementalUser;
 use secflow::provenance::{audit_witness, render_path, ProvenanceOptions, Severity, WalkMode};
 use secflow::report::{render_derivation, render_term, Verdict};
@@ -573,89 +573,13 @@ pub fn load_str(src: &str) -> Result<Schema, String> {
 
 /// Run a command against policy *text*; returns (report, exit code).
 pub fn run_on_source(cmd: &Command, src: &str) -> (String, i32) {
-    match cmd {
-        Command::Help => (USAGE.to_owned(), exit::OK),
-        Command::Fmt { .. } => match load_str(src) {
-            Ok(schema) => (schema.to_string(), exit::OK),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Check {
-            explain,
-            jobs,
-            stream,
-            ndjson,
-            full_saturation,
-            certify,
-            ..
-        } => match load_str(src) {
-            Ok(schema) => {
-                if *stream {
-                    check_report_stream(&schema, *jobs, *full_saturation, *ndjson, None)
-                } else {
-                    check_report(&schema, *explain, *jobs, *full_saturation, *certify)
-                }
-            }
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Audit {
-            file,
-            format,
-            severity,
-            mode,
-            max_depth,
-            max_paths,
-            jobs,
-        } => match load_str(src) {
-            Ok(schema) => {
-                let opts = AuditOptions {
-                    policy: file.clone(),
-                    format: *format,
-                    severity: *severity,
-                    provenance: ProvenanceOptions {
-                        max_depth: *max_depth,
-                        max_paths: *max_paths,
-                        mode: *mode,
-                    },
-                };
-                let outcome = audit_batch(&schema, *jobs);
-                render_audit(&schema, &outcome, &opts)
-            }
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Unfold { user, .. } => match load_str(src) {
-            Ok(schema) => unfold_report(&schema, user),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Attack { steps, .. } => match load_str(src) {
-            Ok(schema) => attack_report(&schema, *steps),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Fix { .. } => match load_str(src) {
-            Ok(schema) => fix_report(&schema),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Serve { .. } => match load_str(src) {
-            Ok(schema) => serve_stdin(&schema),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-    }
+    execute(cmd, src, None)
 }
 
 /// Run a command end-to-end (file IO included); returns (report, exit code).
 pub fn run(cmd: &Command) -> (String, i32) {
-    match cmd {
-        Command::Help => (USAGE.to_owned(), 0),
-        Command::Check { file, .. }
-        | Command::Audit { file, .. }
-        | Command::Unfold { file, .. }
-        | Command::Attack { file, .. }
-        | Command::Fix { file }
-        | Command::Fmt { file }
-        | Command::Serve { file } => match std::fs::read_to_string(file) {
-            Ok(src) => run_on_source(cmd, &src),
-            Err(e) => (format!("error: cannot read `{file}`: {e}\n"), exit::INPUT),
-        },
-    }
+    let out = run_with_obs(cmd, &ObsOptions::default());
+    (out.stdout, out.code)
 }
 
 /// Output of an instrumented run: the report (stdout), the observability
@@ -820,22 +744,8 @@ impl Collected {
 /// [`CliOutput::trace_output`] carries the trace document destined for the
 /// `--trace=FILE` target.
 pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
-    if obs.is_off() {
-        let (stdout, code) = run_on_source(cmd, src);
-        return CliOutput {
-            stdout,
-            code,
-            ..CliOutput::default()
-        };
-    }
-    if matches!(cmd, Command::Help) {
-        return CliOutput {
-            stdout: USAGE.to_owned(),
-            ..CliOutput::default()
-        };
-    }
     let mut col = Collected::default();
-    let (stdout, code) = instrumented(cmd, src, &mut col);
+    let (stdout, code) = execute(cmd, src, (!obs.is_off()).then_some(&mut col));
     let mut stderr = String::new();
     let mut trace_output = None;
     if let Some(trace) = &obs.trace {
@@ -902,16 +812,23 @@ pub fn run_with_obs(cmd: &Command, obs: &ObsOptions) -> CliOutput {
     }
 }
 
-fn instrumented(cmd: &Command, src: &str, col: &mut Collected) -> (String, i32) {
-    let schema = match col.phases.time("parse", || parse_schema(src)) {
+/// The one command dispatcher behind [`run_on_source`] and
+/// [`run_on_source_with_obs`]. With a collector, phases are timed and the
+/// analysis commands collect their batch statistics into it; the report and
+/// exit code are the same either way.
+fn execute(cmd: &Command, src: &str, mut col: Option<&mut Collected>) -> (String, i32) {
+    if let Command::Help = cmd {
+        return (USAGE.to_owned(), exit::OK);
+    }
+    let schema = match timed(&mut col, "parse", || parse_schema(src)) {
         Ok(s) => s,
         Err(e) => return (format!("error: {e}\n"), exit::INPUT),
     };
-    if let Err(e) = col.phases.time("typecheck", || check_schema(&schema)) {
+    if let Err(e) = timed(&mut col, "typecheck", || check_schema(&schema)) {
         return (format!("error: {e}\n"), exit::INPUT);
     }
     match cmd {
-        Command::Help => (USAGE.to_owned(), exit::OK),
+        Command::Help => unreachable!("--help is answered before the policy is parsed"),
         Command::Fmt { .. } => (schema.to_string(), exit::OK),
         Command::Check {
             explain,
@@ -923,9 +840,9 @@ fn instrumented(cmd: &Command, src: &str, col: &mut Collected) -> (String, i32) 
             ..
         } => {
             if *stream {
-                check_report_stream(&schema, *jobs, *full_saturation, *ndjson, Some(col))
+                check_report_stream(&schema, *jobs, *full_saturation, *ndjson, col)
             } else {
-                check_report_instrumented(&schema, *explain, *jobs, *full_saturation, *certify, col)
+                check_report(&schema, *explain, *jobs, *full_saturation, *certify, col)
             }
         }
         Command::Audit {
@@ -948,16 +865,25 @@ fn instrumented(cmd: &Command, src: &str, col: &mut Collected) -> (String, i32) 
                 },
             };
             let outcome = audit_batch(&schema, *jobs);
-            collect_batch(&schema, &outcome, col);
-            col.phases
-                .time("audit", || render_audit(&schema, &outcome, &opts))
+            if let Some(col) = col.as_deref_mut() {
+                collect_batch(&schema, &outcome, col);
+            }
+            timed(&mut col, "audit", || render_audit(&schema, &outcome, &opts))
         }
-        Command::Unfold { user, .. } => col.phases.time("unfold", || unfold_report(&schema, user)),
+        Command::Unfold { user, .. } => timed(&mut col, "unfold", || unfold_report(&schema, user)),
         Command::Attack { steps, .. } => {
-            col.phases.time("attack", || attack_report(&schema, *steps))
+            timed(&mut col, "attack", || attack_report(&schema, *steps))
         }
-        Command::Fix { .. } => col.phases.time("fix", || fix_report(&schema)),
-        Command::Serve { .. } => col.phases.time("serve", || serve_stdin(&schema)),
+        Command::Fix { .. } => timed(&mut col, "fix", || fix_report(&schema)),
+        Command::Serve { .. } => timed(&mut col, "serve", || serve_stdin(&schema)),
+    }
+}
+
+/// Run `f`, timed as phase `name` when a collector is passed.
+fn timed<T>(col: &mut Option<&mut Collected>, name: &str, f: impl FnOnce() -> T) -> T {
+    match col {
+        Some(col) => col.phases.time(name, f),
+        None => f(),
     }
 }
 
@@ -1038,11 +964,6 @@ fn check_batch(
 ) -> BatchOutcome {
     let opts = BatchOptions {
         jobs,
-        proofs: if explain || certify {
-            ProofMode::Full
-        } else {
-            ProofMode::Off
-        },
         keep_artifacts: explain || certify,
         collect_stats: stats,
         full_saturation,
@@ -1058,40 +979,50 @@ fn check_batch(
     )
 }
 
-/// The `--certify` pass: run the independent proof checker over every
-/// group's kept closure. Appends one summary line on success; on the first
-/// rejection, reports the structured [`secflow::CheckError`] and returns
-/// [`exit::CERTIFY`]. Returns the certificates so the instrumented path can
-/// absorb the per-rule check counters into its metrics.
+/// The certification pass `check --certify` and `audit` share: the
+/// independent proof checker re-validates every group's kept closure.
+/// Groups whose shared phases failed kept no artifacts; their errors are
+/// reported per requirement, so there is nothing to certify. Returns the
+/// certificates and the `certified: …` summary line, or the failure line
+/// naming the first rejected user's structured [`secflow::CheckError`].
+fn certify_groups(outcome: &BatchOutcome) -> Result<(Vec<secflow::Certificate>, String), String> {
+    let mut certs = Vec::with_capacity(outcome.groups.len());
+    let mut derivations = 0usize;
+    for g in &outcome.groups {
+        let Some((prog, closure)) = g.artifacts.as_ref() else {
+            continue;
+        };
+        let cert = closure
+            .certify(prog, &secflow::rules::RuleConfig::default())
+            .map_err(|e| format!("certification FAILED for user `{}`: {e}", g.user))?;
+        derivations += cert.terms_checked;
+        certs.push(cert);
+    }
+    let summary = format!(
+        "certified: {derivations} derivation(s) re-validated across {} closure(s)",
+        certs.len()
+    );
+    Ok((certs, summary))
+}
+
+/// The `--certify` pass of `check`: appends the summary line on success;
+/// on a rejection appends the failure line and returns [`exit::CERTIFY`].
+/// Returns the certificates so an instrumented run can absorb the per-rule
+/// check counters into its metrics.
 fn certify_outcome(
     outcome: &BatchOutcome,
     out: &mut String,
 ) -> Result<Vec<secflow::Certificate>, i32> {
-    let mut certs = Vec::with_capacity(outcome.groups.len());
-    let mut terms = 0usize;
-    for g in &outcome.groups {
-        let Some((prog, closure)) = g.artifacts.as_ref() else {
-            // The shared phases failed; per-requirement errors were already
-            // reported above, so there is nothing to certify here.
-            continue;
-        };
-        match closure.certify(prog, &secflow::rules::RuleConfig::default()) {
-            Ok(cert) => {
-                terms += cert.terms_checked;
-                certs.push(cert);
-            }
-            Err(e) => {
-                let _ = writeln!(out, "certification FAILED for user `{}`: {e}", g.user);
-                return Err(exit::CERTIFY);
-            }
+    match certify_groups(outcome) {
+        Ok((certs, summary)) => {
+            let _ = writeln!(out, "{summary}");
+            Ok(certs)
+        }
+        Err(failure) => {
+            let _ = writeln!(out, "{failure}");
+            Err(exit::CERTIFY)
         }
     }
-    let _ = writeln!(
-        out,
-        "certified: {terms} derivation(s) re-validated across {} closure(s)",
-        certs.len()
-    );
-    Ok(certs)
 }
 
 /// Requirement index → group index, from a batch outcome.
@@ -1130,7 +1061,6 @@ pub struct AuditOptions {
 pub fn audit_batch(schema: &Schema, jobs: usize) -> BatchOutcome {
     let opts = BatchOptions {
         jobs,
-        proofs: ProofMode::Full,
         keep_artifacts: true,
         collect_stats: true,
         full_saturation: false,
@@ -1163,25 +1093,10 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
     }
     // Certify first: flaw paths are only reported from a derivation record
     // the independent checker accepts.
-    let mut derivations = 0usize;
-    let mut closures = 0usize;
-    for g in &outcome.groups {
-        let Some((prog, closure)) = g.artifacts.as_ref() else {
-            continue;
-        };
-        match closure.certify(prog, &secflow::rules::RuleConfig::default()) {
-            Ok(cert) => {
-                derivations += cert.terms_checked;
-                closures += 1;
-            }
-            Err(e) => {
-                return audit_rejected(
-                    opts,
-                    format!("certification FAILED for user `{}`: {e}", g.user),
-                );
-            }
-        }
-    }
+    let (certs, certified) = match certify_groups(outcome) {
+        Ok(pass) => pass,
+        Err(failure) => return audit_rejected(opts, failure),
+    };
 
     let group_idx = group_of(outcome, schema.requirements.len());
     let min = opts.severity;
@@ -1296,10 +1211,7 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
         let _ = write!(text, "; max severity {s}");
     }
     text.push('\n');
-    let _ = writeln!(
-        text,
-        "certified: {derivations} derivation(s) re-validated across {closures} closure(s)"
-    );
+    let _ = writeln!(text, "{certified}");
 
     let code = if violated > 0 {
         exit::VIOLATION
@@ -1371,8 +1283,11 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
                 (
                     "certified".to_owned(),
                     Json::Obj(vec![
-                        ("closures".to_owned(), Json::count(closures as u64)),
-                        ("derivations".to_owned(), Json::count(derivations as u64)),
+                        ("closures".to_owned(), Json::count(certs.len() as u64)),
+                        (
+                            "derivations".to_owned(),
+                            Json::count(certs.iter().map(|c| c.terms_checked as u64).sum()),
+                        ),
                     ]),
                 ),
                 ("violations".to_owned(), Json::Arr(violations_json)),
@@ -1477,75 +1392,17 @@ fn witness_json(prog: &NProgram, report: &secflow::WitnessReport) -> Json {
     ])
 }
 
-/// The `check` loop with stats: like [`check_report`] but the batch driver
-/// collects per-group phase timings and closure counters, which aggregate
-/// into the metrics report and the trace timeline.
-fn check_report_instrumented(
-    schema: &Schema,
-    explain: bool,
-    jobs: usize,
-    full_saturation: bool,
-    certify: bool,
-    col: &mut Collected,
-) -> (String, i32) {
-    let mut out = String::new();
-    if schema.requirements.is_empty() {
-        let _ = writeln!(
-            out,
-            "no `require` declarations in the policy — nothing to check"
-        );
-        return (out, exit::OK);
-    }
-    let outcome = check_batch(schema, explain, jobs, full_saturation, certify, true);
-    let group_idx = group_of(&outcome, schema.requirements.len());
-    collect_batch(schema, &outcome, col);
-    let mut violated = 0usize;
-    for (i, req) in schema.requirements.iter().enumerate() {
-        let g = &outcome.groups[group_idx[i]];
-        match &outcome.verdicts[i] {
-            Ok(Verdict::Satisfied) => {
-                let _ = writeln!(out, "ok    {req}");
-            }
-            Ok(Verdict::Violated(violations)) => {
-                violated += 1;
-                let _ = writeln!(out, "FLAW  {req}  ({} occurrence(s))", violations.len());
-                if explain {
-                    if let Some((prog, closure)) = g.artifacts.as_ref() {
-                        render_explanations(prog, closure, violations, &mut out);
-                    }
-                }
-            }
-            Err(e) => {
-                let _ = writeln!(out, "error {req}: {e}");
-                return (out, exit::INPUT);
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{} requirement(s), {} violated",
-        schema.requirements.len(),
-        violated
-    );
-    if certify {
-        match certify_outcome(&outcome, &mut out) {
-            Ok(certs) => {
-                for cert in &certs {
-                    col.closure.absorb_certificate(cert);
-                }
-            }
-            Err(code) => return (out, code),
-        }
-    }
-    (out, i32::from(violated > 0))
-}
-
+/// The buffered `check` loop. With `col` the batch driver collects
+/// per-group phase timings and closure counters, which aggregate into the
+/// metrics report and the trace timeline, and `--certify` adds the
+/// checker's per-rule counts.
 fn check_report(
     schema: &Schema,
     explain: bool,
     jobs: usize,
     full_saturation: bool,
     certify: bool,
+    mut col: Option<&mut Collected>,
 ) -> (String, i32) {
     let mut out = String::new();
     if schema.requirements.is_empty() {
@@ -1555,7 +1412,17 @@ fn check_report(
         );
         return (out, exit::OK);
     }
-    let outcome = check_batch(schema, explain, jobs, full_saturation, certify, false);
+    let outcome = check_batch(
+        schema,
+        explain,
+        jobs,
+        full_saturation,
+        certify,
+        col.is_some(),
+    );
+    if let Some(col) = col.as_deref_mut() {
+        collect_batch(schema, &outcome, col);
+    }
     let group_idx = group_of(&outcome, schema.requirements.len());
     let mut violated = 0usize;
     for (i, req) in schema.requirements.iter().enumerate() {
@@ -1585,8 +1452,15 @@ fn check_report(
         violated
     );
     if certify {
-        if let Err(code) = certify_outcome(&outcome, &mut out) {
-            return (out, code);
+        match certify_outcome(&outcome, &mut out) {
+            Ok(certs) => {
+                if let Some(col) = col {
+                    for cert in &certs {
+                        col.closure.absorb_certificate(cert);
+                    }
+                }
+            }
+            Err(code) => return (out, code),
         }
     }
     (out, i32::from(violated > 0))
@@ -1601,9 +1475,9 @@ fn check_report(
 /// Unlike the buffered path, an analysis error does not short-circuit —
 /// every group is still reported, and the run exits [`exit::INPUT`] when
 /// any error occurred, else 1 on violations as usual. With `col` the run is
-/// instrumented: closure stats are collected (which bypasses the cache,
-/// like the buffered instrumented path) and the streaming summary is folded
-/// into the metrics collector.
+/// instrumented: closure stats are collected (which bypasses the cache, as
+/// on the buffered path) and the streaming summary is folded into the
+/// metrics collector.
 ///
 /// With `ndjson` each group record becomes exactly one compact JSON object
 /// per line — `{"group":…,"user":…,"occurrences_checked":…,"verdicts":[…]}`
@@ -1675,7 +1549,6 @@ fn check_report_stream(
     let stats = col.is_some();
     let opts = BatchOptions {
         jobs,
-        proofs: ProofMode::Off,
         keep_artifacts: false,
         collect_stats: stats,
         full_saturation,

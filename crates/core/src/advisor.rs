@@ -22,7 +22,7 @@
 //! search over the schema), so the exponential worst case is irrelevant in
 //! practice; a budget caps pathological inputs.
 
-use crate::algorithm::{analyze_with_config, AnalysisConfig, AnalysisError};
+use crate::algorithm::{analyze_batch, AnalysisConfig, AnalysisError, BatchOptions};
 use oodb_lang::requirement::Requirement;
 use oodb_lang::Schema;
 use oodb_model::{CapabilityList, FnRef};
@@ -121,7 +121,16 @@ pub fn advise(
         probes.set(probes.get() + 1);
         let mut s = schema.clone();
         s.users.insert(req.user.clone(), list.clone());
-        Ok(analyze_with_config(&s, req, &config.analysis)?.is_violated())
+        let verdict = analyze_batch(
+            &s,
+            std::slice::from_ref(req),
+            &config.analysis,
+            &BatchOptions::default(),
+        )
+        .verdicts
+        .pop()
+        .expect("a batch of one requirement yields one verdict");
+        Ok(verdict?.is_violated())
     };
 
     if !run(&caps)? {

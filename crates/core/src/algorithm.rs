@@ -34,7 +34,7 @@ use crate::unfold::{ExprId, NKind, NProgram, UnfoldError, DEFAULT_NODE_LIMIT};
 use oodb_lang::requirement::{Cap, Requirement};
 use oodb_lang::Schema;
 use oodb_model::{FnRef, Type, UserName};
-use secflow_obs::{MetricsSink, Phases};
+use secflow_obs::Phases;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -56,7 +56,7 @@ pub struct AnalysisConfig {
     /// which passes this field to
     /// [`Closure::compute_demand_with_stats_saturation`]. It selects
     /// nothing — [`SaturationMode`] has one variant — and is excluded from
-    /// the cache identity ([`semantic_fingerprint`]).
+    /// the cache identity (`semantic_fingerprint`).
     pub saturation: SaturationMode,
 }
 
@@ -141,7 +141,9 @@ impl From<ClosureError> for AnalysisError {
     }
 }
 
-/// Run `A(R)` with default configuration.
+/// Run `A(R)` with default configuration: a batch of one requirement
+/// through [`analyze_batch`]. The schema must already be type-checked (see
+/// [`oodb_lang::check_schema`]).
 ///
 /// ```
 /// use oodb_lang::{check_schema, parse_requirement, parse_schema};
@@ -158,56 +160,20 @@ impl From<ClosureError> for AnalysisError {
 /// assert!(analyze(&schema, &req).unwrap().is_violated());
 /// ```
 pub fn analyze(schema: &Schema, req: &Requirement) -> Result<Verdict, AnalysisError> {
-    analyze_with_config(schema, req, &AnalysisConfig::default())
+    analyze_batch(
+        schema,
+        std::slice::from_ref(req),
+        &AnalysisConfig::default(),
+        &BatchOptions::default(),
+    )
+    .verdicts
+    .pop()
+    .expect("a batch of one requirement yields one verdict")
 }
 
-/// Run `A(R)` with explicit configuration. The schema must already be
-/// type-checked (see [`oodb_lang::check_schema`]).
-///
-/// This is the demand-driven path: saturation is restricted to the
-/// requirement's relevance slice ([`DemandPlan`]) and stops as soon as
-/// every target occurrence's verdict is decided. Verdicts — including
-/// witness terms — are identical to [`analyze_full`], which saturates the
-/// whole program.
-pub fn analyze_with_config(
-    schema: &Schema,
-    req: &Requirement,
-    config: &AnalysisConfig,
-) -> Result<Verdict, AnalysisError> {
-    let caps = schema
-        .user(&req.user)
-        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
-    let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
-    let occs = occurrences(&prog, &req.target);
-    let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-    let opts = config.closure_options(Goal::Demand(&plan));
-    let closure = Closure::saturate(&prog, &opts, NoopObserver).0?;
-    Ok(check_with_occurrences(&prog, &closure, req, &occs))
-}
-
-/// Run `A(R)` with full saturation: the closure of **all** derivable terms,
-/// exactly as the paper states `A(R)`. [`analyze_with_config`] reaches the
-/// same verdict by deriving only the slice-restricted subset; this
-/// entry point is the escape hatch behind the CLI's `--full-saturation`
-/// flag and the oracle side of the demand differential tests.
-pub fn analyze_full(
-    schema: &Schema,
-    req: &Requirement,
-    config: &AnalysisConfig,
-) -> Result<Verdict, AnalysisError> {
-    let caps = schema
-        .user(&req.user)
-        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
-    let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
-    // Membership-only closure: verdicts never read derivations, so the
-    // proof map would be pure allocation overhead here.
-    let opts = config.closure_options(Goal::Full(ProofMode::Off));
-    let closure = Closure::saturate(&prog, &opts, NoopObserver).0?;
-    Ok(check_against(&prog, &closure, req))
-}
-
-/// Everything measured during one [`analyze_with_stats`] run: per-phase
-/// wall-clock (unfold → closure → check) plus the closure's own counters.
+/// Everything measured for one batch group when
+/// [`BatchOptions::collect_stats`] is set: per-phase wall-clock
+/// (unfold → closure → check) plus the closure's own counters.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisStats {
     /// Wall-clock per analysis phase, in execution order.
@@ -218,51 +184,6 @@ pub struct AnalysisStats {
     pub program_nodes: u64,
     /// Occurrences of the target function that were checked.
     pub occurrences_checked: u64,
-}
-
-impl AnalysisStats {
-    /// Report phase spans and closure counters into a sink, plus the
-    /// `analysis.program_nodes` / `analysis.occurrences` counters.
-    pub fn record_to(&self, sink: &mut dyn MetricsSink) {
-        self.phases.record_to(sink);
-        self.closure.record_to(sink);
-        sink.counter("analysis.program_nodes", self.program_nodes);
-        sink.counter("analysis.occurrences", self.occurrences_checked);
-    }
-}
-
-/// Run `A(R)` like [`analyze_with_config`], but also return
-/// [`AnalysisStats`]: per-phase timings and the closure's internal
-/// counters. Stats describe whatever phases ran, even when the analysis
-/// errors out part-way (unknown user, unfolding budget, closure budget).
-pub fn analyze_with_stats(
-    schema: &Schema,
-    req: &Requirement,
-    config: &AnalysisConfig,
-) -> (Result<Verdict, AnalysisError>, AnalysisStats) {
-    let mut stats = AnalysisStats::default();
-    let result = (|| {
-        let caps = schema
-            .user(&req.user)
-            .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
-        let prog = stats.phases.time("unfold", || {
-            NProgram::unfold_with_limit(schema, caps, config.node_limit)
-        })?;
-        stats.program_nodes = prog.iter().count() as u64;
-        let occs = occurrences(&prog, &req.target);
-        let (closure, cstats) = stats.phases.time("closure", || {
-            let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-            let opts = config.closure_options(Goal::Demand(&plan));
-            Closure::saturate(&prog, &opts, ClosureStats::new(config.term_limit))
-        });
-        stats.closure = cstats;
-        let closure = closure?;
-        Ok(stats.phases.time("check", || {
-            stats.occurrences_checked = occs.len() as u64;
-            check_with_occurrences(&prog, &closure, req, &occs)
-        }))
-    })();
-    (result, stats)
 }
 
 /// The capability queries `A(R)`'s verdict check needs from a closure.
@@ -473,8 +394,8 @@ pub enum BatchSchedule {
     /// Work stealing (the default): workers start from the same contiguous
     /// chunks, held in per-worker deques, but an idle worker steals the
     /// back half of the first non-empty victim deque it finds instead of
-    /// going idle. Output is unaffected — results are written into slots
-    /// indexed by group, so scheduling order never shows.
+    /// going idle. Output is unaffected — results are placed by group
+    /// index at join, so scheduling order never shows.
     #[default]
     WorkStealing,
 }
@@ -491,21 +412,20 @@ pub struct BatchOptions {
     /// (verdicts are byte-identical either way); [`BatchSchedule::Fixed`]
     /// exists as the measured baseline for the work-stealing speedup.
     pub schedule: BatchSchedule,
-    /// Proof mode for the shared closures. [`ProofMode::Full`] is only
-    /// needed when something will print derivations from the kept
-    /// artifacts (the CLI `--explain` path).
-    pub proofs: ProofMode,
     /// Keep each group's `(NProgram, Closure)` on [`BatchGroup::artifacts`]
-    /// so callers can render explanations without recomputing.
+    /// so callers can render explanations, certify and walk flaw paths
+    /// without recomputing. Implies a proof-carrying
+    /// ([`ProofMode::Full`]) full saturation: all three read derivations
+    /// of arbitrary terms, which a partial or proof-free closure cannot
+    /// back.
     pub keep_artifacts: bool,
     /// Collect [`ClosureStats`] and per-phase timings per group.
     pub collect_stats: bool,
     /// Force full saturation even when the group is eligible for the
     /// demand-driven engine. Verdicts are identical either way; this is the
     /// escape hatch (CLI `--full-saturation`) and the oracle mode for the
-    /// demand differential tests. Groups needing proofs or kept artifacts
-    /// saturate fully regardless — a partial closure cannot back
-    /// `--explain`-style derivation rendering for arbitrary terms.
+    /// demand differential tests. Groups keeping artifacts saturate fully
+    /// regardless.
     pub full_saturation: bool,
 }
 
@@ -514,7 +434,6 @@ impl Default for BatchOptions {
         BatchOptions {
             jobs: 1,
             schedule: BatchSchedule::WorkStealing,
-            proofs: ProofMode::Off,
             keep_artifacts: false,
             collect_stats: false,
             full_saturation: false,
@@ -1017,9 +936,9 @@ impl OccMemo {
 /// [`BatchSchedule`]), so a policy file with many users saturates in
 /// parallel even when group sizes are heavily skewed.
 ///
-/// Verdicts are identical to per-requirement [`analyze_with_config`] calls,
-/// in input order, regardless of `jobs` — groups are independent and each
-/// group's work is deterministic.
+/// Verdicts come back in input order and are identical to analyzing each
+/// requirement as a batch of one, regardless of `jobs` — groups are
+/// independent and each group's work is deterministic.
 pub fn analyze_batch(
     schema: &Schema,
     reqs: &[Requirement],
@@ -1032,10 +951,10 @@ pub fn analyze_batch(
 /// [`analyze_batch`] with an optional cross-call [`ClosureCache`].
 ///
 /// Cache reuse applies only to groups that run demand-driven without stats
-/// collection (`!full_saturation`, `proofs == Off`, `!keep_artifacts`,
-/// `!collect_stats`) — full closures, proof-carrying closures and
-/// per-group counters are request-specific and bypass it. Passing `None`
-/// is exactly [`analyze_batch`].
+/// collection (`!full_saturation`, `!keep_artifacts`, `!collect_stats`) —
+/// full closures, proof-carrying closures and per-group counters are
+/// request-specific and bypass it. Passing `None` is exactly
+/// [`analyze_batch`].
 pub fn analyze_batch_cached(
     schema: &Schema,
     reqs: &[Requirement],
@@ -1051,60 +970,40 @@ pub fn analyze_batch_cached(
     let grouped = group_by_user(reqs);
     let n_groups = grouped.len();
     let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
-    type GroupOut = (BatchGroup, Vec<(usize, Result<Verdict, AnalysisError>)>);
-    let mut outs: Vec<Option<GroupOut>> = Vec::with_capacity(n_groups);
-    let mut steals = 0;
-
-    if jobs <= 1 {
-        for (user, idxs) in &grouped {
-            outs.push(Some(run_group(
-                schema,
-                reqs,
-                config,
-                opts,
-                user,
-                idxs,
-                ctx.as_ref(),
-            )));
-        }
-    } else {
-        // Per-slot mutexes keep result writes contention-free and slot
-        // order independent of scheduling, so the pool's nondeterministic
-        // group→worker assignment never reaches the output.
-        let slots: Vec<Mutex<Option<GroupOut>>> = (0..n_groups).map(|_| Mutex::new(None)).collect();
-        let (_, pool_steals) = run_pool(
-            n_groups,
-            jobs,
-            opts.schedule,
-            |_| (),
-            |_state, gi| {
-                let (user, idxs) = &grouped[gi];
-                let out = run_group(schema, reqs, config, opts, user, idxs, ctx.as_ref());
-                *slots[gi].lock().expect("no panics hold this lock") = Some(out);
-            },
-        );
-        steals = pool_steals;
-        for slot in slots {
-            outs.push(slot.into_inner().expect("no panics hold this lock"));
-        }
-    }
-
+    // Each worker keeps its own `(group index, result)` pairs; placing them
+    // by index at join keeps the pool's nondeterministic group→worker
+    // assignment out of the output.
+    let (done, steals) = run_pool(
+        n_groups,
+        jobs,
+        opts.schedule,
+        |_| Vec::new(),
+        |done, gi| {
+            let (user, idxs) = &grouped[gi];
+            done.push((
+                gi,
+                run_group(schema, reqs, config, opts, user, idxs, ctx.as_ref()),
+            ));
+        },
+    );
     let mut verdicts: Vec<Option<Result<Verdict, AnalysisError>>> =
         reqs.iter().map(|_| None).collect();
-    let mut groups = Vec::with_capacity(n_groups);
-    for out in outs {
-        let (group, vs) = out.expect("every group index was claimed by a worker");
+    let mut groups: Vec<Option<BatchGroup>> = (0..n_groups).map(|_| None).collect();
+    for (gi, (group, vs)) in done.into_iter().flatten() {
         for (i, v) in vs {
             verdicts[i] = Some(v);
         }
-        groups.push(group);
+        groups[gi] = Some(group);
     }
     BatchOutcome {
         verdicts: verdicts
             .into_iter()
             .map(|v| v.expect("every requirement belongs to exactly one group"))
             .collect(),
-        groups,
+        groups: groups
+            .into_iter()
+            .map(|g| g.expect("every group index was claimed by a worker"))
+            .collect(),
         jobs_used: jobs,
         steals,
         cache_occupancy: cache.map(|c| (c.len(), c.capacity())),
@@ -1152,9 +1051,11 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// Every group index is processed exactly once: indexes only ever move
 /// between deques under a victim's lock, and a worker drains its own deque
 /// before exiting. Each worker threads a private state value (`init` →
-/// `work` → returned at join), which is how the streaming path folds
-/// per-worker [`ClosureStats`] without a shared lock. Returns the worker
-/// states in worker-index order plus the number of steals performed.
+/// `work` → returned at join), which is how both drivers collect results
+/// and fold per-worker [`ClosureStats`] without a shared lock. Returns the
+/// worker states in worker-index order plus the number of steals performed.
+/// With one job nothing is spawned: the calling thread runs every group in
+/// index order as worker 0.
 fn run_pool<S, I, W>(
     n_groups: usize,
     jobs: usize,
@@ -1167,6 +1068,13 @@ where
     I: Fn(usize) -> S + Sync,
     W: Fn(&mut S, usize) + Sync,
 {
+    if jobs <= 1 {
+        let mut state = init(0);
+        for gi in 0..n_groups {
+            work(&mut state, gi);
+        }
+        return (vec![state], 0);
+    }
     let steals = AtomicU64::new(0);
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
         .map(|w| {
@@ -1335,24 +1243,16 @@ pub fn analyze_batch_streaming(
         });
     };
 
-    let (accs, steals) = if jobs <= 1 {
-        let mut acc = WorkerAcc::default();
-        for gi in 0..n_groups {
-            emit_group(&mut acc, gi);
-        }
-        (vec![acc], 0)
-    } else {
-        run_pool(
-            n_groups,
-            jobs,
-            opts.schedule,
-            |w| WorkerAcc {
-                worker: w,
-                ..WorkerAcc::default()
-            },
-            emit_group,
-        )
-    };
+    let (accs, steals) = run_pool(
+        n_groups,
+        jobs,
+        opts.schedule,
+        |w| WorkerAcc {
+            worker: w,
+            ..WorkerAcc::default()
+        },
+        emit_group,
+    );
 
     let mut closure = ClosureStats::default();
     let mut occurrences = 0;
@@ -1428,9 +1328,9 @@ fn run_group(
         artifacts: None,
     };
     // Demand-driven saturation answers exactly the goal queries the checks
-    // below will make; anything that inspects the closure beyond those
-    // queries (proof rendering, kept artifacts) needs the full fixpoint.
-    let use_demand = !opts.full_saturation && opts.proofs == ProofMode::Off && !opts.keep_artifacts;
+    // below will make; kept artifacts are inspected beyond those queries
+    // (derivations of arbitrary terms), so they need the full fixpoint.
+    let use_demand = !opts.full_saturation && !opts.keep_artifacts;
     let mut memo = OccMemo::default();
     let shared: Result<SharedArtifacts, AnalysisError> = (|| {
         if use_demand {
@@ -1475,7 +1375,8 @@ fn run_group(
             });
             let goal = match &plan {
                 Some(plan) => Goal::Demand(plan),
-                None => Goal::Full(opts.proofs),
+                None if opts.keep_artifacts => Goal::Full(ProofMode::Full),
+                None => Goal::Full(ProofMode::Off),
             };
             let copts = config.closure_options(goal);
             if opts.collect_stats {
@@ -1633,11 +1534,27 @@ mod tests {
         }
     }
 
+    /// One requirement through [`analyze_batch`] with stats collected: the
+    /// verdict and the group's stats.
+    fn one_with_stats(
+        s: &Schema,
+        req: &str,
+        config: &AnalysisConfig,
+    ) -> (Result<Verdict, AnalysisError>, AnalysisStats) {
+        let r = parse_requirement(req).unwrap();
+        let opts = BatchOptions {
+            collect_stats: true,
+            ..BatchOptions::default()
+        };
+        let mut out = analyze_batch(s, std::slice::from_ref(&r), config, &opts);
+        (out.verdicts.remove(0), out.groups.remove(0).stats)
+    }
+
     #[test]
-    fn analyze_with_stats_reports_phases_and_counters() {
+    fn batch_of_one_reports_phases_and_counters() {
         let s = schema();
-        let r = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
-        let (v, stats) = analyze_with_stats(&s, &r, &AnalysisConfig::default());
+        let config = AnalysisConfig::default();
+        let (v, stats) = one_with_stats(&s, "(clerk, r_salary(x) : ti)", &config);
         assert!(v.unwrap().is_violated(), "same verdict as analyze()");
         for phase in ["unfold", "closure", "check"] {
             assert!(stats.phases.get(phase).is_some(), "missing phase {phase}");
@@ -1649,43 +1566,19 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_stats_round_trips_through_json() {
-        use secflow_obs::{Json, MetricsReport, Recorder};
-        let s = schema();
-        let r = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
-        let (_, stats) = analyze_with_stats(&s, &r, &AnalysisConfig::default());
-        let mut rec = Recorder::new();
-        stats.record_to(&mut rec);
-        let report = rec.into_report();
-        let text = report.to_json().pretty();
-        let back = MetricsReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        for name in [
-            "closure.terms.total",
-            "closure.rounds",
-            "analysis.program_nodes",
-            "analysis.occurrences",
-        ] {
-            assert_eq!(back.counter(name), report.counter(name), "{name}");
-            assert!(report.counter(name).unwrap() > 0, "{name} is zero");
-        }
-        assert!(back.span("closure").is_some());
-    }
-
-    #[test]
-    fn analyze_with_stats_reports_partial_runs() {
+    fn batch_of_one_reports_stats_of_partial_runs() {
         // Unknown user: no phases ran, stats stay default but come back.
         let s = schema();
-        let r = parse_requirement("(ghost, r_salary(x) : ti)").unwrap();
-        let (v, stats) = analyze_with_stats(&s, &r, &AnalysisConfig::default());
+        let config = AnalysisConfig::default();
+        let (v, stats) = one_with_stats(&s, "(ghost, r_salary(x) : ti)", &config);
         assert!(matches!(v, Err(AnalysisError::UnknownUser(_))));
         assert!(stats.phases.is_empty());
         // Closure budget abort: unfold + closure phases ran, check did not.
-        let r = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
         let config = AnalysisConfig {
             term_limit: 5,
             ..AnalysisConfig::default()
         };
-        let (v, stats) = analyze_with_stats(&s, &r, &config);
+        let (v, stats) = one_with_stats(&s, "(clerk, r_salary(x) : ti)", &config);
         assert!(matches!(v, Err(AnalysisError::Closure(_))));
         assert!(stats.closure.aborted);
         assert!(stats.phases.get("closure").is_some());
@@ -1792,7 +1685,6 @@ mod tests {
         let opts = BatchOptions {
             jobs: 2,
             schedule: BatchSchedule::WorkStealing,
-            proofs: ProofMode::Full,
             keep_artifacts: true,
             collect_stats: true,
             full_saturation: false,
@@ -1830,7 +1722,18 @@ mod tests {
         ] {
             let r = parse_requirement(req).unwrap();
             let demand = analyze(&s, &r).unwrap();
-            let full = analyze_full(&s, &r, &AnalysisConfig::default()).unwrap();
+            let full = analyze_batch(
+                &s,
+                std::slice::from_ref(&r),
+                &AnalysisConfig::default(),
+                &BatchOptions {
+                    full_saturation: true,
+                    ..BatchOptions::default()
+                },
+            )
+            .verdicts
+            .remove(0)
+            .unwrap();
             assert_eq!(demand, full, "{req}");
         }
     }
@@ -2213,7 +2116,6 @@ mod tests {
                 ..BatchOptions::default()
             },
             BatchOptions {
-                proofs: ProofMode::Full,
                 keep_artifacts: true,
                 ..BatchOptions::default()
             },

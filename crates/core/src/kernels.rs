@@ -4,7 +4,8 @@
 //! `rowA \ (rowB ∪ except)` empty?* — an AND-NOT merge of two bit rows
 //! OR-reduced to a single emptiness verdict. Evaluated word-at-a-time, it
 //! pays a per-word branch and a linear `except: &[usize]` membership scan
-//! inside the loop (O(words × excepts)); see [`reference`].
+//! inside the loop (O(words × excepts)); see
+//! [`reference`](mod@reference).
 //!
 //! This module provides the chunked form:
 //!
@@ -22,8 +23,8 @@
 //! ([`row_diff_is_empty`]), and individual entries otherwise (the scan
 //! walks in its original order but consults the materialized difference
 //! row from [`row_diff_into`] one bit at a time) — so a false "empty"
-//! would silently drop closure terms. [`reference`] keeps the original
-//! word-at-a-time scalar implementation verbatim;
+//! would silently drop closure terms. [`reference`](mod@reference) keeps
+//! the original word-at-a-time scalar implementation verbatim;
 //! `tests/kernel_differential.rs` duels the two on random rows and
 //! exception sets, and the engine differential suites pin the closures
 //! built on top of them to the `RefClosure` oracle byte for byte.

@@ -17,13 +17,13 @@
 //!   reconstruction notes.
 //! * [`basics`] — the per-basic-function rule sets generated following the
 //!   paper's §4.1 metarules, including the verbatim `>=` and `*` instances.
-//! * [`closure`] — the semi-naive fixpoint computing the closure of all
-//!   derivable terms: interned [`term::TermId`] keys, dense per-occurrence
-//!   capability tables, and proof recording as a mode
-//!   ([`closure::ProofMode`]).
+//! * [`closure`] — the saturation engine computing the closure of all
+//!   derivable terms (or a requirement's demand slice of it): interned
+//!   [`term::TermId`] keys, dense per-occurrence capability tables, and
+//!   proof recording as a mode ([`closure::ProofMode`]).
 //! * [`fxhash`] — the std-only deterministic hasher behind the interner.
-//! * [`reference`] — the retained slow-path engine, kept traversal-
-//!   equivalent to [`closure`] as a differential-testing oracle.
+//! * [`reference`](mod@reference) — the retained slow-path engine, kept
+//!   traversal-equivalent to [`closure`] as a differential-testing oracle.
 //! * [`algorithm`] — `A(R)` (§4.1 Definition 6): a requirement `R` is
 //!   *not satisfied* iff some occurrence of its target function carries all
 //!   the specified capability terms in the closure.
@@ -69,9 +69,8 @@ pub mod unfold;
 
 pub use advisor::{advise, Advice, AdvisorConfig, Repair};
 pub use algorithm::{
-    analyze, analyze_batch, analyze_batch_cached, analyze_full, analyze_with_config,
-    analyze_with_stats, AnalysisConfig, AnalysisError, AnalysisStats, BatchGroup, BatchOptions,
-    BatchOutcome, CacheStats, CapabilityView, ClosureCache,
+    analyze, analyze_batch, analyze_batch_cached, AnalysisConfig, AnalysisError, AnalysisStats,
+    BatchGroup, BatchOptions, BatchOutcome, CacheStats, CapabilityView, ClosureCache,
 };
 pub use checker::{Certificate, CheckError};
 pub use closure::{Closure, ClosureOptions, Goal, ProofMode};

@@ -152,8 +152,8 @@ impl CapabilityView for RefClosure {
 
 /// Run `A(R)` end-to-end on the reference engine: capability lookup,
 /// unfolding, slow-path closure, then the shared verdict check. The
-/// differential tests compare this against
-/// [`crate::algorithm::analyze_with_config`].
+/// differential tests compare this against the engine's verdicts from
+/// [`crate::algorithm::analyze_batch`].
 pub fn analyze_ref(
     schema: &Schema,
     req: &Requirement,
@@ -789,7 +789,7 @@ mod tests {
         let req = oodb_lang::parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
         let cfg = AnalysisConfig::default();
         let slow = analyze_ref(&schema, &req, &cfg).unwrap();
-        let fast = crate::algorithm::analyze_with_config(&schema, &req, &cfg).unwrap();
+        let fast = crate::algorithm::analyze(&schema, &req).unwrap();
         assert_eq!(slow, fast);
         assert!(slow.is_violated());
     }

@@ -220,6 +220,82 @@ fn full_saturation_matches_demand_on_policy_files() {
     }
 }
 
+/// Instrumented and plain `check` run one code path: for every policy file
+/// and every valid flag set, `--metrics=json` with a trace file leaves
+/// stdout and the exit code exactly as the plain run prints them, stderr is
+/// one JSON document and every trace line parses.
+#[test]
+fn instrumented_check_agrees_with_plain_on_every_flag_set() {
+    use secflow_cli::{
+        run_on_source, run_on_source_with_obs, MetricsFormat, ObsOptions, TraceOptions,
+    };
+    use secflow_obs::{Json, TraceFormat};
+    let obs = ObsOptions {
+        metrics: Some(MetricsFormat::Json),
+        trace: Some(TraceOptions {
+            file: Some("check.trace.jsonl".into()),
+            format: TraceFormat::Jsonl,
+        }),
+    };
+    // (explain, certify, full_saturation, stream, ndjson)
+    let flag_sets = [
+        (false, false, false, false, false),
+        (true, false, false, false, false),
+        (false, true, false, false, false),
+        (false, false, true, false, false),
+        (true, true, true, false, false),
+        (false, false, false, true, false),
+        (false, false, false, true, true),
+    ];
+    let dir = format!("{}/policies", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("policies/ is readable")
+        .map(|e| e.expect("policies/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sfl"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 4, "expected the fixture policies in {dir}");
+    let sorted_lines = |text: &str| {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        lines.sort();
+        lines
+    };
+    for path in &files {
+        let src = std::fs::read_to_string(path).expect("policy file is readable");
+        for (explain, certify, full_saturation, stream, ndjson) in flag_sets {
+            for jobs in [1, 4] {
+                let cmd = Command::Check {
+                    file: path.display().to_string(),
+                    explain,
+                    jobs,
+                    full_saturation,
+                    certify,
+                    stream,
+                    ndjson,
+                };
+                let (plain, plain_code) = run_on_source(&cmd, &src);
+                let out = run_on_source_with_obs(&cmd, &src, &obs);
+                assert_eq!(out.code, plain_code, "{cmd:?}");
+                if stream && jobs > 1 {
+                    // Completion order is the pool's.
+                    assert_eq!(sorted_lines(&out.stdout), sorted_lines(&plain), "{cmd:?}");
+                } else {
+                    assert_eq!(out.stdout, plain, "{cmd:?}");
+                }
+                Json::parse(&out.stderr)
+                    .unwrap_or_else(|e| panic!("{cmd:?}: stderr is not one JSON document: {e}"));
+                let trace = out
+                    .trace_output
+                    .unwrap_or_else(|| panic!("{cmd:?}: no trace for the file target"));
+                for line in trace.lines() {
+                    Json::parse(line)
+                        .unwrap_or_else(|e| panic!("{cmd:?}: bad trace line {line}: {e}"));
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn usage_documents_full_saturation() {
     assert!(secflow_cli::USAGE.contains("--full-saturation"));

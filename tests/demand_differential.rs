@@ -9,19 +9,39 @@
 //! worklist order — so verdicts, witness terms (first derivation origins)
 //! and even `TermLimit` aborts must be byte-identical to full saturation.
 
+use oodb_lang::requirement::Requirement;
+use oodb_lang::Schema;
 use proptest::prelude::*;
 use secflow::algorithm::{
-    analyze_batch, analyze_full, analyze_with_config, AnalysisConfig, AnalysisError, BatchOptions,
-    ClosureCache,
+    analyze_batch, AnalysisConfig, AnalysisError, BatchOptions, ClosureCache,
 };
 use secflow::algorithm::{analyze_batch_cached, occurrences};
 use secflow::closure::{Closure, ClosureOptions, Goal};
 use secflow::demand::DemandPlan;
+use secflow::report::Verdict;
 use secflow::stats::NoopObserver;
 use secflow::term::Term;
 use secflow::unfold::{ExprId, NProgram};
 use secflow_workloads::random::{random_case, RandomSpec};
 use secflow_workloads::scale;
+
+/// One requirement as a batch of one — demand-driven, or fully saturated
+/// when `full` — so every comparison below asks about exactly one
+/// requirement's demand slice.
+fn one(
+    schema: &Schema,
+    req: &Requirement,
+    config: &AnalysisConfig,
+    full: bool,
+) -> Result<Verdict, AnalysisError> {
+    let opts = BatchOptions {
+        full_saturation: full,
+        ..BatchOptions::default()
+    };
+    analyze_batch(schema, std::slice::from_ref(req), config, &opts)
+        .verdicts
+        .remove(0)
+}
 
 /// The demand engine on one plan vs. the full engine on the same program:
 /// the demand closure must contain exactly the slice-restricted subset of
@@ -98,8 +118,8 @@ fn scale_families_verdicts_and_closures_identical() {
     ];
     let config = AnalysisConfig::default();
     for (label, case) in cases {
-        let demand = analyze_with_config(&case.schema, &case.requirement, &config);
-        let full = analyze_full(&case.schema, &case.requirement, &config);
+        let demand = one(&case.schema, &case.requirement, &config, false);
+        let full = one(&case.schema, &case.requirement, &config, true);
         assert_eq!(demand, full, "{label}: verdicts differ");
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
@@ -145,7 +165,7 @@ fn cached_batches_stay_identical_across_calls() {
     let baseline: Vec<_> = case
         .requirements
         .iter()
-        .map(|r| analyze_full(&case.schema, r, &config))
+        .map(|r| one(&case.schema, r, &config, true))
         .collect();
     for round in 0..3 {
         let out = analyze_batch_cached(
@@ -186,8 +206,8 @@ fn term_limit_aborts_agree_on_the_paper_fixture() {
             term_limit: limit,
             ..AnalysisConfig::default()
         };
-        let demand = analyze_with_config(&schema, &req, &config);
-        let full = analyze_full(&schema, &req, &config);
+        let demand = one(&schema, &req, &config, false);
+        let full = one(&schema, &req, &config, true);
         match (&demand, &full) {
             // Demand hitting the budget implies full hits it (subsequence).
             (Err(AnalysisError::Closure(_)), f) => assert!(
@@ -211,8 +231,8 @@ proptest! {
         let case = random_case(seed, &RandomSpec::default());
         let config = AnalysisConfig::default();
         for req in &case.requirements {
-            let demand = analyze_with_config(&case.schema, req, &config);
-            let full = analyze_full(&case.schema, req, &config);
+            let demand = one(&case.schema, req, &config, false);
+            let full = one(&case.schema, req, &config, true);
             prop_assert_eq!(&demand, &full, "verdict differs for seed {} req {}", seed, req);
         }
     }
@@ -242,8 +262,8 @@ proptest! {
             ..AnalysisConfig::default()
         };
         for req in &case.requirements {
-            let demand = analyze_with_config(&case.schema, req, &config);
-            let full = analyze_full(&case.schema, req, &config);
+            let demand = one(&case.schema, req, &config, false);
+            let full = one(&case.schema, req, &config, true);
             match (&demand, &full) {
                 // Demand aborting implies full aborts: demand's inserts are
                 // a subsequence of full's, so it reaches any budget later.

@@ -12,7 +12,7 @@
 //! verdict (including witness terms inside violations) must match exactly.
 
 use proptest::prelude::*;
-use secflow::algorithm::{analyze_with_config, AnalysisConfig};
+use secflow::algorithm::{analyze, AnalysisConfig};
 use secflow::closure::{Closure, ClosureOptions, Goal, ProofMode};
 use secflow::reference::{analyze_ref, RefClosure};
 use secflow::rules::RuleConfig;
@@ -132,7 +132,7 @@ fn scale_families_are_engine_identical() {
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
         assert_matches_oracle(&prog, label);
         // End-to-end verdicts agree, witnesses included (Verdict: PartialEq).
-        let fast = analyze_with_config(&case.schema, &case.requirement, &config);
+        let fast = analyze(&case.schema, &case.requirement);
         let slow = analyze_ref(&case.schema, &case.requirement, &config);
         assert_eq!(fast, slow, "{label}: verdicts differ");
     }
@@ -172,7 +172,7 @@ proptest! {
         prop_assert_eq!(fast.rounds(), slow.rounds());
         let config = AnalysisConfig::default();
         for req in &case.requirements {
-            let vf = analyze_with_config(&case.schema, req, &config);
+            let vf = analyze(&case.schema, req);
             let vs = analyze_ref(&case.schema, req, &config);
             prop_assert_eq!(&vf, &vs, "verdict differs for seed {} req {}", seed, req);
         }
