@@ -573,7 +573,7 @@ pub fn load_str(src: &str) -> Result<Schema, String> {
 
 /// Run a command against policy *text*; returns (report, exit code).
 pub fn run_on_source(cmd: &Command, src: &str) -> (String, i32) {
-    execute(cmd, src, None)
+    execute(cmd, src, None, closure_cache())
 }
 
 /// Run a command end-to-end (file IO included); returns (report, exit code).
@@ -676,11 +676,10 @@ impl Collected {
         for (gi, g) in self.groups.iter().enumerate() {
             let tid = gi as u64 + 1;
             let mut t = group_start;
-            let mut served_from_cache = true;
+            // A hit checks without saturating. A union recompute saturates
+            // on the cached unfolding; a failed group checks nothing.
+            let served_from_cache = !g.checks.is_empty() && g.phases.get("closure").is_none();
             for (name, d) in g.phases.iter() {
-                if name == "unfold" {
-                    served_from_cache = false;
-                }
                 let mut args = vec![("user".to_owned(), Json::str(&g.user))];
                 if name == "closure" {
                     args.push(("terms".to_owned(), Json::count(g.terms)));
@@ -744,8 +743,13 @@ impl Collected {
 /// [`CliOutput::trace_output`] carries the trace document destined for the
 /// `--trace=FILE` target.
 pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
+    run_observed(cmd, src, obs, closure_cache())
+}
+
+/// [`run_on_source_with_obs`] with the closure cache passed in.
+fn run_observed(cmd: &Command, src: &str, obs: &ObsOptions, cache: &ClosureCache) -> CliOutput {
     let mut col = Collected::default();
-    let (stdout, code) = execute(cmd, src, (!obs.is_off()).then_some(&mut col));
+    let (stdout, code) = execute(cmd, src, (!obs.is_off()).then_some(&mut col), cache);
     let mut stderr = String::new();
     let mut trace_output = None;
     if let Some(trace) = &obs.trace {
@@ -815,8 +819,14 @@ pub fn run_with_obs(cmd: &Command, obs: &ObsOptions) -> CliOutput {
 /// The one command dispatcher behind [`run_on_source`] and
 /// [`run_on_source_with_obs`]. With a collector, phases are timed and the
 /// analysis commands collect their batch statistics into it; the report and
-/// exit code are the same either way.
-fn execute(cmd: &Command, src: &str, mut col: Option<&mut Collected>) -> (String, i32) {
+/// exit code are the same either way, and so is the use of `cache`, which
+/// serves `check` (the public entry points pass the process-wide one).
+fn execute(
+    cmd: &Command,
+    src: &str,
+    mut col: Option<&mut Collected>,
+    cache: &ClosureCache,
+) -> (String, i32) {
     if let Command::Help = cmd {
         return (USAGE.to_owned(), exit::OK);
     }
@@ -830,7 +840,7 @@ fn execute(cmd: &Command, src: &str, mut col: Option<&mut Collected>) -> (String
     match cmd {
         Command::Help => unreachable!("--help is answered before the policy is parsed"),
         Command::Fmt { .. } => (schema.to_string(), exit::OK),
-        Command::Check {
+        &Command::Check {
             explain,
             jobs,
             stream,
@@ -839,10 +849,10 @@ fn execute(cmd: &Command, src: &str, mut col: Option<&mut Collected>) -> (String
             certify,
             ..
         } => {
-            if *stream {
-                check_report_stream(&schema, *jobs, *full_saturation, *ndjson, col)
+            if stream {
+                check_report_stream(&schema, jobs, full_saturation, ndjson, col, cache)
             } else {
-                check_report(&schema, *explain, *jobs, *full_saturation, *certify, col)
+                check_report(&schema, explain, jobs, full_saturation, certify, col, cache)
             }
         }
         Command::Audit {
@@ -867,6 +877,7 @@ fn execute(cmd: &Command, src: &str, mut col: Option<&mut Collected>) -> (String
             let outcome = audit_batch(&schema, *jobs);
             if let Some(col) = col.as_deref_mut() {
                 collect_batch(&schema, &outcome, col);
+                col.cache = Some(cache_snapshot(cache));
             }
             timed(&mut col, "audit", || render_audit(&schema, &outcome, &opts))
         }
@@ -888,9 +899,8 @@ fn timed<T>(col: &mut Option<&mut Collected>, name: &str, f: impl FnOnce() -> T)
 }
 
 /// Fold a stats-collecting [`BatchOutcome`] into the metrics/trace
-/// collector: aggregate phases and closure counters, capture per-group
-/// timelines, and surface the closure-cache state (the batch's own cache
-/// when one was used, the process-wide cache otherwise).
+/// collector: aggregate phases and closure counters and capture per-group
+/// timelines.
 fn collect_batch(schema: &Schema, outcome: &BatchOutcome, col: &mut Collected) {
     for g in &outcome.groups {
         for (name, d) in g.stats.phases.iter() {
@@ -915,23 +925,16 @@ fn collect_batch(schema: &Schema, outcome: &BatchOutcome, col: &mut Collected) {
     }
     col.requirements = schema.requirements.len() as u64;
     col.steals = outcome.steals;
-    col.cache = Some(cache_snapshot(outcome.cache_stats, outcome.cache_occupancy));
 }
 
-/// Build a [`CacheSnapshot`] from a batch's recorded cache state, falling
-/// back to the process-wide cache for uncached runs (instrumented batches
-/// bypass the cache). The shard layout always comes from the process-wide
-/// cache — it is the one every cached `check` run stripes over.
-fn cache_snapshot(stats: Option<CacheStats>, occupancy: Option<(usize, usize)>) -> CacheSnapshot {
-    let cache = closure_cache();
-    let (stats, len, capacity) = match (stats, occupancy) {
-        (Some(stats), Some((len, capacity))) => (stats, len, capacity),
-        _ => (cache.stats(), cache.len(), cache.capacity()),
-    };
+/// The cache's lifetime counters and layout, read after a run. Runs that
+/// bypass it (`--explain`, `--certify`, `--full-saturation`, `audit`)
+/// report it as the earlier runs left it.
+fn cache_snapshot(cache: &ClosureCache) -> CacheSnapshot {
     CacheSnapshot {
-        stats,
-        len,
-        capacity,
+        stats: cache.stats(),
+        len: cache.len(),
+        capacity: cache.capacity(),
         shards: cache.shard_count(),
         max_shard_len: cache.max_shard_len(),
     }
@@ -948,8 +951,8 @@ fn closure_cache() -> &'static ClosureCache {
 /// Run the batch driver over every `require` of the policy. `--explain`
 /// needs proof-carrying closures (and keeps them as artifacts so the
 /// rendering reuses the group's closure instead of recomputing it per
-/// requirement); the plain path runs the demand-driven engine through the
-/// process-wide [`ClosureCache`]. `--full-saturation` forces the complete
+/// requirement); the plain path runs the demand-driven engine through
+/// `cache`, instrumented or not. `--full-saturation` forces the complete
 /// closure (and bypasses the cache of partial ones). `--certify` forces
 /// proof recording and kept artifacts — the proof checker needs the whole
 /// derivation record — and also bypasses the cache, which holds proof-free
@@ -961,6 +964,7 @@ fn check_batch(
     full_saturation: bool,
     certify: bool,
     stats: bool,
+    cache: &ClosureCache,
 ) -> BatchOutcome {
     let opts = BatchOptions {
         jobs,
@@ -969,13 +973,12 @@ fn check_batch(
         full_saturation,
         ..BatchOptions::default()
     };
-    let cache = (!explain && !certify && !stats && !full_saturation).then(closure_cache);
     analyze_batch_cached(
         schema,
         &schema.requirements,
         &AnalysisConfig::default(),
         &opts,
-        cache,
+        Some(cache),
     )
 }
 
@@ -1403,6 +1406,7 @@ fn check_report(
     full_saturation: bool,
     certify: bool,
     mut col: Option<&mut Collected>,
+    cache: &ClosureCache,
 ) -> (String, i32) {
     let mut out = String::new();
     if schema.requirements.is_empty() {
@@ -1419,9 +1423,11 @@ fn check_report(
         full_saturation,
         certify,
         col.is_some(),
+        cache,
     );
     if let Some(col) = col.as_deref_mut() {
         collect_batch(schema, &outcome, col);
+        col.cache = Some(cache_snapshot(cache));
     }
     let group_idx = group_of(&outcome, schema.requirements.len());
     let mut violated = 0usize;
@@ -1466,26 +1472,6 @@ fn check_report(
     (out, i32::from(violated > 0))
 }
 
-/// The `--stream` check path: verdict lines are rendered and appended the
-/// moment their group completes, so nothing per-group is buffered and
-/// memory stays flat however many users the policy holds. Each line is
-/// tagged `[g<index>]` with the group's first-seen position (the streaming
-/// determinism contract: records may complete in any order under a
-/// parallel pool, but the index lets a consumer reassemble input order).
-/// Unlike the buffered path, an analysis error does not short-circuit —
-/// every group is still reported, and the run exits [`exit::INPUT`] when
-/// any error occurred, else 1 on violations as usual. With `col` the run is
-/// instrumented: closure stats are collected (which bypasses the cache, as
-/// on the buffered path) and the streaming summary is folded into the
-/// metrics collector.
-///
-/// With `ndjson` each group record becomes exactly one compact JSON object
-/// per line — `{"group":…,"user":…,"occurrences_checked":…,"verdicts":[…]}`
-/// with per-verdict `requirement` (input index), `require` (display form)
-/// and `status` of `"satisfied"`, `"violated"` (plus `"occurrences"`) or
-/// `"error"` (plus `"error"` message) — followed by one final
-/// `{"summary":{…}}` line. The schema is pinned by
-/// `ndjson_stream_schema_is_pinned`.
 /// Render one streamed group record as a compact NDJSON object, returning
 /// the object plus the record's `(violated, error)` verdict tallies. Free
 /// function so the error arm is unit-testable without provoking a real
@@ -1533,12 +1519,32 @@ fn ndjson_record(schema: &Schema, record: &GroupRecord) -> (Json, usize, usize) 
     (obj, violated, errors)
 }
 
+/// The `--stream` check path: verdict lines are rendered and appended the
+/// moment their group completes, so nothing per-group is buffered and
+/// memory stays flat however many users the policy holds. Each line is
+/// tagged `[g<index>]` with the group's first-seen position (the streaming
+/// determinism contract: records may complete in any order under a
+/// parallel pool, but the index lets a consumer reassemble input order).
+/// Unlike the buffered path, an analysis error does not short-circuit —
+/// every group is still reported, and the run exits [`exit::INPUT`] when
+/// any error occurred, else 1 on violations as usual. With `col` the run is
+/// instrumented: closure stats are collected on cache misses and the
+/// streaming summary is folded into the metrics collector.
+///
+/// With `ndjson` each group record becomes exactly one compact JSON object
+/// per line — `{"group":…,"user":…,"occurrences_checked":…,"verdicts":[…]}`
+/// with per-verdict `requirement` (input index), `require` (display form)
+/// and `status` of `"satisfied"`, `"violated"` (plus `"occurrences"`) or
+/// `"error"` (plus `"error"` message) — followed by one final
+/// `{"summary":{…}}` line. The schema is pinned by
+/// `ndjson_stream_schema_is_pinned`.
 fn check_report_stream(
     schema: &Schema,
     jobs: usize,
     full_saturation: bool,
     ndjson: bool,
     col: Option<&mut Collected>,
+    cache: &ClosureCache,
 ) -> (String, i32) {
     if schema.requirements.is_empty() {
         return (
@@ -1546,15 +1552,13 @@ fn check_report_stream(
             exit::OK,
         );
     }
-    let stats = col.is_some();
     let opts = BatchOptions {
         jobs,
         keep_artifacts: false,
-        collect_stats: stats,
+        collect_stats: col.is_some(),
         full_saturation,
         ..BatchOptions::default()
     };
-    let cache = (!stats && !full_saturation).then(closure_cache);
 
     /// Renders each record into verdict lines — or one NDJSON object —
     /// under the sink lock; violation/error tallies ride along in the same
@@ -1614,7 +1618,7 @@ fn check_report_stream(
         &schema.requirements,
         &AnalysisConfig::default(),
         &opts,
-        cache,
+        Some(cache),
         &sink,
     );
     let (mut out, violated, errors) = sink.out.into_inner().expect("no panics hold the sink lock");
@@ -1645,7 +1649,7 @@ fn check_report_stream(
         col.occurrences = summary.occurrences;
         col.requirements = summary.requirements as u64;
         col.steals = summary.steals;
-        col.cache = Some(cache_snapshot(summary.cache_stats, summary.cache_occupancy));
+        col.cache = Some(cache_snapshot(cache));
     }
     let code = if errors > 0 {
         exit::INPUT
@@ -2367,6 +2371,12 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// An instrumented run on a cold cache of its own, so its counters do
+    /// not depend on what other tests left in the process-wide one.
+    fn observe(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
+        run_observed(cmd, src, obs, &ClosureCache::default())
+    }
+
     #[test]
     fn arg_parsing() {
         assert_eq!(parse_args(&[]), Ok(Command::Help));
@@ -2621,7 +2631,7 @@ mod tests {
             metrics: Some(MetricsFormat::Json),
             trace: None,
         };
-        let out = run_on_source_with_obs(&streamed, POLICY, &obs);
+        let out = observe(&streamed, POLICY, &obs);
         assert_eq!(out.code, 1);
         assert!(out.stderr.contains("\"batch.steals\""), "{}", out.stderr);
         assert!(
@@ -2745,8 +2755,8 @@ mod tests {
             metrics: Some(MetricsFormat::Json),
             trace: Some(TraceOptions::default()),
         };
-        let a = run_on_source_with_obs(&serial, POLICY, &obs);
-        let b = run_on_source_with_obs(&parallel, POLICY, &obs);
+        let a = observe(&serial, POLICY, &obs);
+        let b = observe(&parallel, POLICY, &obs);
         assert_eq!(a.stdout, b.stdout);
         assert_eq!(a.code, b.code);
     }
@@ -2830,7 +2840,7 @@ mod tests {
         let (plain, plain_code) = run_on_source(&cmd, POLICY);
         // Metrics on + trace without a file: the trace is dropped, stderr
         // holds the metrics report alone — no interleaving.
-        let out = run_on_source_with_obs(
+        let out = observe(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2849,7 +2859,7 @@ mod tests {
         );
         assert!(out.trace_output.is_none(), "no file target, no file output");
         // Trace alone (no file): stderr is pure JSONL trace events.
-        let traced = run_on_source_with_obs(
+        let traced = observe(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2864,7 +2874,7 @@ mod tests {
             assert!(ev.get("name").is_some() && ev.get("ph").is_some());
         }
         // Trace to a file: stderr empty, events in trace_output instead.
-        let to_file = run_on_source_with_obs(
+        let to_file = observe(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2900,7 +2910,7 @@ mod tests {
             stream: false,
             ndjson: false,
         };
-        let out = run_on_source_with_obs(
+        let out = observe(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2977,13 +2987,68 @@ mod tests {
     }
 
     #[test]
+    fn instrumented_check_saturates_a_shared_list_once() {
+        // Three users hold one list: the plain run saturates once and
+        // serves the other two groups from the cache, and so must the
+        // instrumented run, whose counters count only that saturation.
+        let policy = r#"
+            class Broker { salary: int, budget: int }
+            fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }
+            user a { checkBudget, w_budget }
+            user b { checkBudget, w_budget }
+            user c { checkBudget, w_budget }
+            require (a, r_salary(x) : ti)
+            require (b, r_salary(x) : ti)
+            require (c, r_salary(x) : ti)
+        "#;
+        let cmd = Command::Check {
+            file: "-".into(),
+            explain: false,
+            jobs: 1,
+            full_saturation: false,
+            certify: false,
+            stream: false,
+            ndjson: false,
+        };
+        let plain = execute(&cmd, policy, None, &ClosureCache::default());
+        let metrics = ObsOptions {
+            metrics: Some(MetricsFormat::Json),
+            trace: None,
+        };
+        let out = observe(&cmd, policy, &metrics);
+        assert_eq!((out.stdout.as_str(), out.code), (plain.0.as_str(), plain.1));
+        let doc = Json::parse(&out.stderr).expect("stderr is one valid JSON document");
+        let counter = |name: &str| {
+            doc.get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(counter("closure.terms.total"), Some(51));
+        assert_eq!(counter("cache.misses"), Some(1));
+        assert_eq!(counter("cache.hits"), Some(2));
+        let trace = ObsOptions {
+            metrics: None,
+            trace: Some(TraceOptions::default()),
+        };
+        let traced = observe(&cmd, policy, &trace);
+        assert_eq!(traced.stdout, plain.0);
+        let hits = traced
+            .stderr
+            .lines()
+            .map(|line| Json::parse(line).expect("each stderr line is one JSON trace event"))
+            .filter(|ev| ev.get("name").and_then(Json::as_str) == Some("cache.hit"))
+            .count();
+        assert_eq!(hits, 2, "{}", traced.stderr);
+    }
+
+    #[test]
     fn metrics_on_non_check_commands() {
         let cmd = Command::Unfold {
             file: "-".into(),
             user: "clerk".into(),
         };
         let (plain, _) = run_on_source(&cmd, POLICY);
-        let out = run_on_source_with_obs(
+        let out = observe(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2994,7 +3059,7 @@ mod tests {
         assert_eq!(out.stdout, plain);
         assert!(out.stderr.contains("unfold"));
         // Parse errors still exit 3 with the metrics facility on.
-        let bad = run_on_source_with_obs(
+        let bad = observe(
             &Command::Fmt { file: "-".into() },
             "class C { x: bogus_type }",
             &ObsOptions {
@@ -3161,7 +3226,7 @@ mod tests {
         );
         // The instrumented path additionally surfaces per-rule check
         // counters in the metrics report.
-        let obs = run_on_source_with_obs(
+        let obs = observe(
             &certified,
             POLICY,
             &ObsOptions {
@@ -3180,7 +3245,7 @@ mod tests {
     #[test]
     fn corrupted_proofs_fail_certification_with_exit_four() {
         let schema = load_str(POLICY).unwrap();
-        let mut outcome = check_batch(&schema, false, 1, false, true, false);
+        let mut outcome = check_batch(&schema, false, 1, false, true, false, closure_cache());
         // Corrupt one recorded derivation in the first group's closure: the
         // independent checker must reject it and the CLI must map that to
         // the dedicated exit code.
@@ -3422,7 +3487,7 @@ mod tests {
 
     #[test]
     fn audit_emits_trace_and_metrics_without_interleaving() {
-        let out = run_on_source_with_obs(
+        let out = observe(
             &audit_cmd(),
             POLICY,
             &ObsOptions {

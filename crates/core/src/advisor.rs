@@ -22,7 +22,7 @@
 //! search over the schema), so the exponential worst case is irrelevant in
 //! practice; a budget caps pathological inputs.
 
-use crate::algorithm::{analyze_batch, AnalysisConfig, AnalysisError, BatchOptions};
+use crate::algorithm::{analyze_caps, user_caps, AnalysisConfig, AnalysisError};
 use oodb_lang::requirement::Requirement;
 use oodb_lang::Schema;
 use oodb_model::{CapabilityList, FnRef};
@@ -112,24 +112,13 @@ pub fn advise(
     req: &Requirement,
     config: &AdvisorConfig,
 ) -> Result<Advice, AnalysisError> {
-    let caps = schema
-        .user(&req.user)
-        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?
-        .clone();
+    let caps = user_caps(schema, &req.user)?.clone();
     let probes = std::cell::Cell::new(0usize);
     let run = |list: &CapabilityList| -> Result<bool, AnalysisError> {
         probes.set(probes.get() + 1);
-        let mut s = schema.clone();
-        s.users.insert(req.user.clone(), list.clone());
-        let verdict = analyze_batch(
-            &s,
-            std::slice::from_ref(req),
-            &config.analysis,
-            &BatchOptions::default(),
-        )
-        .verdicts
-        .pop()
-        .expect("a batch of one requirement yields one verdict");
+        let verdict = analyze_caps(schema, list, std::slice::from_ref(req), &config.analysis)
+            .pop()
+            .expect("one requirement yields one verdict");
         Ok(verdict?.is_violated())
     };
 

@@ -33,7 +33,7 @@ use crate::term::Term;
 use crate::unfold::{ExprId, NKind, NProgram, UnfoldError, DEFAULT_NODE_LIMIT};
 use oodb_lang::requirement::{Cap, Requirement};
 use oodb_lang::Schema;
-use oodb_model::{FnRef, Type, UserName};
+use oodb_model::{CapabilityList, FnRef, Type, UserName};
 use secflow_obs::Phases;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -178,7 +178,9 @@ pub fn analyze(schema: &Schema, req: &Requirement) -> Result<Verdict, AnalysisEr
 pub struct AnalysisStats {
     /// Wall-clock per analysis phase, in execution order.
     pub phases: Phases,
-    /// Closure counters (defaulted when unfolding failed before closure).
+    /// Closure counters (defaulted when unfolding failed before closure;
+    /// zero under the term limit when the cache served the group and
+    /// nothing saturated).
     pub closure: ClosureStats,
     /// Unfolded program size in nodes (0 when unfolding failed).
     pub program_nodes: u64,
@@ -419,7 +421,10 @@ pub struct BatchOptions {
     /// of arbitrary terms, which a partial or proof-free closure cannot
     /// back.
     pub keep_artifacts: bool,
-    /// Collect [`ClosureStats`] and per-phase timings per group.
+    /// Collect [`ClosureStats`] and per-phase timings per group. The cache
+    /// still serves: a group it serves ran no saturation, so it reports zero
+    /// closure counters (under the term limit) and no `unfold`/`closure`
+    /// phase.
     pub collect_stats: bool,
     /// Force full saturation even when the group is eligible for the
     /// demand-driven engine. Verdicts are identical either way; this is the
@@ -427,6 +432,13 @@ pub struct BatchOptions {
     /// demand differential tests. Groups keeping artifacts saturate fully
     /// regardless.
     pub full_saturation: bool,
+}
+
+impl BatchOptions {
+    /// Do groups run the demand arm? Only it reads the [`ClosureCache`].
+    fn demand(&self) -> bool {
+        !self.full_saturation && !self.keep_artifacts
+    }
 }
 
 impl Default for BatchOptions {
@@ -546,7 +558,7 @@ struct CacheEntry {
     /// Requirement shapes the plan was built from (user field ignored).
     covered: Vec<Requirement>,
     /// Memoized `occurrences(prog, target)` results.
-    occs: Vec<(FnRef, Arc<Vec<Occurrence>>)>,
+    occs: OccMemo,
     /// The plan the closure was computed under, for slice-coverage hits.
     plan: Arc<DemandPlan>,
     /// Did the sliced worklist drain (no early exit)? A drained closure
@@ -596,8 +608,8 @@ pub struct CacheStats {
 /// `S'(F)` never reads them, and computing a key never prints the whole
 /// policy: a check costs one user's closure, however many users and
 /// requirements the policy holds. Repeated [`analyze_batch_cached`] calls
-/// against the same policy (a `serve` session, a watch loop, the advisor's
-/// repair search) rediscover the same closures. A hit requires the cached
+/// against the same policy (a `serve` session, a watch loop) rediscover the
+/// same closures. A hit requires the cached
 /// run to *cover* the new requirements: either the same requirement shape
 /// was analyzed before, or the cached worklist drained and every new goal
 /// expression lies inside the cached slice (the partial closure then
@@ -805,6 +817,7 @@ fn entry_covers(entry: &CacheEntry, reqs: &[&Requirement]) -> bool {
         // Drained closure: correct for any goal inside the cached slice.
         let occs = entry
             .occs
+            .entries
             .iter()
             .find(|(t, _)| *t == r.target)
             .map(|(_, o)| Arc::clone(o))
@@ -815,7 +828,7 @@ fn entry_covers(entry: &CacheEntry, reqs: &[&Requirement]) -> bool {
     })
 }
 
-/// Shared per-batch cache context: the cache plus the fingerprints that are
+/// Shared per-call cache context: the cache plus the fingerprints that are
 /// constant across groups (program and config), computed once per call.
 /// Only the capability-list part of a [`CacheKey`] varies per group.
 struct CacheCtx<'a> {
@@ -824,95 +837,163 @@ struct CacheCtx<'a> {
     config_fp: (u64, u64),
 }
 
-/// Serve one group's shared phases through the cache: return the unfolding,
-/// the closure and the occurrence memo, recomputing (with the union of
-/// cached and new goals) only when the cached entry cannot cover the
-/// group's requirements.
-fn demand_shared_cached(
-    ctx: &CacheCtx<'_>,
-    key: CacheKey,
-    schema: &Schema,
-    user: &UserName,
-    config: &AnalysisConfig,
-    group_reqs: &[&Requirement],
-) -> Result<(Arc<NProgram>, Arc<Closure>, OccMemo), AnalysisError> {
-    let caps = schema
-        .user(user)
-        .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-    let prior = ctx.cache.lookup(&key);
-    if let Some(entry) = &prior {
-        if entry_covers(entry, group_reqs) {
-            ctx.cache.note_hit();
-            return Ok((
-                Arc::clone(&entry.prog),
-                Arc::clone(&entry.closure),
-                OccMemo::from_entries(entry.occs.clone()),
-            ));
+impl<'a> CacheCtx<'a> {
+    /// The context for a call under `opts`: none without a cache, and none
+    /// when every group takes the full arm, which never reads a key, so
+    /// such a call prints no program.
+    fn new(
+        cache: Option<&'a ClosureCache>,
+        schema: &Schema,
+        config: &AnalysisConfig,
+        opts: &BatchOptions,
+    ) -> Option<CacheCtx<'a>> {
+        let cache = cache.filter(|_| opts.demand())?;
+        Some(CacheCtx {
+            cache,
+            program_fp: program_fingerprint(schema),
+            config_fp: semantic_fingerprint(config),
+        })
+    }
+
+    fn key(&self, caps: &CapabilityList) -> CacheKey {
+        CacheKey {
+            program_fp: self.program_fp,
+            caps_fp: fingerprint("caps", &caps.to_string()),
+            config_fp: self.config_fp,
         }
     }
-    ctx.cache.note_miss(prior.is_some());
+}
+
+/// The demand arm: unfold `S'(F)` for `caps`, slice it to the goals of
+/// `group_reqs` and saturate the slice, through the cache when one is
+/// passed. An entry that cannot cover the group is recomputed against its
+/// cached unfolding with the union of old and new goals. `unfold` is timed
+/// on a cold miss and `closure` on any miss; a hit records neither, because
+/// neither ran.
+fn demand_shared(
+    schema: &Schema,
+    caps: &CapabilityList,
+    config: &AnalysisConfig,
+    opts: &BatchOptions,
+    group_reqs: &[&Requirement],
+    cache: Option<&CacheCtx<'_>>,
+    stats: &mut AnalysisStats,
+) -> Result<(Arc<NProgram>, Arc<Closure>, OccMemo), AnalysisError> {
+    let keyed = cache.map(|ctx| (ctx, ctx.key(caps)));
+    let prior = keyed.as_ref().and_then(|(ctx, key)| ctx.cache.lookup(key));
+    if let Some((ctx, _)) = &keyed {
+        match &prior {
+            Some(entry) if entry_covers(entry, group_reqs) => {
+                ctx.cache.note_hit();
+                stats.program_nodes = entry.prog.len() as u64;
+                if opts.collect_stats {
+                    // Nothing saturated: zero counters under the budget.
+                    stats.closure = ClosureStats::new(config.term_limit);
+                }
+                return Ok((
+                    Arc::clone(&entry.prog),
+                    Arc::clone(&entry.closure),
+                    entry.occs.clone(),
+                ));
+            }
+            _ => ctx.cache.note_miss(prior.is_some()),
+        }
+    }
     let (prog, mut memo, mut covered) = match prior {
-        Some(entry) => (entry.prog, OccMemo::from_entries(entry.occs), entry.covered),
-        None => (
-            Arc::new(NProgram::unfold_with_limit(
-                schema,
-                caps,
-                config.node_limit,
-            )?),
-            OccMemo::default(),
-            Vec::new(),
-        ),
+        Some(entry) => (entry.prog, entry.occs, entry.covered),
+        None => {
+            let prog = stats.phases.time("unfold", || {
+                NProgram::unfold_with_limit(schema, caps, config.node_limit)
+            })?;
+            (Arc::new(prog), OccMemo::default(), Vec::new())
+        }
     };
+    stats.program_nodes = prog.len() as u64;
     for r in group_reqs {
         if !covered.iter().any(|c| same_goals(c, r)) {
             covered.push((*r).clone());
         }
     }
-    let plan = {
-        let pairs: Vec<(&Requirement, Arc<Vec<Occurrence>>)> = covered
-            .iter()
-            .map(|r| {
-                let occs = memo.get(&prog, &r.target);
-                (r, occs)
-            })
-            .collect();
-        DemandPlan::build(&prog, pairs.iter().map(|(r, o)| (*r, o.as_slice())))
-    };
-    let opts = config.closure_options(Goal::Demand(&plan));
-    let closure = Arc::new(Closure::saturate(&prog, &opts, NoopObserver).0?);
-    let drained = !closure.early_exited();
-    ctx.cache.store(
-        key,
-        CacheEntry {
-            prog: Arc::clone(&prog),
-            closure: Arc::clone(&closure),
-            covered,
-            occs: memo.entries().to_vec(),
-            plan: Arc::new(plan),
-            drained,
-        },
-    );
+    let (closure, plan) = stats.phases.time("closure", || {
+        let occs: Vec<Arc<Vec<Occurrence>>> =
+            covered.iter().map(|r| memo.get(&prog, &r.target)).collect();
+        let plan = DemandPlan::build(
+            &prog,
+            covered.iter().zip(&occs).map(|(r, o)| (r, o.as_slice())),
+        );
+        let copts = config.closure_options(Goal::Demand(&plan));
+        let closure = saturate(&prog, &copts, opts.collect_stats, &mut stats.closure);
+        (closure, plan)
+    });
+    let closure = Arc::new(closure?);
+    if let Some((ctx, key)) = keyed {
+        ctx.cache.store(
+            key,
+            CacheEntry {
+                prog: Arc::clone(&prog),
+                closure: Arc::clone(&closure),
+                covered,
+                occs: memo.clone(),
+                plan: Arc::new(plan),
+                drained: !closure.early_exited(),
+            },
+        );
+    }
     Ok((prog, closure, memo))
+}
+
+/// The full arm: unfold `S'(F)` for `caps` and saturate all of it, with
+/// proofs when the artifacts are kept. The cache holds partial closures,
+/// so this arm never uses it.
+fn full_shared(
+    schema: &Schema,
+    caps: &CapabilityList,
+    config: &AnalysisConfig,
+    opts: &BatchOptions,
+    stats: &mut AnalysisStats,
+) -> Result<(Arc<NProgram>, Arc<Closure>, OccMemo), AnalysisError> {
+    let prog = stats.phases.time("unfold", || {
+        NProgram::unfold_with_limit(schema, caps, config.node_limit)
+    })?;
+    stats.program_nodes = prog.len() as u64;
+    let proofs = if opts.keep_artifacts {
+        ProofMode::Full
+    } else {
+        ProofMode::Off
+    };
+    let copts = config.closure_options(Goal::Full(proofs));
+    let closure = stats.phases.time("closure", || {
+        saturate(&prog, &copts, opts.collect_stats, &mut stats.closure)
+    })?;
+    Ok((Arc::new(prog), Arc::new(closure), OccMemo::default()))
+}
+
+/// Saturate `prog`, leaving the run's counters in `stats` when `collect`
+/// is set (also when it aborts on the term budget).
+fn saturate(
+    prog: &NProgram,
+    copts: &ClosureOptions<'_>,
+    collect: bool,
+    stats: &mut ClosureStats,
+) -> Result<Closure, ClosureError> {
+    if !collect {
+        return Closure::saturate(prog, copts, NoopObserver).0;
+    }
+    let (closure, observed) = Closure::saturate(prog, copts, ClosureStats::new(copts.term_limit));
+    *stats = observed;
+    closure
 }
 
 /// Per-group occurrence memo: `occurrences(prog, target)` depends only on
 /// the program and the target, so requirements sharing a target share one
 /// enumeration. Linear scan — a group rarely names more than a handful of
 /// distinct targets.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct OccMemo {
     entries: Vec<(FnRef, Arc<Vec<Occurrence>>)>,
 }
 
 impl OccMemo {
-    fn from_entries(entries: Vec<(FnRef, Arc<Vec<Occurrence>>)>) -> OccMemo {
-        OccMemo { entries }
-    }
-
-    fn entries(&self) -> &[(FnRef, Arc<Vec<Occurrence>>)] {
-        &self.entries
-    }
-
     fn get(&mut self, prog: &NProgram, target: &FnRef) -> Arc<Vec<Occurrence>> {
         if let Some((_, occs)) = self.entries.iter().find(|(t, _)| t == target) {
             return Arc::clone(occs);
@@ -950,11 +1031,11 @@ pub fn analyze_batch(
 
 /// [`analyze_batch`] with an optional cross-call [`ClosureCache`].
 ///
-/// Cache reuse applies only to groups that run demand-driven without stats
-/// collection (`!full_saturation`, `!keep_artifacts`, `!collect_stats`) —
-/// full closures, proof-carrying closures and per-group counters are
-/// request-specific and bypass it. Passing `None` is exactly
-/// [`analyze_batch`].
+/// Cache reuse applies to every group that runs demand-driven
+/// (`!full_saturation`, `!keep_artifacts`); full and proof-carrying
+/// closures bypass it. Collecting stats does not: a group the cache serves
+/// ran no saturation, so it adds no closure counters. Passing `None` is
+/// exactly [`analyze_batch`].
 pub fn analyze_batch_cached(
     schema: &Schema,
     reqs: &[Requirement],
@@ -962,11 +1043,7 @@ pub fn analyze_batch_cached(
     opts: &BatchOptions,
     cache: Option<&ClosureCache>,
 ) -> BatchOutcome {
-    let ctx = cache.map(|cache| CacheCtx {
-        cache,
-        program_fp: program_fingerprint(schema),
-        config_fp: semantic_fingerprint(config),
-    });
+    let ctx = CacheCtx::new(cache, schema, config, opts);
     let grouped = group_by_user(reqs);
     let n_groups = grouped.len();
     let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
@@ -979,10 +1056,11 @@ pub fn analyze_batch_cached(
         opts.schedule,
         |_| Vec::new(),
         |done, gi| {
-            let (user, idxs) = &grouped[gi];
+            let group = &grouped[gi];
+            let caps = user_caps(schema, &group.0);
             done.push((
                 gi,
-                run_group(schema, reqs, config, opts, user, idxs, ctx.as_ref()),
+                run_group(schema, caps, reqs, group, config, opts, ctx.as_ref()),
             ));
         },
     );
@@ -1009,6 +1087,35 @@ pub fn analyze_batch_cached(
         cache_occupancy: cache.map(|c| (c.len(), c.capacity())),
         cache_stats: cache.map(|c| c.stats()),
     }
+}
+
+/// Run `A(R)` for `reqs` under the capability list `caps`: one group
+/// through the batch driver's demand path, in `reqs` order. The
+/// requirements' user names are never read, so no user of `schema` need
+/// hold `caps` (the guard passes a session's functions, the advisor a list
+/// with grants revoked). Uncached: a [`ClosureCache`] key prints the
+/// program on every call, which costs both callers more than it saves.
+pub fn analyze_caps(
+    schema: &Schema,
+    caps: &CapabilityList,
+    reqs: &[Requirement],
+    config: &AnalysisConfig,
+) -> Vec<Result<Verdict, AnalysisError>> {
+    // No user holds `caps`, so the group is unnamed; nothing reads its name.
+    let group = (UserName::new(""), (0..reqs.len()).collect());
+    let opts = BatchOptions::default();
+    let (_, verdicts) = run_group(schema, Ok(caps), reqs, &group, config, &opts, None);
+    verdicts.into_iter().map(|(_, v)| v).collect()
+}
+
+/// The capability list the schema grants `user`.
+pub(crate) fn user_caps<'s>(
+    schema: &'s Schema,
+    user: &UserName,
+) -> Result<&'s CapabilityList, AnalysisError> {
+    schema
+        .user(user)
+        .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))
 }
 
 /// Group requirement indexes by user, first-seen order — the unit of shared
@@ -1213,11 +1320,7 @@ pub fn analyze_batch_streaming(
     cache: Option<&ClosureCache>,
     sink: &dyn AnalysisSink,
 ) -> StreamSummary {
-    let ctx = cache.map(|cache| CacheCtx {
-        cache,
-        program_fp: program_fingerprint(schema),
-        config_fp: semantic_fingerprint(config),
-    });
+    let ctx = CacheCtx::new(cache, schema, config, opts);
     let grouped = group_by_user(reqs);
     let n_groups = grouped.len();
     let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
@@ -1230,8 +1333,9 @@ pub fn analyze_batch_streaming(
     }
 
     let emit_group = |acc: &mut WorkerAcc, gi: usize| {
-        let (user, idxs) = &grouped[gi];
-        let (group, verdicts) = run_group(schema, reqs, config, opts, user, idxs, ctx.as_ref());
+        let group = &grouped[gi];
+        let caps = user_caps(schema, &group.0);
+        let (group, verdicts) = run_group(schema, caps, reqs, group, config, opts, ctx.as_ref());
         acc.closure.merge(&group.stats.closure);
         acc.occurrences += group.stats.occurrences_checked;
         sink.emit(GroupRecord {
@@ -1276,52 +1380,22 @@ pub fn analyze_batch_streaming(
 /// requirement's index in the caller's input order.
 type GroupVerdicts = Vec<(usize, Result<Verdict, AnalysisError>)>;
 
-/// A group's shared unfolding and closure: owned when computed for this
-/// group alone, `Arc`-shared when served from a [`ClosureCache`]. The
-/// owned pair is boxed to keep the variants a pointer apart in size.
-enum SharedArtifacts {
-    Owned(Box<(NProgram, Closure)>),
-    Shared(Arc<NProgram>, Arc<Closure>),
-}
-
-impl SharedArtifacts {
-    fn prog(&self) -> &NProgram {
-        match self {
-            SharedArtifacts::Owned(b) => &b.0,
-            SharedArtifacts::Shared(p, _) => p,
-        }
-    }
-
-    fn closure(&self) -> &Closure {
-        match self {
-            SharedArtifacts::Owned(b) => &b.1,
-            SharedArtifacts::Shared(_, c) => c,
-        }
-    }
-
-    fn into_owned(self) -> Option<(NProgram, Closure)> {
-        match self {
-            SharedArtifacts::Owned(b) => Some(*b),
-            // keep_artifacts disables both the demand and cache paths, so
-            // a Shared group never has artifacts requested.
-            SharedArtifacts::Shared(..) => None,
-        }
-    }
-}
-
-/// The shared phases plus per-requirement checks for one user group.
+/// The shared phases plus per-requirement checks for one group: `user`'s
+/// requirements at `req_indexes`, analyzed under the capability list
+/// `caps`. `A(R)` reads nothing of the user but the list, so the caller
+/// resolves it; an error fails every requirement of the group.
 fn run_group(
     schema: &Schema,
+    caps: Result<&CapabilityList, AnalysisError>,
     reqs: &[Requirement],
+    (user, req_indexes): &(UserName, Vec<usize>),
     config: &AnalysisConfig,
     opts: &BatchOptions,
-    user: &UserName,
-    req_indexes: &[usize],
     cache: Option<&CacheCtx<'_>>,
 ) -> (BatchGroup, GroupVerdicts) {
     let mut group = BatchGroup {
         user: user.clone(),
-        req_indexes: req_indexes.to_vec(),
+        req_indexes: req_indexes.clone(),
         stats: AnalysisStats::default(),
         check_times: Vec::with_capacity(req_indexes.len()),
         check_occurrences: Vec::with_capacity(req_indexes.len()),
@@ -1330,69 +1404,21 @@ fn run_group(
     // Demand-driven saturation answers exactly the goal queries the checks
     // below will make; kept artifacts are inspected beyond those queries
     // (derivations of arbitrary terms), so they need the full fixpoint.
-    let use_demand = !opts.full_saturation && !opts.keep_artifacts;
-    let mut memo = OccMemo::default();
-    let shared: Result<SharedArtifacts, AnalysisError> = (|| {
-        if use_demand {
-            if let Some(ctx) = cache.filter(|_| !opts.collect_stats) {
-                let key = CacheKey {
-                    program_fp: ctx.program_fp,
-                    caps_fp: {
-                        let caps = schema
-                            .user(user)
-                            .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-                        fingerprint("caps", &caps.to_string())
-                    },
-                    config_fp: ctx.config_fp,
-                };
-                let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
-                let (prog, closure, cached_memo) = group.stats.phases.time("closure", || {
-                    demand_shared_cached(ctx, key, schema, user, config, &group_reqs)
-                })?;
-                group.stats.program_nodes = prog.len() as u64;
-                memo = cached_memo;
-                return Ok(SharedArtifacts::Shared(prog, closure));
-            }
+    let shared = caps.and_then(|caps| {
+        if !opts.demand() {
+            return full_shared(schema, caps, config, opts, &mut group.stats);
         }
-        let caps = schema
-            .user(user)
-            .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-        let prog = group.stats.phases.time("unfold", || {
-            NProgram::unfold_with_limit(schema, caps, config.node_limit)
-        })?;
-        group.stats.program_nodes = prog.len() as u64;
-        let pairs: Vec<(usize, Arc<Vec<Occurrence>>)> = if use_demand {
-            req_indexes
-                .iter()
-                .map(|&i| (i, memo.get(&prog, &reqs[i].target)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let (closure, cstats) = group.stats.phases.time("closure", || {
-            let plan = use_demand.then(|| {
-                DemandPlan::build(&prog, pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())))
-            });
-            let goal = match &plan {
-                Some(plan) => Goal::Demand(plan),
-                None if opts.keep_artifacts => Goal::Full(ProofMode::Full),
-                None => Goal::Full(ProofMode::Off),
-            };
-            let copts = config.closure_options(goal);
-            if opts.collect_stats {
-                let (c, s) = Closure::saturate(&prog, &copts, ClosureStats::new(config.term_limit));
-                (c, Some(s))
-            } else {
-                (Closure::saturate(&prog, &copts, NoopObserver).0, None)
-            }
-        });
-        if let Some(s) = cstats {
-            group.stats.closure = s;
-        }
-        let closure = closure?;
-        Ok(SharedArtifacts::Owned(Box::new((prog, closure))))
-    })();
-
+        let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
+        demand_shared(
+            schema,
+            caps,
+            config,
+            opts,
+            &group_reqs,
+            cache,
+            &mut group.stats,
+        )
+    });
     let mut verdicts = Vec::with_capacity(req_indexes.len());
     match shared {
         Err(e) => {
@@ -1400,17 +1426,15 @@ fn run_group(
                 verdicts.push((i, Err(e.clone())));
             }
         }
-        Ok(shared) => {
-            let prog = shared.prog();
-            let closure = shared.closure();
+        Ok((prog, closure, mut memo)) => {
             let mut check_total = Duration::ZERO;
             for &i in req_indexes {
                 let req = &reqs[i];
                 let start = Instant::now();
-                let occs = memo.get(prog, &req.target);
+                let occs = memo.get(&prog, &req.target);
                 group.check_occurrences.push(occs.len() as u64);
                 group.stats.occurrences_checked += occs.len() as u64;
-                let v = check_with_occurrences(prog, closure, req, &occs);
+                let v = check_with_occurrences(&prog, &*closure, req, &occs);
                 let elapsed = start.elapsed();
                 check_total += elapsed;
                 group.check_times.push(elapsed);
@@ -1418,7 +1442,8 @@ fn run_group(
             }
             group.stats.phases.add("check", check_total);
             if opts.keep_artifacts {
-                group.artifacts = shared.into_owned();
+                // The full arm's `Arc`s are never shared.
+                group.artifacts = Arc::into_inner(prog).zip(Arc::into_inner(closure));
             }
         }
     }
@@ -2105,16 +2130,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_bypassed_when_stats_or_proofs_requested() {
+    fn cache_is_bypassed_when_proofs_or_full_closures_requested() {
         let s = schema();
         let reqs = batch_reqs();
         let config = AnalysisConfig::default();
         let cache = ClosureCache::new(8);
         for opts in [
-            BatchOptions {
-                collect_stats: true,
-                ..BatchOptions::default()
-            },
             BatchOptions {
                 keep_artifacts: true,
                 ..BatchOptions::default()
@@ -2130,6 +2151,73 @@ mod tests {
         }
         assert!(cache.is_empty(), "ineligible runs never touch the cache");
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn stats_runs_share_the_cache_and_count_only_their_saturations() {
+        let s = schema();
+        let reqs = batch_reqs();
+        let config = AnalysisConfig::default();
+        let opts = BatchOptions {
+            collect_stats: true,
+            ..BatchOptions::default()
+        };
+        let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
+        let uncached = analyze_batch(&s, &reqs, &config, &opts);
+        let cache = ClosureCache::new(8);
+        // Cold: one miss per group, each reporting its saturation's
+        // counters exactly as an uncached stats run does.
+        let cold = analyze_batch_cached(&s, &reqs, &config, &opts, Some(&cache));
+        assert_eq!(cold.verdicts, expected);
+        let groups = cold.groups.len() as u64;
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, groups));
+        for (g, u) in cold.groups.iter().zip(&uncached.groups) {
+            assert!(g.stats.closure.total_terms() > 0, "{}", g.user);
+            assert_eq!(g.stats.closure, u.stats.closure, "{}", g.user);
+            assert!(g.stats.phases.get("unfold").is_some());
+            assert!(g.stats.phases.get("closure").is_some());
+        }
+        // Warm: every group is a hit, which ran no unfolding and no
+        // saturation, so it reports neither phase and zero closure counters.
+        let warm = analyze_batch_cached(&s, &reqs, &config, &opts, Some(&cache));
+        assert_eq!(warm.verdicts, expected);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (groups, groups));
+        for g in &warm.groups {
+            // Zero counters, but the budget is kept: a hit has full headroom.
+            let limit = ClosureStats::new(config.term_limit);
+            assert_eq!(g.stats.closure, limit, "{}", g.user);
+            assert_eq!(g.stats.closure.budget_headroom(), 1.0, "{}", g.user);
+            assert!(g.stats.phases.get("unfold").is_none());
+            assert!(g.stats.phases.get("closure").is_none());
+            assert!(g.stats.phases.get("check").is_some());
+            assert!(g.stats.program_nodes > 0);
+        }
+    }
+
+    #[test]
+    fn analyze_caps_reads_the_list_not_the_user() {
+        // The requirements name a user the schema lacks and another's
+        // grants: only the list passed in decides the verdicts.
+        let s = schema();
+        let config = AnalysisConfig::default();
+        let reqs: Vec<_> = [
+            "(ghost, r_salary(x) : ti)",
+            "(safe_clerk, r_salary(x) : ti)",
+        ]
+        .iter()
+        .map(|r| parse_requirement(r).unwrap())
+        .collect();
+        let clerk = s.user_str("clerk").unwrap();
+        let as_clerk: Vec<_> = reqs
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.user = "clerk".into();
+                analyze(&s, &r)
+            })
+            .collect();
+        assert_eq!(analyze_caps(&s, clerk, &reqs, &config), as_clerk);
+        assert!(analyze_caps(&s, clerk, &[], &config).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Nothing here is performance-sensitive; clarity and fidelity to the
 //! original structure win over speed.
 
-use crate::algorithm::{check_against, AnalysisConfig, AnalysisError, CapabilityView};
+use crate::algorithm::{check_against, user_caps, AnalysisConfig, AnalysisError, CapabilityView};
 use crate::basics::{rules_for, LCap, LTerm, LocalRule, Slot};
 use crate::closure::{ClosureError, Derivation};
 use crate::report::Verdict;
@@ -159,9 +159,7 @@ pub fn analyze_ref(
     req: &Requirement,
     config: &AnalysisConfig,
 ) -> Result<Verdict, AnalysisError> {
-    let caps = schema
-        .user(&req.user)
-        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
+    let caps = user_caps(schema, &req.user)?;
     let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
     let closure = RefClosure::compute_with(&prog, &config.rules, config.term_limit)?;
     Ok(check_against(&prog, &closure, req))

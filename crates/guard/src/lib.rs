@@ -21,8 +21,8 @@
 //! * **fail-stop, not fail-silent**: the flaw is stopped at the first query
 //!   that would complete the dangerous combination — *before* it executes,
 //!   since the analysis is per function-set, not per observed value;
-//! * **cost**: a closure computation per new function combination, paid at
-//!   query time (amortised by caching per exercised-set).
+//! * **cost**: a demand-driven closure per new function combination, paid
+//!   at query time (amortised by caching the verdict per exercised-set).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +33,7 @@ use oodb_lang::requirement::Requirement;
 use oodb_lang::typeck::check_query;
 use oodb_lang::{parse_query, ParseError, Query, TypeError};
 use oodb_model::{CapabilityList, FnRef, UserName};
-use secflow::algorithm::{check_against, AnalysisError};
-use secflow::closure::Closure;
-use secflow::unfold::NProgram;
+use secflow::algorithm::{analyze_caps, AnalysisConfig, AnalysisError};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -207,37 +205,31 @@ impl<'db> GuardedSession<'db> {
         if self.requirements.is_empty() {
             return Ok(());
         }
-        let mut set: CapabilityList = self.exercised.iter().cloned().collect();
-        for inv in q.invocations() {
-            set.grant(inv.target.clone());
-        }
-        let key: BTreeSet<FnRef> = set.iter().cloned().collect();
-        if let Some(cached) = self.verdict_cache.borrow().get(&key) {
-            return match cached {
-                None => Ok(()),
-                Some(requirement) => Err(GuardError::FlawDenied {
-                    requirement: requirement.clone(),
-                    function_set: key.iter().map(|f| f.to_string()).collect(),
-                }),
-            };
-        }
-        let decide = || -> Result<Option<String>, GuardError> {
-            let prog = NProgram::unfold(self.db.schema(), &set)
-                .map_err(|e| GuardError::Analysis(e.to_string()))?;
-            let closure =
-                Closure::compute(&prog).map_err(|e| GuardError::Analysis(e.to_string()))?;
-            for req in &self.requirements {
-                if check_against(&prog, &closure, req).is_violated() {
-                    return Ok(Some(req.to_string()));
-                }
+        let mut key = self.exercised.clone();
+        key.extend(q.invocations().into_iter().map(|inv| inv.target.clone()));
+        let cached = self.verdict_cache.borrow().get(&key).cloned();
+        let violated = match cached {
+            Some(violated) => violated,
+            None => {
+                let caps: CapabilityList = key.iter().cloned().collect();
+                let config = AnalysisConfig::default();
+                let verdicts = analyze_caps(self.db.schema(), &caps, &self.requirements, &config)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| GuardError::Analysis(e.to_string()))?;
+                let violated = self
+                    .requirements
+                    .iter()
+                    .zip(verdicts)
+                    .find(|(_, verdict)| verdict.is_violated())
+                    .map(|(req, _)| req.to_string());
+                self.verdict_cache
+                    .borrow_mut()
+                    .insert(key.clone(), violated.clone());
+                violated
             }
-            Ok(None)
         };
-        let verdict = decide()?;
-        self.verdict_cache
-            .borrow_mut()
-            .insert(key.clone(), verdict.clone());
-        match verdict {
+        match violated {
             None => Ok(()),
             Some(requirement) => Err(GuardError::FlawDenied {
                 requirement,
