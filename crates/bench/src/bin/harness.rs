@@ -25,19 +25,14 @@
 //! certificate-completeness assertion and a `certify ≤ 2× analyze`
 //! overhead bound per row.
 //!
-//! The `audit` experiment (`-- audit [--smoke]`) writes `BENCH_audit.json`:
-//! the certified flaw-path report (`secflow audit --format=json`) measured
-//! end to end per policy — proof-carrying analysis time, certify+walk+render
-//! time, flaw paths per second and report size — with a validity assertion
-//! on every rendered report.
-//!
 //! The `population` experiment (`-- population [--smoke]`) writes
 //! `BENCH_population.json`: streamed Zipf-population throughput
 //! (verdicts/sec, closure-cache hit rate, steal/eviction counts) up to a
-//! million users, plus the fixed-partition vs work-stealing duel on the
-//! clustered-giants skew workload, scored by critical path over the
-//! recorded worker assignment — full runs assert the >99% hit rate and
-//! the ≥1.5× stealing speedup.
+//! million users, plus the work-stealing pool on the clustered-giants skew
+//! workload, scored by critical path over the recorded worker assignment
+//! against the static partition and the ideal makespan computed from the
+//! measured group costs — full runs assert the >99% hit rate and the ≥1.5×
+//! stealing speedup over the static partition.
 //!
 //! The `incremental` experiment (`-- incremental [--smoke]`) writes
 //! `BENCH_incremental.json`: grant/revoke maintenance time vs from-scratch
@@ -49,6 +44,11 @@
 //! machine-readable metrics blob with per-experiment wall times plus the
 //! closure counters for the canonical stockbroker analysis (see
 //! `secflow_obs` for the format). Pass `--no-obs` to skip it.
+//!
+//! Arguments are experiment names (`e1`–`e8`, `tables`, `fastpath`,
+//! `demand`, `certify`, `population`, `incremental`, each optionally
+//! `=N`) and the flags `--smoke` and `--no-obs`; anything else exits 2
+//! with the list of valid names.
 
 use secflow::closure::{Closure, ClosureOptions};
 use secflow::stats::ClosureStats;
@@ -57,11 +57,55 @@ use secflow_bench::*;
 use secflow_obs::{MetricsSink, Phases, Recorder};
 use secflow_workloads::stockbroker;
 
+/// Experiment names an argument may select, each optionally `=N`.
+const EXPERIMENTS: &[&str] = &[
+    "e1",
+    "e2",
+    "e3",
+    "e4",
+    "e5",
+    "e6",
+    "e7",
+    "e8",
+    "tables",
+    "fastpath",
+    "demand",
+    "certify",
+    "population",
+    "incremental",
+];
+
+/// Flags the harness accepts.
+const FLAGS: &[&str] = &["--smoke", "--no-obs"];
+
+/// The experiment an argument names: the argument up to its `=N`.
+fn name_of(arg: &str) -> &str {
+    arg.split_once('=').map_or(arg, |(name, _)| name)
+}
+
+/// The first argument that is neither a flag nor an experiment name.
+fn unknown_arg(args: &[String]) -> Option<&str> {
+    args.iter().map(String::as_str).find(|a| {
+        if a.starts_with("--") {
+            !FLAGS.contains(a)
+        } else {
+            !EXPERIMENTS.contains(&name_of(a))
+        }
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| {
-        args.iter().all(|a| a.starts_with("--")) || args.iter().any(|a| a.starts_with(name))
-    };
+    if let Some(bad) = unknown_arg(&args) {
+        eprintln!(
+            "harness: unknown argument `{bad}`; experiments: {} (each optionally =N); flags: {}",
+            EXPERIMENTS.join(", "),
+            FLAGS.join(", ")
+        );
+        std::process::exit(2);
+    }
+    let named = |name: &str| args.iter().any(|a| name_of(a) == name);
+    let want = |name: &str| args.iter().all(|a| a.starts_with("--")) || named(name);
     let param = |name: &str, default: usize| {
         args.iter()
             .find_map(|a| a.strip_prefix(&format!("{name}=")))
@@ -91,7 +135,7 @@ fn main() {
     if want("e8") {
         phases.time("e8", || run_e8(param("e8", 60)));
     }
-    if args.iter().any(|a| a == "tables") {
+    if named("tables") {
         phases.time("tables", run_tables);
     }
     if want("fastpath") {
@@ -108,11 +152,6 @@ fn main() {
         let smoke = args.iter().any(|a| a == "--smoke");
         let write_json = !args.iter().any(|a| a == "--no-obs");
         phases.time("certify", || run_certify(smoke, write_json));
-    }
-    if want("audit") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("audit", || run_audit(smoke, write_json));
     }
     if want("population") {
         let smoke = args.iter().any(|a| a == "--smoke");
@@ -618,69 +657,9 @@ fn write_certify_blob(rows: &[CertifyRow]) {
     }
 }
 
-fn run_audit(smoke: bool, write_json: bool) {
-    banner(&format!(
-        "audit — certified flaw-path reports end to end{}",
-        if smoke { " (smoke sizes)" } else { "" }
-    ));
-    println!(
-        "{:<20} {:>5} {:>8} {:>6} {:>12} {:>12} {:>11} {:>10}",
-        "policy", "reqs", "violated", "paths", "analyze (us)", "render (us)", "paths/sec", "bytes"
-    );
-    let rows = audit_provenance(smoke);
-    for r in &rows {
-        println!(
-            "{:<20} {:>5} {:>8} {:>6} {:>12} {:>12} {:>11.0} {:>10}",
-            r.name,
-            r.requirements,
-            r.violated,
-            r.paths,
-            r.analyze_micros,
-            r.render_micros,
-            r.paths_per_sec(),
-            r.report_bytes,
-        );
-        assert!(r.requirements > 0, "{}: nothing audited", r.name);
-        assert!(
-            r.violated == 0 || r.paths > 0,
-            "{}: violations without provenance",
-            r.name
-        );
-    }
-    println!();
-    println!("every report is schema-versioned JSON whose paths are backed by");
-    println!("certifier-accepted derivations (render = certify + walk + emit).");
-
-    if write_json {
-        write_audit_blob(&rows);
-    }
-}
-
-/// Emit `BENCH_audit.json`: per-policy audit timings, flaw-path counts and
-/// report sizes, plus the paths/second enumeration rate as a gauge.
-fn write_audit_blob(rows: &[AuditRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("audit.{}", r.name);
-        rec.counter(&format!("{key}.requirements"), r.requirements as u64);
-        rec.counter(&format!("{key}.violated"), r.violated as u64);
-        rec.counter(&format!("{key}.paths"), r.paths as u64);
-        rec.counter(&format!("{key}.analyze_micros"), r.analyze_micros as u64);
-        rec.counter(&format!("{key}.render_micros"), r.render_micros as u64);
-        rec.counter(&format!("{key}.report_bytes"), r.report_bytes as u64);
-        rec.gauge(&format!("{key}.paths_per_sec"), r.paths_per_sec());
-    }
-    let report = rec.into_report();
-    let path = "BENCH_audit.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
 fn run_population(smoke: bool, write_json: bool) {
     banner(&format!(
-        "population — streamed Zipf batches and the skew scheduler duel{}",
+        "population — streamed Zipf batches and work stealing on a skewed batch{}",
         if smoke { " (smoke sizes)" } else { "" }
     ));
     println!(
@@ -728,22 +707,30 @@ fn run_population(smoke: bool, write_json: bool) {
         skew.users, skew.giants, skew.giant_width, skew.tiny_width, skew.jobs
     );
     println!(
-        "  critical path: fixed {:>9} us   work-stealing {:>9} us   speedup {:.2}x   steals {}",
-        skew.fixed_critical_micros,
+        "  critical path: static partition {:>9} us   work-stealing {:>9} us   speedup {:.2}x   steals {}",
+        skew.static_critical_micros,
         skew.stealing_critical_micros,
         skew.speedup(),
         skew.steals
     );
     println!(
-        "  measured wall: fixed {:>9} us   work-stealing {:>9} us   (degenerates to total work on a core-starved host)",
-        skew.fixed_wall_micros, skew.stealing_wall_micros
+        "  ideal makespan {:>9} us (max(total / jobs, largest group)); work-stealing at {:.2}x of it",
+        skew.ideal_micros,
+        skew.ideal_ratio()
+    );
+    println!(
+        "  measured wall: work-stealing {:>9} us (degenerates to total work on a core-starved host)",
+        skew.stealing_wall_micros
     );
     if !smoke {
         // Acceptance: stealing beats the static partition by >= 1.5x on
-        // the clustered-giants skew at --jobs 8. The score is the critical
-        // path over the recorded worker assignment (the wall time on one
-        // core per worker) — the schedule-sensitive quantity that raw wall
-        // time stops being once the host timeshares the workers.
+        // the clustered-giants skew at --jobs 8. Both are critical paths
+        // priced by measured group costs (the wall time on one core per
+        // worker): stealing's over the worker assignment it recorded, the
+        // static partition's over the chunks it would run. Raw wall time
+        // stops distinguishing schedules once the host timeshares the
+        // workers. The ideal ratio is reported, not gated: with 8 workers
+        // on a few cores it is too noisy.
         assert!(
             skew.speedup() >= 1.5,
             "work-stealing speedup {:.2}x below the 1.5x bar",
@@ -761,8 +748,9 @@ fn run_population(smoke: bool, write_json: bool) {
 
 /// Emit `BENCH_population.json`: per-population streamed throughput
 /// (verdicts/sec, cache hit rate, steal and eviction counts, hottest
-/// fingerprint group) plus the fixed-vs-stealing critical paths, walls and
-/// speedup on the clustered-giants skew workload.
+/// fingerprint group) plus, on the clustered-giants skew workload, the
+/// static, ideal and work-stealing critical paths, the stealing wall, and
+/// stealing's speedup over static and ratio to ideal.
 fn write_population_blob(rows: &[PopulationRow], skew: &SkewRow) {
     let mut rec = Recorder::new();
     for r in rows {
@@ -791,16 +779,13 @@ fn write_population_blob(rows: &[PopulationRow], skew: &SkewRow) {
     rec.counter(&format!("{key}.tiny_width"), skew.tiny_width as u64);
     rec.counter(&format!("{key}.jobs"), skew.jobs as u64);
     rec.counter(
-        &format!("{key}.fixed_critical_micros"),
-        skew.fixed_critical_micros as u64,
+        &format!("{key}.static_critical_micros"),
+        skew.static_critical_micros as u64,
     );
+    rec.counter(&format!("{key}.ideal_micros"), skew.ideal_micros as u64);
     rec.counter(
         &format!("{key}.stealing_critical_micros"),
         skew.stealing_critical_micros as u64,
-    );
-    rec.counter(
-        &format!("{key}.fixed_wall_micros"),
-        skew.fixed_wall_micros as u64,
     );
     rec.counter(
         &format!("{key}.stealing_wall_micros"),
@@ -808,6 +793,7 @@ fn write_population_blob(rows: &[PopulationRow], skew: &SkewRow) {
     );
     rec.counter(&format!("{key}.steals"), skew.steals);
     rec.gauge(&format!("{key}.speedup"), skew.speedup());
+    rec.gauge(&format!("{key}.ideal_ratio"), skew.ideal_ratio());
     let report = rec.into_report();
     let path = "BENCH_population.json";
     match std::fs::write(path, report.to_json().pretty()) {
@@ -934,4 +920,35 @@ fn run_e7() {
     println!();
     println!("every group except the feedback guard is load-bearing for");
     println!("detection; removing the guard instead adds false alarms.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unknown_arg;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    #[test]
+    fn known_names_and_flags_pass() {
+        assert_eq!(unknown_arg(&args(&[])), None);
+        assert_eq!(
+            unknown_arg(&args(&["e1", "e3=500", "e8=60", "tables"])),
+            None
+        );
+        assert_eq!(
+            unknown_arg(&args(&["population", "--smoke", "--no-obs"])),
+            None
+        );
+    }
+
+    #[test]
+    fn unknown_names_and_flags_are_named() {
+        assert_eq!(unknown_arg(&args(&["nosuch"])), Some("nosuch"));
+        assert_eq!(unknown_arg(&args(&["e1", "fastpat"])), Some("fastpat"));
+        assert_eq!(unknown_arg(&args(&["audit", "--smoke"])), Some("audit"));
+        assert_eq!(unknown_arg(&args(&["e9"])), Some("e9"));
+        assert_eq!(unknown_arg(&args(&["demand", "--smok"])), Some("--smok"));
+    }
 }

@@ -12,7 +12,7 @@ use oodb_lang::{parse_query, parse_requirement};
 use oodb_model::{UserName, Value};
 use secflow::algorithm::{
     analyze, analyze_batch, analyze_batch_streaming, AnalysisConfig, AnalysisSink, BatchOptions,
-    BatchSchedule, ClosureCache, GroupRecord,
+    ClosureCache, GroupRecord,
 };
 use secflow::closure::{Closure, ClosureOptions, Goal, ProofMode, DEFAULT_TERM_LIMIT};
 use secflow::reference::RefClosure;
@@ -1130,103 +1130,6 @@ pub fn demand_batch(smoke: bool) -> DemandBatchRow {
     }
 }
 
-/// One `audit` measurement: a full provenance audit (proof-carrying batch
-/// analysis, certification, flaw-path walk, JSON report) over one policy.
-pub struct AuditRow {
-    /// Case label.
-    pub name: String,
-    /// Requirements audited.
-    pub requirements: usize,
-    /// Requirements violated.
-    pub violated: usize,
-    /// Flaw paths enumerated across all witnesses.
-    pub paths: usize,
-    /// Proof-carrying batch analysis time, microseconds.
-    pub analyze_micros: u128,
-    /// Certify + walk + render time for the JSON report, microseconds.
-    pub render_micros: u128,
-    /// Size of the rendered JSON report.
-    pub report_bytes: usize,
-}
-
-impl AuditRow {
-    /// Flaw paths enumerated per second of certify+walk+render time.
-    pub fn paths_per_sec(&self) -> f64 {
-        if self.render_micros == 0 {
-            f64::INFINITY
-        } else {
-            self.paths as f64 * 1e6 / self.render_micros as f64
-        }
-    }
-}
-
-/// `audit` — the cost of the certified provenance report on the fixture
-/// policies and the multi-user scaling families: the proof-carrying batch
-/// analysis on one axis, and certification + flaw-path enumeration +
-/// JSON rendering on the other. `smoke` shrinks the sweep to CI sizes.
-pub fn audit_provenance(smoke: bool) -> Vec<AuditRow> {
-    let mut cases: Vec<(String, oodb_lang::Schema)> = vec![
-        ("stockbroker".into(), fixtures::stockbroker()),
-        ("hospital".into(), fixtures::hospital()),
-    ];
-    let sizes: &[(usize, usize)] = if smoke { &[(4, 4)] } else { &[(8, 8), (16, 8)] };
-    for &(users, width) in sizes {
-        let mut case = multi_user(users, width);
-        case.schema.requirements = case.requirements.clone();
-        cases.push((format!("multi_user_{users}x{width}"), case.schema));
-    }
-    let mut rows = Vec::new();
-    for (name, schema) in cases {
-        let opts = secflow_cli::AuditOptions {
-            policy: name.clone(),
-            format: secflow_cli::AuditFormat::Json,
-            severity: None,
-            provenance: secflow::ProvenanceOptions::default(),
-        };
-        // Best-of-three on both phases, matching `certify_overhead`.
-        let mut analyze_micros = u128::MAX;
-        let mut outcome = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let o = secflow_cli::audit_batch(&schema, 1);
-            analyze_micros = analyze_micros.min(start.elapsed().as_micros());
-            outcome = Some(o);
-        }
-        let outcome = outcome.expect("at least one analysis run");
-        let mut render_micros = u128::MAX;
-        let mut rendered = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let r = secflow_cli::render_audit(&schema, &outcome, &opts);
-            render_micros = render_micros.min(start.elapsed().as_micros());
-            rendered = Some(r);
-        }
-        let (report, _code) = rendered.expect("at least one render run");
-        let doc = secflow_obs::Json::parse(&report)
-            .unwrap_or_else(|e| panic!("{name}: audit JSON invalid: {e}"));
-        let field = |k: &str| {
-            doc.get(k)
-                .and_then(secflow_obs::Json::as_u64)
-                .unwrap_or_else(|| panic!("{name}: audit JSON missing {k}"))
-        };
-        rows.push(AuditRow {
-            requirements: field("requirements") as usize,
-            violated: field("violated") as usize,
-            paths: doc
-                .get("summary")
-                .and_then(|s| s.get("paths"))
-                .and_then(secflow_obs::Json::as_u64)
-                .unwrap_or_else(|| panic!("{name}: audit JSON missing summary.paths"))
-                as usize,
-            analyze_micros,
-            render_micros,
-            report_bytes: report.len(),
-            name,
-        });
-    }
-    rows
-}
-
 // ----------------------------------------------------------- population
 
 /// One Zipf-population streaming throughput measurement: verdicts/sec is
@@ -1279,19 +1182,24 @@ impl PopulationRow {
     }
 }
 
-/// Fixed-partition vs work-stealing on the clustered-giants skew workload:
-/// the heavy groups sit contiguously in worker 0's static chunk, so the
-/// fixed partition runs them back to back while its neighbours idle.
+/// The work-stealing pool on the clustered-giants skew workload: the heavy
+/// groups sit contiguously in worker 0's static chunk, so a static
+/// partition would run them back to back while its neighbours idle.
 ///
-/// Each schedule is scored by its *critical path*: every group is priced
+/// Every schedule is scored by its *critical path*: every group is priced
 /// at its measured serial cost, each worker's attributed work is summed
-/// over the groups it actually executed (the pool tags every streamed
-/// record with its worker index), and the critical path is the loaded-est
+/// over the groups it ran, and the critical path is the most loaded
 /// worker's total. That is exactly the batch's wall time on a machine with
 /// one core per worker — and unlike raw wall time it stays meaningful on a
 /// core-starved CI container, where the OS timeshares all eight workers
 /// onto the same core and wall time degenerates to total work for *any*
-/// schedule. Raw walls are recorded alongside for reference.
+/// schedule.
+///
+/// Only the work-stealing run is executed. Its two references are pure
+/// functions of the per-group costs: a static partition never steals, so
+/// worker `w` runs exactly groups `w·n/jobs .. (w+1)·n/jobs` (the chunks
+/// the pool seeds its deques with), and no schedule can beat the ideal
+/// makespan `max(Σ cost / jobs, max cost)`.
 pub struct SkewRow {
     /// Groups in the workload.
     pub users: usize,
@@ -1303,14 +1211,14 @@ pub struct SkewRow {
     pub tiny_width: usize,
     /// Worker threads requested.
     pub jobs: usize,
-    /// Critical path under static contiguous partitioning, microseconds:
-    /// max over workers of the summed serial cost of the groups it ran.
-    pub fixed_critical_micros: u128,
-    /// Critical path under the work-stealing scheduler, microseconds.
+    /// Critical path of a static contiguous partition, microseconds: max
+    /// over workers of the summed serial cost of the worker's chunk.
+    pub static_critical_micros: u128,
+    /// Ideal makespan, microseconds: `max(Σ cost / jobs, max cost)`.
+    pub ideal_micros: u128,
+    /// Critical path of the work-stealing pool over the groups each worker
+    /// actually ran, microseconds.
     pub stealing_critical_micros: u128,
-    /// Measured wall time of the fixed run, microseconds (degenerate on a
-    /// single-core host — see the type docs).
-    pub fixed_wall_micros: u128,
     /// Measured wall time of the work-stealing run, microseconds.
     pub stealing_wall_micros: u128,
     /// Steals performed by the best work-stealing run.
@@ -1318,13 +1226,24 @@ pub struct SkewRow {
 }
 
 impl SkewRow {
-    /// Work-stealing speedup over the fixed partition, by critical path.
+    /// Work-stealing speedup over the static partition, by critical path.
     pub fn speedup(&self) -> f64 {
-        if self.stealing_critical_micros == 0 {
-            f64::INFINITY
-        } else {
-            self.fixed_critical_micros as f64 / self.stealing_critical_micros as f64
-        }
+        ratio(self.static_critical_micros, self.stealing_critical_micros)
+    }
+
+    /// Work-stealing critical path over the ideal makespan (1.0 is
+    /// perfect balance).
+    pub fn ideal_ratio(&self) -> f64 {
+        ratio(self.stealing_critical_micros, self.ideal_micros)
+    }
+}
+
+/// `num / den`, infinite on a zero denominator.
+fn ratio(num: u128, den: u128) -> f64 {
+    if den == 0 {
+        f64::INFINITY
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -1415,15 +1334,15 @@ pub fn population_throughput(smoke: bool) -> Vec<PopulationRow> {
     rows
 }
 
-/// `population` part 2 — the scheduler comparison the work-stealing pool
-/// exists for: a cluster of giant groups seeded into one worker's static
-/// chunk, duelled best-of-three under both schedules at `--jobs 8`
-/// (uncached, so the cost model is real closure work). Each run streams
-/// through [`analyze_batch_streaming`] with a sink that records which
-/// worker executed each group; the per-schedule score is the critical path
-/// over that *actual* assignment, priced by per-group serial cost measured
-/// up front (see [`SkewRow`] for why critical path, not raw wall). Verdict
-/// agreement across schedules is asserted on every run.
+/// `population` part 2 — the skew the work-stealing pool exists for: a
+/// cluster of giant groups seeded into one worker's static chunk, run
+/// best-of-three at `--jobs 8` (uncached, so the cost model is real
+/// closure work). Each run streams through [`analyze_batch_streaming`]
+/// with a sink that records which worker executed each group; the score
+/// is the critical path over that *actual* assignment, priced by per-group
+/// serial cost measured up front, against the static-partition and ideal
+/// critical paths computed from the same costs (see [`SkewRow`]). Every
+/// run's verdicts must equal the serial `analyze` verdicts.
 pub fn skew_schedule_comparison(smoke: bool) -> SkewRow {
     // `giants == users / jobs` puts the whole cluster in worker 0's chunk.
     let (users, giants, giant_width, tiny_width) = if smoke {
@@ -1435,21 +1354,32 @@ pub fn skew_schedule_comparison(smoke: bool) -> SkewRow {
     let config = AnalysisConfig::default();
     let jobs = 8usize;
 
-    // Price each group by its serial analysis cost (best of two). Every
-    // user holds exactly one requirement, so group i is requirement i.
-    let cost: Vec<u128> = case
+    // Price each group by its serial analysis cost (best of two), keeping
+    // its verdict flags. Every user holds exactly one requirement, so
+    // group i is requirement i.
+    let (cost, serial_flags): (Vec<u128>, Vec<Vec<bool>>) = case
         .requirements
         .iter()
         .map(|r| {
             let mut best = u128::MAX;
+            let mut violated = false;
             for _ in 0..2 {
                 let start = Instant::now();
-                analyze(&case.schema, r).expect("skew verdict");
+                violated = analyze(&case.schema, r)
+                    .expect("skew verdict")
+                    .is_violated();
                 best = best.min(start.elapsed().as_micros());
             }
-            best
+            (best, vec![violated])
         })
-        .collect();
+        .unzip();
+    let static_critical = (0..jobs)
+        .map(|w| cost[w * users / jobs..(w + 1) * users / jobs].iter().sum())
+        .max()
+        .unwrap_or(0);
+    let total: u128 = cost.iter().sum();
+    let largest = cost.iter().copied().max().unwrap_or(0);
+    let ideal = total.div_ceil(jobs as u128).max(largest);
 
     /// One group's assignment trace: the worker that executed it and its
     /// violation flags.
@@ -1474,77 +1404,58 @@ pub fn skew_schedule_comparison(smoke: bool) -> SkewRow {
         }
     }
 
-    // Best-of-three per schedule, scored by critical path.
-    let measure = |schedule: BatchSchedule| {
-        let opts = BatchOptions {
-            jobs,
-            schedule,
-            ..BatchOptions::default()
-        };
-        let mut best_wall = u128::MAX;
-        let mut best_critical = u128::MAX;
-        let mut best_steals = 0u64;
-        let mut flags: Option<Vec<Vec<bool>>> = None;
-        for _ in 0..3 {
-            let sink = AssignSink {
-                slots: Mutex::new((0..users).map(|_| None).collect()),
-            };
-            let start = Instant::now();
-            let summary = analyze_batch_streaming(
-                &case.schema,
-                &case.requirements,
-                &config,
-                &opts,
-                None,
-                &sink,
-            );
-            let wall = start.elapsed().as_micros();
-            let slots = sink.slots.into_inner().expect("sink lock");
-            let mut per_worker = vec![0u128; jobs];
-            let mut run_flags = Vec::with_capacity(users);
-            for (gi, slot) in slots.into_iter().enumerate() {
-                let (worker, group_flags) = slot.expect("every group emitted");
-                per_worker[worker] += cost[gi];
-                run_flags.push(group_flags);
-            }
-            let critical = per_worker.iter().copied().max().unwrap_or(0);
-            best_wall = best_wall.min(wall);
-            if critical < best_critical {
-                best_critical = critical;
-                best_steals = summary.steals;
-            }
-            if let Some(prev) = &flags {
-                assert_eq!(prev, &run_flags, "verdicts drifted across runs");
-            }
-            flags = Some(run_flags);
-        }
-        (
-            best_wall,
-            best_critical,
-            best_steals,
-            flags.expect("3 runs"),
-        )
+    // Best-of-three, scored by critical path.
+    let opts = BatchOptions {
+        jobs,
+        ..BatchOptions::default()
     };
-
-    let (fixed_wall, fixed_critical, fixed_steals, fixed_flags) = measure(BatchSchedule::Fixed);
-    let (stealing_wall, stealing_critical, steals, stealing_flags) =
-        measure(BatchSchedule::WorkStealing);
-    assert_eq!(
-        fixed_flags, stealing_flags,
-        "schedules disagree on the skewed workload"
-    );
-    assert_eq!(fixed_steals, 0, "the fixed partition never steals");
+    let mut best_wall = u128::MAX;
+    let mut best_critical = u128::MAX;
+    let mut best_steals = 0u64;
+    for _ in 0..3 {
+        let sink = AssignSink {
+            slots: Mutex::new((0..users).map(|_| None).collect()),
+        };
+        let start = Instant::now();
+        let summary = analyze_batch_streaming(
+            &case.schema,
+            &case.requirements,
+            &config,
+            &opts,
+            None,
+            &sink,
+        );
+        let wall = start.elapsed().as_micros();
+        let slots = sink.slots.into_inner().expect("sink lock");
+        let mut per_worker = vec![0u128; jobs];
+        let mut run_flags = Vec::with_capacity(users);
+        for (gi, slot) in slots.into_iter().enumerate() {
+            let (worker, group_flags) = slot.expect("every group emitted");
+            per_worker[worker] += cost[gi];
+            run_flags.push(group_flags);
+        }
+        assert_eq!(
+            run_flags, serial_flags,
+            "work stealing disagrees with serial analyze on the skewed workload"
+        );
+        let critical = per_worker.iter().copied().max().unwrap_or(0);
+        best_wall = best_wall.min(wall);
+        if critical < best_critical {
+            best_critical = critical;
+            best_steals = summary.steals;
+        }
+    }
     SkewRow {
         users,
         giants,
         giant_width,
         tiny_width,
         jobs,
-        fixed_critical_micros: fixed_critical,
-        stealing_critical_micros: stealing_critical,
-        fixed_wall_micros: fixed_wall,
-        stealing_wall_micros: stealing_wall,
-        steals,
+        static_critical_micros: static_critical,
+        ideal_micros: ideal,
+        stealing_critical_micros: best_critical,
+        stealing_wall_micros: best_wall,
+        steals: best_steals,
     }
 }
 
@@ -1750,26 +1661,13 @@ mod tests {
         let skew = skew_schedule_comparison(true);
         assert!(skew.steals > 0, "work-stealing idle on the skewed batch");
         assert!(
-            skew.stealing_critical_micros <= skew.fixed_critical_micros,
-            "stealing must not lengthen the critical path (fixed {} us, stealing {} us)",
-            skew.fixed_critical_micros,
+            skew.stealing_critical_micros <= skew.static_critical_micros,
+            "stealing must not lengthen the critical path (static {} us, stealing {} us)",
+            skew.static_critical_micros,
             skew.stealing_critical_micros
         );
         let total: u64 = rows.iter().map(|r| r.steals).sum::<u64>() + skew.steals;
         assert!(total > 0, "population smoke never engaged the stealer");
-    }
-
-    #[test]
-    fn audit_smoke_reports_are_valid_and_productive() {
-        for r in audit_provenance(true) {
-            assert!(r.requirements > 0, "{}: nothing audited", r.name);
-            assert!(
-                r.violated == 0 || r.paths > 0,
-                "{}: violations without provenance",
-                r.name
-            );
-            assert!(r.report_bytes > 0, "{}: empty report", r.name);
-        }
     }
 
     #[test]

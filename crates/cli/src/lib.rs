@@ -971,7 +971,6 @@ fn check_batch(
         keep_artifacts: explain || certify,
         collect_stats: stats,
         full_saturation,
-        ..BatchOptions::default()
     };
     analyze_batch_cached(
         schema,
@@ -1067,7 +1066,6 @@ pub fn audit_batch(schema: &Schema, jobs: usize) -> BatchOutcome {
         keep_artifacts: true,
         collect_stats: true,
         full_saturation: false,
-        ..BatchOptions::default()
     };
     analyze_batch_cached(
         schema,
@@ -1472,6 +1470,53 @@ fn check_report(
     (out, i32::from(violated > 0))
 }
 
+/// A requirement's verdict reduced to what the NDJSON records carry —
+/// deliberately witness-free (status + occurrence count), so the resident
+/// incremental path and the cached batch path (whose closures pick
+/// witnesses in different orders) produce identical records.
+#[derive(Clone, PartialEq, Eq)]
+enum ReqStatus {
+    Satisfied,
+    Violated(u64),
+    Error(String),
+}
+
+impl ReqStatus {
+    fn of(v: &Result<Verdict, secflow::algorithm::AnalysisError>) -> ReqStatus {
+        match v {
+            Ok(Verdict::Satisfied) => ReqStatus::Satisfied,
+            Ok(Verdict::Violated(vs)) => ReqStatus::Violated(vs.len() as u64),
+            Err(e) => ReqStatus::Error(e.to_string()),
+        }
+    }
+}
+
+/// One verdict object, shared by the `check --stream --format=ndjson`
+/// records and every `serve` response: `requirement` (input index),
+/// `require` (display form) and `status` of `"satisfied"`, `"violated"`
+/// (plus `"occurrences"`) or `"error"` (plus the `"error"` message).
+fn verdict_json(schema: &Schema, idx: usize, st: &ReqStatus) -> Json {
+    let mut fields = vec![
+        ("requirement".to_owned(), Json::count(idx as u64)),
+        (
+            "require".to_owned(),
+            Json::str(&schema.requirements[idx].to_string()),
+        ),
+    ];
+    match st {
+        ReqStatus::Satisfied => fields.push(("status".to_owned(), Json::str("satisfied"))),
+        ReqStatus::Violated(n) => {
+            fields.push(("status".to_owned(), Json::str("violated")));
+            fields.push(("occurrences".to_owned(), Json::count(*n)));
+        }
+        ReqStatus::Error(e) => {
+            fields.push(("status".to_owned(), Json::str("error")));
+            fields.push(("error".to_owned(), Json::str(e)));
+        }
+    }
+    Json::Obj(fields)
+}
+
 /// Render one streamed group record as a compact NDJSON object, returning
 /// the object plus the record's `(violated, error)` verdict tallies. Free
 /// function so the error arm is unit-testable without provoking a real
@@ -1482,30 +1527,13 @@ fn ndjson_record(schema: &Schema, record: &GroupRecord) -> (Json, usize, usize) 
     let mut errors = 0usize;
     let mut verdicts = Vec::with_capacity(record.verdicts.len());
     for (i, verdict) in &record.verdicts {
-        let req = &schema.requirements[*i];
-        let mut fields = vec![
-            ("requirement".to_owned(), Json::count(*i as u64)),
-            ("require".to_owned(), Json::str(&req.to_string())),
-        ];
-        match verdict {
-            Ok(Verdict::Satisfied) => {
-                fields.push(("status".to_owned(), Json::str("satisfied")));
-            }
-            Ok(Verdict::Violated(violations)) => {
-                violated += 1;
-                fields.push(("status".to_owned(), Json::str("violated")));
-                fields.push((
-                    "occurrences".to_owned(),
-                    Json::count(violations.len() as u64),
-                ));
-            }
-            Err(e) => {
-                errors += 1;
-                fields.push(("status".to_owned(), Json::str("error")));
-                fields.push(("error".to_owned(), Json::str(&e.to_string())));
-            }
+        let st = ReqStatus::of(verdict);
+        match st {
+            ReqStatus::Satisfied => {}
+            ReqStatus::Violated(_) => violated += 1,
+            ReqStatus::Error(_) => errors += 1,
         }
-        verdicts.push(Json::Obj(fields));
+        verdicts.push(verdict_json(schema, *i, &st));
     }
     let obj = Json::Obj(vec![
         ("group".to_owned(), Json::count(record.group_index as u64)),
@@ -1557,7 +1585,6 @@ fn check_report_stream(
         keep_artifacts: false,
         collect_stats: col.is_some(),
         full_saturation,
-        ..BatchOptions::default()
     };
 
     /// Renders each record into verdict lines — or one NDJSON object —
@@ -1803,121 +1830,6 @@ fn fix_report(schema: &Schema) -> (String, i32) {
 // serve — the resident incremental session
 // ---------------------------------------------------------------------------
 
-/// A scanner over one NDJSON request line: a flat JSON object whose values
-/// are all strings, e.g. `{"op":"grant","user":"clerk","fn":"w_budget"}`.
-/// Anything else — nested values, numbers, trailing garbage — is a
-/// per-request error; the session keeps running.
-struct ReqScanner {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl ReqScanner {
-    fn ws(&mut self) {
-        while self.chars.get(self.pos).is_some_and(|c| c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.get(self.pos).copied();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected `{want}`, found `{c}`")),
-            None => Err(format!("expected `{want}`, found end of line")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => return Ok(s),
-                Some('\\') => match self.bump() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some(other) => return Err(format!("unsupported escape `\\{other}`")),
-                    None => return Err("unterminated string escape".into()),
-                },
-                Some(c) => s.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-}
-
-/// Parse one request line into its `(key, value)` fields, preserving order.
-fn parse_request(line: &str) -> Result<Vec<(String, String)>, String> {
-    let mut p = ReqScanner {
-        chars: line.chars().collect(),
-        pos: 0,
-    };
-    p.ws();
-    p.expect('{').map_err(|e| format!("bad request: {e}"))?;
-    let mut fields = Vec::new();
-    p.ws();
-    if p.chars.get(p.pos) == Some(&'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.ws();
-            let key = p.string().map_err(|e| format!("bad request key: {e}"))?;
-            p.ws();
-            p.expect(':').map_err(|e| format!("bad request: {e}"))?;
-            p.ws();
-            let value = p
-                .string()
-                .map_err(|e| format!("bad request value for `{key}` (string values only): {e}"))?;
-            fields.push((key, value));
-            p.ws();
-            match p.bump() {
-                Some(',') => continue,
-                Some('}') => break,
-                Some(c) => return Err(format!("bad request: expected `,` or `}}`, found `{c}`")),
-                None => return Err("bad request: unterminated object".into()),
-            }
-        }
-    }
-    p.ws();
-    if p.pos != p.chars.len() {
-        return Err("bad request: trailing characters after the object".into());
-    }
-    Ok(fields)
-}
-
-/// A requirement's verdict reduced to what the serve records carry —
-/// deliberately witness-free (status + occurrence count), so the resident
-/// incremental path and the cached batch path (whose closures pick
-/// witnesses in different orders) produce identical records.
-#[derive(Clone, PartialEq, Eq)]
-enum ReqStatus {
-    Satisfied,
-    Violated(u64),
-    Error(String),
-}
-
-impl ReqStatus {
-    fn of(v: &Result<Verdict, secflow::algorithm::AnalysisError>) -> ReqStatus {
-        match v {
-            Ok(Verdict::Satisfied) => ReqStatus::Satisfied,
-            Ok(Verdict::Violated(vs)) => ReqStatus::Violated(vs.len() as u64),
-            Err(e) => ReqStatus::Error(e.to_string()),
-        }
-    }
-}
-
 /// The state behind one `secflow serve` session: each user's requirement
 /// indexes, per-user incremental closures materialised on first edit, the
 /// last-reported statuses the edit deltas are diffed against, and the
@@ -2024,28 +1936,6 @@ impl<'s> ServeState<'s> {
         }
     }
 
-    /// One verdict object, shaped exactly like the `check --stream
-    /// --format=ndjson` per-verdict records.
-    fn verdict_json(&self, idx: usize, st: &ReqStatus) -> Json {
-        let req = &self.schema.requirements[idx];
-        let mut fields = vec![
-            ("requirement".to_owned(), Json::count(idx as u64)),
-            ("require".to_owned(), Json::str(&req.to_string())),
-        ];
-        match st {
-            ReqStatus::Satisfied => fields.push(("status".to_owned(), Json::str("satisfied"))),
-            ReqStatus::Violated(n) => {
-                fields.push(("status".to_owned(), Json::str("violated")));
-                fields.push(("occurrences".to_owned(), Json::count(*n)));
-            }
-            ReqStatus::Error(e) => {
-                fields.push(("status".to_owned(), Json::str("error")));
-                fields.push(("error".to_owned(), Json::str(e)));
-            }
-        }
-        Json::Obj(fields)
-    }
-
     fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
         fields
             .iter()
@@ -2066,9 +1956,15 @@ impl<'s> ServeState<'s> {
         }
     }
 
-    /// Handle one request line. Returns the response text (empty for blank
-    /// lines) and whether the session should end.
-    fn handle(&mut self, line: &str) -> (String, bool) {
+    /// Handle one raw request line as read off the wire (line terminator
+    /// already stripped). Returns the response text (empty for blank
+    /// lines) and whether the session should end. A line that is not
+    /// UTF-8 still counts as a request and answers an error; the session
+    /// keeps running.
+    fn handle(&mut self, raw: &[u8]) -> (String, bool) {
+        let Ok(line) = std::str::from_utf8(raw) else {
+            return (self.refuse("request is not valid UTF-8"), false);
+        };
         if line.trim().is_empty() {
             return (String::new(), false);
         }
@@ -2076,16 +1972,6 @@ impl<'s> ServeState<'s> {
         match self.dispatch(line) {
             Ok(resp) => resp,
             Err(msg) => (self.error_line(&msg), false),
-        }
-    }
-
-    /// Handle one raw request line as read off the wire (line terminator
-    /// already stripped). A line that is not UTF-8 still counts as a
-    /// request and answers an error; the session keeps running.
-    fn handle_bytes(&mut self, raw: &[u8]) -> (String, bool) {
-        match std::str::from_utf8(raw) {
-            Ok(line) => self.handle(line),
-            Err(_) => (self.refuse("request is not valid UTF-8"), false),
         }
     }
 
@@ -2104,8 +1990,23 @@ impl<'s> ServeState<'s> {
         format!("{obj}\n")
     }
 
+    /// Answer one request line: a JSON object whose values are all
+    /// strings, e.g. `{"op":"grant","user":"clerk","fn":"w_budget"}`.
+    /// Anything else — nested values, numbers, trailing garbage — is a
+    /// per-request error; the session keeps running.
     fn dispatch(&mut self, line: &str) -> Result<(String, bool), String> {
-        let fields = parse_request(line)?;
+        let Json::Obj(obj) = Json::parse(line).map_err(|e| format!("bad request: {e}"))? else {
+            return Err("bad request: expected a JSON object".into());
+        };
+        let fields = obj
+            .into_iter()
+            .map(|(key, value)| match value {
+                Json::Str(v) => Ok((key, v)),
+                _ => Err(format!(
+                    "bad request value for `{key}` (string values only)"
+                )),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let op = Self::need(&fields, "op", "request")?.to_owned();
         match op.as_str() {
             "check" => {
@@ -2113,7 +2014,7 @@ impl<'s> ServeState<'s> {
                 let statuses = self.statuses(&user);
                 let verdicts: Vec<Json> = statuses
                     .iter()
-                    .map(|(i, st)| self.verdict_json(*i, st))
+                    .map(|(i, st)| verdict_json(self.schema, *i, st))
                     .collect();
                 let obj = Json::Obj(vec![
                     ("op".to_owned(), Json::str("check")),
@@ -2171,7 +2072,7 @@ impl<'s> ServeState<'s> {
                     .find(|(j, _)| j == i)
                     .is_none_or(|(_, old)| old != st)
             })
-            .map(|(i, st)| self.verdict_json(*i, st))
+            .map(|(i, st)| verdict_json(self.schema, *i, st))
             .collect();
         let obj = Json::Obj(vec![
             ("op".to_owned(), Json::str(op)),
@@ -2229,27 +2130,54 @@ impl<'s> ServeState<'s> {
     }
 }
 
-/// Drive a full serve session over an in-memory request script — the
-/// unit-testable core of `secflow serve`. Returns the concatenated NDJSON
-/// response stream and the exit code. The stream opens with a
-/// `{"ready":…}` line and always ends with a `{"shutdown":…}` line,
-/// whether the script asked for it or simply ran out (EOF).
+/// [`serve_io`] over an in-memory request script, one request line per
+/// item — the unit-testable core of `secflow serve`, with the binary's line
+/// cap and byte handling. Returns the concatenated NDJSON response stream
+/// and the exit code. The stream opens with a `{"ready":…}` line and always
+/// ends with a `{"shutdown":…}` line, whether the script asked for it or
+/// simply ran out (EOF). Each item is taken from `requests` only once the
+/// session has answered the one before it.
 pub fn serve_session<I>(schema: &Schema, requests: I) -> (String, i32)
 where
     I: IntoIterator,
     I::Item: AsRef<str>,
 {
-    let mut state = ServeState::new(schema);
-    let mut out = state.ready_line();
-    for line in requests {
-        let (resp, done) = state.handle(line.as_ref());
-        out.push_str(&resp);
-        if done {
-            return (out, exit::OK);
+    let script = ScriptReader {
+        lines: requests.into_iter(),
+        line: Vec::new(),
+        pos: 0,
+    };
+    let mut out = Vec::new();
+    let code = serve_io(schema, std::io::BufReader::new(script), &mut out);
+    (String::from_utf8_lossy(&out).into_owned(), code)
+}
+
+/// A request script as a byte stream: each item becomes one `\n`-ended
+/// line, pulled from the iterator only when the previous line has been
+/// read to its end.
+struct ScriptReader<I> {
+    lines: I,
+    line: Vec<u8>,
+    pos: usize,
+}
+
+impl<I> std::io::Read for ScriptReader<I>
+where
+    I: Iterator,
+    I::Item: AsRef<str>,
+{
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.line.len() {
+            let Some(next) = self.lines.next() else {
+                return Ok(0);
+            };
+            self.line = format!("{}\n", next.as_ref()).into_bytes();
+            self.pos = 0;
         }
+        let n = std::io::Read::read(&mut &self.line[self.pos..], out)?;
+        self.pos += n;
+        Ok(n)
     }
-    out.push_str(&state.shutdown_line());
-    (out, exit::OK)
 }
 
 /// The longest request line `serve` accepts, in bytes before its `\n`.
@@ -2331,7 +2259,7 @@ pub fn serve_io<R: std::io::BufRead, W: std::io::Write>(
                 false,
             ),
             // Strip a `\r` left by `\r\n`, exactly like `BufRead::lines`.
-            Ok(RequestLine::Line) => state.handle_bytes(buf.strip_suffix(b"\r").unwrap_or(&buf)),
+            Ok(RequestLine::Line) => state.handle(buf.strip_suffix(b"\r").unwrap_or(&buf)),
         };
         let _ = out.write_all(resp.as_bytes());
         let _ = out.flush();

@@ -384,24 +384,6 @@ fn cap_witness<C: CapabilityView>(closure: &C, e: ExprId, cap: Cap) -> Option<Te
     }
 }
 
-/// Group-scheduling policy for the batch worker pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchSchedule {
-    /// Static partitioning: each worker owns one contiguous chunk of the
-    /// group list and never looks at anyone else's. A skewed batch (one
-    /// giant group next to thousands of tiny ones) serializes on whichever
-    /// worker drew the giant chunk — kept as the baseline the `population`
-    /// bench experiment measures the stealing speedup against.
-    Fixed,
-    /// Work stealing (the default): workers start from the same contiguous
-    /// chunks, held in per-worker deques, but an idle worker steals the
-    /// back half of the first non-empty victim deque it finds instead of
-    /// going idle. Output is unaffected — results are placed by group
-    /// index at join, so scheduling order never shows.
-    #[default]
-    WorkStealing,
-}
-
 /// Options for [`analyze_batch`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
@@ -410,10 +392,6 @@ pub struct BatchOptions {
     /// 1 when the platform cannot say); `1` runs serially on the calling
     /// thread; larger values are clamped to the group count.
     pub jobs: usize,
-    /// How groups are distributed across workers. Never affects the output
-    /// (verdicts are byte-identical either way); [`BatchSchedule::Fixed`]
-    /// exists as the measured baseline for the work-stealing speedup.
-    pub schedule: BatchSchedule,
     /// Keep each group's `(NProgram, Closure)` on [`BatchGroup::artifacts`]
     /// so callers can render explanations, certify and walk flaw paths
     /// without recomputing. Implies a proof-carrying
@@ -445,7 +423,6 @@ impl Default for BatchOptions {
     fn default() -> BatchOptions {
         BatchOptions {
             jobs: 1,
-            schedule: BatchSchedule::WorkStealing,
             keep_artifacts: false,
             collect_stats: false,
             full_saturation: false,
@@ -489,7 +466,7 @@ pub struct BatchOutcome {
     /// clamping to the group count).
     pub jobs_used: usize,
     /// Steal operations performed by the work-stealing pool: 0 for serial
-    /// runs and for [`BatchSchedule::Fixed`].
+    /// runs.
     pub steals: u64,
     /// `(len, capacity)` of the [`ClosureCache`] after this batch, when one
     /// was passed to [`analyze_batch_cached`]; `None` for uncached runs.
@@ -1013,9 +990,9 @@ impl OccMemo {
 /// are therefore grouped by user in first-seen order; each group runs
 /// unfold → closure once and then the cheap per-requirement verdict check.
 /// Groups fan out across a hand-rolled `std::thread::scope` work-stealing
-/// pool ([`BatchOptions::jobs`] workers over per-worker deques — see
-/// [`BatchSchedule`]), so a policy file with many users saturates in
-/// parallel even when group sizes are heavily skewed.
+/// pool ([`BatchOptions::jobs`] workers over per-worker deques), so a
+/// policy file with many users saturates in parallel even when group sizes
+/// are heavily skewed.
 ///
 /// Verdicts come back in input order and are identical to analyzing each
 /// requirement as a batch of one, regardless of `jobs` — groups are
@@ -1053,7 +1030,6 @@ pub fn analyze_batch_cached(
     let (done, steals) = run_pool(
         n_groups,
         jobs,
-        opts.schedule,
         |_| Vec::new(),
         |done, gi| {
             let group = &grouped[gi];
@@ -1148,12 +1124,10 @@ pub fn effective_jobs(jobs: usize) -> usize {
 
 /// The batch worker pool. Spawns `jobs` scoped workers over group indexes
 /// `0..n_groups`, each seeded with a contiguous chunk of the index space in
-/// a per-worker deque. Under [`BatchSchedule::WorkStealing`], a worker
-/// whose deque drains steals the back half of the first non-empty victim
-/// deque it finds (scanning from its right neighbour) instead of exiting —
-/// so one giant group no longer strands the rest of a skewed batch on a
-/// single worker. Under [`BatchSchedule::Fixed`] it exits as soon as its
-/// own chunk drains.
+/// a per-worker deque. A worker whose deque drains steals the back half of
+/// the first non-empty victim deque it finds (scanning from its right
+/// neighbour) instead of exiting — so one giant group does not strand the
+/// rest of a skewed batch on a single worker.
 ///
 /// Every group index is processed exactly once: indexes only ever move
 /// between deques under a victim's lock, and a worker drains its own deque
@@ -1163,13 +1137,7 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// worker states in worker-index order plus the number of steals performed.
 /// With one job nothing is spawned: the calling thread runs every group in
 /// index order as worker 0.
-fn run_pool<S, I, W>(
-    n_groups: usize,
-    jobs: usize,
-    schedule: BatchSchedule,
-    init: I,
-    work: W,
-) -> (Vec<S>, u64)
+fn run_pool<S, I, W>(n_groups: usize, jobs: usize, init: I, work: W) -> (Vec<S>, u64)
 where
     S: Send,
     I: Fn(usize) -> S + Sync,
@@ -1201,9 +1169,6 @@ where
                         if let Some(gi) = lock(w).pop_front() {
                             work(&mut state, gi);
                             continue;
-                        }
-                        if schedule == BatchSchedule::Fixed {
-                            break;
                         }
                         let mut stolen = VecDeque::new();
                         for off in 1..jobs {
@@ -1245,9 +1210,9 @@ pub struct GroupRecord {
     /// Index of the group in first-seen user order.
     pub group_index: usize,
     /// Index of the pool worker that analyzed this group (0 on the serial
-    /// path). Under [`BatchSchedule::WorkStealing`] this is the worker that
-    /// *executed* the group, which may differ from the worker whose chunk
-    /// it was seeded into — the trace of how the pool balanced the batch.
+    /// path): the worker that *executed* the group, which may differ from
+    /// the worker whose chunk it was seeded into — the trace of how the
+    /// pool balanced the batch.
     pub worker: usize,
     /// The user whose capability list this group analyzed.
     pub user: UserName,
@@ -1350,7 +1315,6 @@ pub fn analyze_batch_streaming(
     let (accs, steals) = run_pool(
         n_groups,
         jobs,
-        opts.schedule,
         |w| WorkerAcc {
             worker: w,
             ..WorkerAcc::default()
@@ -1648,7 +1612,7 @@ mod tests {
         let s = schema();
         let reqs = batch_reqs();
         let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
-        for jobs in [1, 4] {
+        for jobs in [1, 2, 3, 4, 8] {
             let opts = BatchOptions {
                 jobs,
                 ..BatchOptions::default()
@@ -1709,7 +1673,6 @@ mod tests {
         let reqs = batch_reqs();
         let opts = BatchOptions {
             jobs: 2,
-            schedule: BatchSchedule::WorkStealing,
             keep_artifacts: true,
             collect_stats: true,
             full_saturation: false,
@@ -2024,31 +1987,6 @@ mod tests {
         assert_eq!(out.verdicts, expected);
         assert!(effective_jobs(0) >= 1);
         assert_eq!(out.jobs_used, effective_jobs(0).min(out.groups.len()));
-    }
-
-    #[test]
-    fn fixed_and_stealing_schedules_agree() {
-        let s = schema();
-        let reqs = batch_reqs();
-        let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
-        for schedule in [BatchSchedule::Fixed, BatchSchedule::WorkStealing] {
-            for jobs in [2, 3, 8] {
-                let out = analyze_batch(
-                    &s,
-                    &reqs,
-                    &AnalysisConfig::default(),
-                    &BatchOptions {
-                        jobs,
-                        schedule,
-                        ..BatchOptions::default()
-                    },
-                );
-                assert_eq!(out.verdicts, expected, "jobs={jobs} schedule={schedule:?}");
-                if schedule == BatchSchedule::Fixed {
-                    assert_eq!(out.steals, 0, "fixed partitioning never steals");
-                }
-            }
-        }
     }
 
     #[test]

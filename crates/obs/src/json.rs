@@ -124,12 +124,13 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document (the subset this module emits, which is the
-    /// standard grammar minus `\uXXXX` surrogate pairs beyond the BMP).
+    /// Parse a JSON document. Arrays and objects nested more than 128
+    /// levels deep are an error, so hostile input cannot overflow the
+    /// recursive parser's stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -227,10 +228,19 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level; the deepest document this workspace writes, an
+/// audit report, nests about 9.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
         Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|_| Json::Bool(false)),
@@ -244,7 +254,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -269,7 +279,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -356,12 +366,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar; input is a &str, so the
-                // byte stream is valid UTF-8 by construction.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // step, so a string costs time linear in its length. Both
+                // stops are ASCII, so the run ends on a char boundary of
+                // the input, which is a &str and therefore valid UTF-8.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -483,6 +496,25 @@ mod tests {
         );
         assert!(v.get("missing").is_none());
         assert_eq!(Json::Num(2.5).as_u64(), None);
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // A half-mebibyte string mixing 1- to 4-byte characters and
+        // escapes; every unescaped run is copied whole.
+        let text = "ab\u{e9}\u{2603}\u{1D11E}\"\\\n".repeat(40_000);
+        let v = Json::str(&text);
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(Json::parse(&nested(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -7,20 +7,12 @@
 //!
 //! * [`time`] — [`Stopwatch`] and [`Phases`] for wall-clock phase timing
 //!   (parse → typecheck → unfold → closure → report; session → query);
-//! * [`counters`] — an insertion-ordered [`Counters`] registry for closure
-//!   internals (terms per capability kind, firings per rule, fixpoint
-//!   rounds, worklist high-water mark, dedup hit rate, budget headroom) and
-//!   engine statistics (queries executed, heap objects touched);
 //! * [`sink`] — the [`MetricsSink`] trait decoupling producers from
-//!   consumers, with a no-op [`NullSink`] (so instrumented code paths cost
-//!   ~nothing when metrics are off) and a [`Recorder`] that materialises a
-//!   [`MetricsReport`];
+//!   consumers, and a [`Recorder`] that materialises a [`MetricsReport`];
 //! * [`report`] — [`MetricsReport`]: a human-readable summary table and a
 //!   machine-readable JSON export;
 //! * [`json`] — a dependency-free JSON value type, writer and parser (the
 //!   build environment is offline, so no serde);
-//! * [`profile`] — process-global profiling hooks: install a callback and
-//!   every [`profile::scope`] in the pipeline reports its wall-clock to it;
 //! * [`trace`] — structured span/instant trace events with monotonic
 //!   timestamps, encoded as JSON Lines or Chrome `trace_event` JSON
 //!   (Perfetto-loadable).
@@ -32,17 +24,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod json;
-pub mod profile;
 pub mod report;
 pub mod sink;
 pub mod time;
 pub mod trace;
 
-pub use counters::Counters;
 pub use json::Json;
 pub use report::MetricsReport;
-pub use sink::{MetricsSink, NullSink, Recorder};
+pub use sink::{MetricsSink, Recorder};
 pub use time::{Phases, Stopwatch};
 pub use trace::{TraceBuffer, TraceEvent, TraceFormat};

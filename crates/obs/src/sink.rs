@@ -7,9 +7,9 @@ use crate::report::MetricsReport;
 /// Something metrics can be reported into.
 ///
 /// Producers (the closure engine, the query engine, the CLI driver) only
-/// ever see `&mut dyn MetricsSink`; whether the values end up in a table,
-/// a JSON blob, or nowhere at all is the caller's choice. Every method has
-/// a no-op default so a sink may care about only one signal kind.
+/// ever see `&mut dyn MetricsSink`; whether the values end up in a table
+/// or a JSON blob is the caller's choice. Every method has a no-op default
+/// so a sink may care about only one signal kind.
 pub trait MetricsSink {
     /// A monotone count observed at value `value`.
     fn counter(&mut self, _name: &str, _value: u64) {}
@@ -20,13 +20,6 @@ pub trait MetricsSink {
     /// A completed timed span.
     fn span(&mut self, _name: &str, _wall: Duration) {}
 }
-
-/// The sink that discards everything. This is the default wiring: code
-/// paths stay instrumented but the reports vanish at negligible cost.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricsSink for NullSink {}
 
 /// A sink that materialises everything it sees into a [`MetricsReport`].
 ///
@@ -71,14 +64,6 @@ impl MetricsSink for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut s = NullSink;
-        s.counter("a", 1);
-        s.gauge("b", 2.0);
-        s.span("c", Duration::from_millis(1));
-    }
 
     #[test]
     fn recorder_keeps_latest_counter_and_sums_spans() {

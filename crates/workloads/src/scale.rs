@@ -372,15 +372,12 @@ pub fn zipf_population(users: usize, fingerprints: usize, seed: u64) -> BatchCas
 /// [`wide_grants`] at that width) while every other user holds only
 /// `tiny_width` — one giant group next to `users - 1` tiny ones.
 ///
-/// Built for the scheduler comparison: under [`BatchSchedule::Fixed`]
-/// (static contiguous chunks) the worker that draws the giant group also
-/// owns a full chunk of tiny ones and finishes last while its neighbours
-/// idle; work stealing drains the tiny groups around the giant instead.
-/// Aim `giant_width²` at roughly `(users · tiny_width²) / jobs` so the
-/// giant group sets the makespan floor and the tiny tail is worth
-/// redistributing.
-///
-/// [`BatchSchedule::Fixed`]: secflow::algorithm::BatchSchedule
+/// Built for the batch pool: under static contiguous chunks the worker
+/// that draws the giant group also owns a full chunk of tiny ones and
+/// finishes last while its neighbours idle; work stealing drains the tiny
+/// groups around the giant instead. Aim `giant_width²` at roughly
+/// `(users · tiny_width²) / jobs` so the giant group sets the makespan
+/// floor and the tiny tail is worth redistributing.
 pub fn skewed_groups(users: usize, giant_width: usize, tiny_width: usize) -> BatchCase {
     let users = users.max(1);
     let giant_width = giant_width.max(1);
@@ -435,14 +432,14 @@ pub fn skewed_groups(users: usize, giant_width: usize, tiny_width: usize) -> Bat
 /// all the heavy groups sit *contiguously at the front* of group order.
 ///
 /// [`skewed_groups`] spreads the pain thin (one giant); this variant
-/// concentrates it. A fixed contiguous partition at `jobs` workers hands
+/// concentrates it. A static contiguous partition at `jobs` workers hands
 /// worker 0 the whole giant cluster (pick `giants ≤ users / jobs` so the
 /// cluster fits one chunk) and its critical path is the *sum* of every
 /// giant's closure cost, while the other workers' chunks drain almost
-/// immediately. A work-stealing pool redistributes the queued giants the
+/// immediately. The work-stealing pool redistributes the queued giants the
 /// moment the tiny chunks dry up, so its critical path drops toward
-/// `giants / jobs` giant-costs — the gap between the two is the scheduler
-/// duel the `population` bench experiment measures.
+/// `giants / jobs` giant-costs — the gap between the two is what the
+/// `population` bench experiment's skew row gates.
 pub fn clustered_giants(
     users: usize,
     giants: usize,
@@ -904,40 +901,28 @@ mod tests {
     }
 
     #[test]
-    fn skewed_groups_flag_every_user_under_both_schedules() {
-        use secflow::algorithm::{analyze_batch, AnalysisConfig, BatchOptions, BatchSchedule};
+    fn skewed_groups_flag_every_user() {
+        use secflow::algorithm::{analyze_batch, AnalysisConfig, BatchOptions};
         let case = skewed_groups(9, 8, 2);
         assert_eq!(case.requirements.len(), 9);
-        let fixed = analyze_batch(
+        let out = analyze_batch(
             &case.schema,
             &case.requirements,
             &AnalysisConfig::default(),
             &BatchOptions {
                 jobs: 4,
-                schedule: BatchSchedule::Fixed,
                 ..BatchOptions::default()
             },
         );
         // Every user writes its slice head and probes it.
-        for v in &fixed.verdicts {
+        for v in &out.verdicts {
             assert!(v.as_ref().unwrap().is_violated());
         }
-        assert_eq!(fixed.steals, 0);
-        let stealing = analyze_batch(
-            &case.schema,
-            &case.requirements,
-            &AnalysisConfig::default(),
-            &BatchOptions {
-                jobs: 4,
-                ..BatchOptions::default()
-            },
-        );
-        assert_eq!(stealing.verdicts, fixed.verdicts);
     }
 
     #[test]
     fn clustered_giants_front_loads_the_heavy_groups() {
-        use secflow::algorithm::{analyze_batch, AnalysisConfig, BatchOptions, BatchSchedule};
+        use secflow::algorithm::{analyze_batch, AnalysisConfig, BatchOptions};
         let case = clustered_giants(12, 3, 8, 2);
         assert_eq!(case.requirements.len(), 12);
         // The first `giants` users hold the wide capability lists; probe
@@ -947,28 +932,17 @@ mod tests {
             let expect = if j < 3 { 8 + 1 } else { 2 + 1 };
             assert_eq!(caps.len(), expect, "user u{j} capability count");
         }
-        let fixed = analyze_batch(
+        let out = analyze_batch(
             &case.schema,
             &case.requirements,
             &AnalysisConfig::default(),
             &BatchOptions {
                 jobs: 4,
-                schedule: BatchSchedule::Fixed,
                 ..BatchOptions::default()
             },
         );
-        for v in &fixed.verdicts {
+        for v in &out.verdicts {
             assert!(v.as_ref().unwrap().is_violated());
         }
-        let stealing = analyze_batch(
-            &case.schema,
-            &case.requirements,
-            &AnalysisConfig::default(),
-            &BatchOptions {
-                jobs: 4,
-                ..BatchOptions::default()
-            },
-        );
-        assert_eq!(stealing.verdicts, fixed.verdicts);
     }
 }

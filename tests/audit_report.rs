@@ -69,41 +69,73 @@ fn golden_file_is_valid_and_schema_versioned() {
     }
 }
 
+/// Every `policies/*.sfl`, plus a multi-user batch with its requirements
+/// set on the schema.
+fn audit_inputs() -> Vec<(String, oodb_lang::Schema)> {
+    let dir = format!("{}/policies", env!("CARGO_MANIFEST_DIR"));
+    let mut inputs: Vec<(String, oodb_lang::Schema)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sfl"))
+        .map(|p| {
+            let src = std::fs::read_to_string(&p).unwrap();
+            let schema =
+                secflow_cli::load_str(&src).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+            (p.display().to_string(), schema)
+        })
+        .collect();
+    inputs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut case = secflow_workloads::scale::multi_user(4, 4);
+    case.schema.requirements = case.requirements;
+    inputs.push(("multi_user(4, 4)".into(), case.schema));
+    inputs
+}
+
 #[test]
 fn every_reported_path_is_backed_by_accepted_derivations() {
-    let schema = secflow_cli::load_str(&stockbroker_source()).unwrap();
-    let outcome = audit_batch(&schema, 1);
     let mut checked = 0usize;
-    for (i, verdict) in outcome.verdicts.iter().enumerate() {
-        let Ok(secflow::Verdict::Violated(violations)) = verdict else {
-            continue;
-        };
-        let g = outcome
-            .groups
-            .iter()
-            .find(|g| g.req_indexes.contains(&i))
-            .unwrap();
-        let (prog, closure) = g.artifacts.as_ref().unwrap();
-        // The certifier accepts the whole store…
-        closure
-            .certify(prog, &secflow::rules::RuleConfig::default())
-            .expect("audit closures certify");
-        // …and each path's consecutive steps follow recorded premise edges.
-        for v in violations {
-            for w in &v.witnesses {
-                let paths = secflow::flaw_paths(closure, w, &ProvenanceOptions::default()).unwrap();
-                assert!(!paths.is_empty());
-                for p in &paths {
-                    for pair in p.steps.windows(2) {
-                        let d = closure.proof(&pair[0].term).unwrap();
-                        assert!(d.premises.contains(&pair[1].term));
-                        checked += 1;
+    for (name, schema) in audit_inputs() {
+        let outcome = audit_batch(&schema, 1);
+        for (i, verdict) in outcome.verdicts.iter().enumerate() {
+            let Ok(secflow::Verdict::Violated(violations)) = verdict else {
+                continue;
+            };
+            let g = outcome
+                .groups
+                .iter()
+                .find(|g| g.req_indexes.contains(&i))
+                .unwrap();
+            let (prog, closure) = g.artifacts.as_ref().unwrap();
+            // The certifier accepts the whole store…
+            closure
+                .certify(prog, &secflow::rules::RuleConfig::default())
+                .unwrap_or_else(|e| panic!("{name}: audit closure rejected: {e}"));
+            // …every violated requirement has at least one flaw path…
+            let mut paths_of_requirement = 0usize;
+            for v in violations {
+                for w in &v.witnesses {
+                    let paths =
+                        secflow::flaw_paths(closure, w, &ProvenanceOptions::default()).unwrap();
+                    assert!(!paths.is_empty(), "{name}: witness without a flaw path");
+                    paths_of_requirement += paths.len();
+                    // …and each path's consecutive steps follow recorded
+                    // premise edges.
+                    for p in &paths {
+                        for pair in p.steps.windows(2) {
+                            let d = closure.proof(&pair[0].term).unwrap();
+                            assert!(d.premises.contains(&pair[1].term));
+                            checked += 1;
+                        }
                     }
                 }
             }
+            assert!(
+                paths_of_requirement > 0,
+                "{name}: requirement {i} violated without provenance"
+            );
         }
     }
-    assert!(checked > 0, "the stockbroker policy has flaw paths");
+    assert!(checked > 0, "the flawed policies have flaw paths");
 }
 
 #[test]

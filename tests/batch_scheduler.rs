@@ -4,18 +4,18 @@
 //! The determinism contract of the population-scale pipeline: per-group
 //! analysis is a pure function of the group, so the *non-streaming*
 //! `analyze_batch` output must be byte-identical whatever the `jobs` count
-//! or schedule — and identical to running `analyze` per requirement, which
-//! is the semantics the pre-pool driver pinned. Streamed records may
-//! arrive in any completion order, but reassembling them by `group_index`
-//! must reproduce the buffered verdict vector exactly. The closure-cache
-//! LRU upgrade is pinned here too: on a Zipf-skewed population with an
-//! undersized cache, touch-on-hit retention must beat a FIFO replay of the
-//! same access sequence.
+//! or the order the pool runs groups in — and identical to running
+//! `analyze` per requirement, which is the semantics the pre-pool driver
+//! pinned. Streamed records may arrive in any completion order, but
+//! reassembling them by `group_index` must reproduce the buffered verdict
+//! vector exactly. The closure-cache LRU upgrade is pinned here too: on a
+//! Zipf-skewed population with an undersized cache, touch-on-hit retention
+//! must beat a FIFO replay of the same access sequence.
 
 use proptest::prelude::*;
 use secflow::algorithm::{
-    analyze, analyze_batch, analyze_batch_streaming, AnalysisConfig, BatchOptions, BatchSchedule,
-    ClosureCache, GroupRecord,
+    analyze, analyze_batch, analyze_batch_streaming, AnalysisConfig, BatchOptions, ClosureCache,
+    GroupRecord,
 };
 use secflow::report::Verdict;
 use secflow_workloads::fixtures;
@@ -61,11 +61,10 @@ fn serial_reference(case: &BatchCase) -> String {
     render_verdicts(&verdicts)
 }
 
-/// Buffered batch output under an explicit jobs/schedule pair.
-fn batch_under(case: &BatchCase, jobs: usize, schedule: BatchSchedule) -> String {
+/// Buffered batch output at an explicit jobs count.
+fn batch_under(case: &BatchCase, jobs: usize) -> String {
     let opts = BatchOptions {
         jobs,
-        schedule,
         ..BatchOptions::default()
     };
     let out = analyze_batch(
@@ -78,10 +77,9 @@ fn batch_under(case: &BatchCase, jobs: usize, schedule: BatchSchedule) -> String
 }
 
 /// Streamed records reassembled into the buffered verdict order.
-fn streamed_under(case: &BatchCase, jobs: usize, schedule: BatchSchedule) -> String {
+fn streamed_under(case: &BatchCase, jobs: usize) -> String {
     let opts = BatchOptions {
         jobs,
-        schedule,
         ..BatchOptions::default()
     };
     let sink: Mutex<Vec<GroupRecord>> = Mutex::new(Vec::new());
@@ -119,13 +117,11 @@ fn batch_is_byte_identical_across_jobs_and_schedules() {
     for (name, case) in families() {
         let reference = serial_reference(&case);
         for jobs in [1usize, 2, 3, 8] {
-            for schedule in [BatchSchedule::Fixed, BatchSchedule::WorkStealing] {
-                assert_eq!(
-                    batch_under(&case, jobs, schedule),
-                    reference,
-                    "{name}: batch output drifted at jobs={jobs}, {schedule:?}"
-                );
-            }
+            assert_eq!(
+                batch_under(&case, jobs),
+                reference,
+                "{name}: batch output drifted at jobs={jobs}"
+            );
         }
     }
 }
@@ -135,28 +131,26 @@ fn streaming_reassembles_to_the_buffered_output() {
     for (name, case) in families() {
         let reference = serial_reference(&case);
         for jobs in [1usize, 4] {
-            for schedule in [BatchSchedule::Fixed, BatchSchedule::WorkStealing] {
-                assert_eq!(
-                    streamed_under(&case, jobs, schedule),
-                    reference,
-                    "{name}: streamed records drifted at jobs={jobs}, {schedule:?}"
-                );
-            }
+            assert_eq!(
+                streamed_under(&case, jobs),
+                reference,
+                "{name}: streamed records drifted at jobs={jobs}"
+            );
         }
     }
 }
 
-/// Aggregate closure stats must not depend on the schedule: totals and
-/// maxima are folded per-worker and merged at join, and the merge contract
+/// Aggregate closure stats must not depend on which worker ran which group:
+/// totals and maxima are folded per-worker and merged at join, and the
+/// merge contract
 /// (sum vs max vs sticky, pinned field-by-field in the core suite) makes
 /// the fold order invisible.
 #[test]
 fn streamed_stats_totals_are_schedule_invariant() {
     let case = skewed_groups(17, 24, 4);
-    let totals = |jobs: usize, schedule: BatchSchedule| {
+    let totals = |jobs: usize| {
         let opts = BatchOptions {
             jobs,
-            schedule,
             collect_stats: true,
             ..BatchOptions::default()
         };
@@ -177,15 +171,13 @@ fn streamed_stats_totals_are_schedule_invariant() {
             summary.occurrences,
         )
     };
-    let reference = totals(1, BatchSchedule::WorkStealing);
+    let reference = totals(1);
     for jobs in [2usize, 8] {
-        for schedule in [BatchSchedule::Fixed, BatchSchedule::WorkStealing] {
-            assert_eq!(
-                totals(jobs, schedule),
-                reference,
-                "stats totals drifted at jobs={jobs}, {schedule:?}"
-            );
-        }
+        assert_eq!(
+            totals(jobs),
+            reference,
+            "stats totals drifted at jobs={jobs}"
+        );
     }
 }
 
@@ -261,8 +253,8 @@ fn lru_beats_fifo_on_the_zipf_population() {
 
 proptest! {
     /// Random batch shapes — including the pathological one-giant-group
-    /// skew — agree across `jobs` ∈ {1, 2, 8}, both schedules, and
-    /// streaming vs. buffered delivery.
+    /// skew — agree across `jobs` ∈ {1, 2, 8} and streaming vs. buffered
+    /// delivery.
     #[test]
     fn random_batches_agree_across_schedulers(
         family in 0usize..3,
@@ -279,20 +271,18 @@ proptest! {
         };
         let reference = serial_reference(&case);
         for jobs in [1usize, 2, 8] {
-            for schedule in [BatchSchedule::Fixed, BatchSchedule::WorkStealing] {
-                prop_assert_eq!(
-                    &batch_under(&case, jobs, schedule),
-                    &reference,
-                    "family {} drifted buffered at jobs={}, {:?}",
-                    family, jobs, schedule
-                );
-                prop_assert_eq!(
-                    &streamed_under(&case, jobs, schedule),
-                    &reference,
-                    "family {} drifted streamed at jobs={}, {:?}",
-                    family, jobs, schedule
-                );
-            }
+            prop_assert_eq!(
+                &batch_under(&case, jobs),
+                &reference,
+                "family {} drifted buffered at jobs={}",
+                family, jobs
+            );
+            prop_assert_eq!(
+                &streamed_under(&case, jobs),
+                &reference,
+                "family {} drifted streamed at jobs={}",
+                family, jobs
+            );
         }
     }
 }

@@ -531,6 +531,51 @@ fn serve_bounds_request_lines_and_keeps_serving() {
     }
 }
 
+/// The response stream of `serve_io` over `input`, which must exit 0.
+fn serve_bytes(schema: &oodb_lang::Schema, input: &[u8]) -> String {
+    let mut out = Vec::new();
+    let code = secflow_cli::serve_io(schema, input, &mut out);
+    assert_eq!(code, secflow_cli::exit::OK);
+    String::from_utf8(out).expect("responses are UTF-8")
+}
+
+#[test]
+fn serve_decodes_json_escapes_in_requests() {
+    // `\u0063lerk` is `clerk`: a request any JSON encoder may write (Python's
+    // `json.dumps` escapes every non-ASCII character this way) is answered
+    // exactly like its unescaped twin.
+    let src = std::fs::read_to_string(policy("stockbroker")).unwrap();
+    let schema = secflow_cli::load_str(&src).unwrap();
+    let plain = serve_bytes(&schema, b"{\"op\":\"check\",\"user\":\"clerk\"}\n");
+    let escaped = serve_bytes(&schema, br#"{"op":"ch\u0065ck","user":"\u0063lerk"}"#);
+    assert_eq!(escaped, plain);
+    assert!(escaped.contains("\"status\":\"violated\""), "{escaped}");
+}
+
+#[test]
+fn serve_answers_a_deeply_nested_request_and_keeps_serving() {
+    // 32 000 nested arrays fit under the 64 KiB line cap; the request
+    // parser must refuse them with one error line instead of overflowing
+    // its stack, and the check after it is still served.
+    let src = std::fs::read_to_string(policy("stockbroker")).unwrap();
+    let schema = secflow_cli::load_str(&src).unwrap();
+    let check = r#"{"op":"check","user":"clerk"}"#;
+    let nested = format!("{{\"op\":{}{}}}", "[".repeat(32_000), "]".repeat(32_000));
+    assert!(nested.len() > 64_000 && nested.len() < 65_536);
+    let out = serve_bytes(&schema, format!("{nested}\n{check}\n").as_bytes());
+    let expected = serve_bytes(&schema, check.as_bytes());
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 4, "ready + 2 responses + shutdown:\n{out}");
+    assert!(
+        lines[1].starts_with(r#"{"error":"bad request: nesting deeper than 128 levels"#),
+        "{}",
+        lines[1]
+    );
+    assert!(lines[1].ends_with(r#""request":1}"#), "{}", lines[1]);
+    assert_eq!(lines[2], expected.lines().nth(1).unwrap());
+    assert_eq!(lines[3], r#"{"shutdown":{"requests":2,"edits":0}}"#);
+}
+
 /// A `serve_mixed`-shaped policy in miniature: 40 users over a pool of 8
 /// probe functions. Users `n`, `n + 10`, `n + 20` and `n + 30` hold one
 /// capability list, and so do `u0` and `u8`, `u1` and `u9`. Every user but
