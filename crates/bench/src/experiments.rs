@@ -1054,8 +1054,8 @@ pub fn certify_overhead(smoke: bool) -> Vec<CertifyRow> {
     rows
 }
 
-/// The `demand` batch measurement: the multi-requirement workload through
-/// the batch driver, full saturation vs. demand-driven.
+/// The `demand` batch measurement: the multi-requirement workload, full
+/// saturation per user vs. the batch driver's demand arm.
 pub struct DemandBatchRow {
     /// Users (= groups) in the workload.
     pub users: usize,
@@ -1065,7 +1065,7 @@ pub struct DemandBatchRow {
     pub full_terms: u64,
     /// Terms derived across all groups, demand-driven.
     pub demand_terms: u64,
-    /// Full-saturation batch wall time, microseconds.
+    /// Full-saturation wall time over every group, microseconds.
     pub full_micros: u128,
     /// Demand-driven batch wall time, microseconds.
     pub demand_micros: u128,
@@ -1084,49 +1084,74 @@ impl DemandBatchRow {
     }
 }
 
-/// `demand` part 2 — the multi-requirement batch workload,
-/// `full_saturation` against the default demand engine (serial, so the
-/// comparison measures the engines and not the pool). The workload is
-/// [`multi_user_deep`]: each user's closure is deep-expression sized, the
-/// regime the slice prunes. Term counts come from separate
-/// stats-collecting runs so the timed runs stay uninstrumented.
+/// `demand` part 2 — the multi-requirement batch workload: the engine
+/// saturating each user's whole `S'(F)` (unfold, full proof-free closure,
+/// check, as the per-family rows run it) against the batch driver's
+/// default demand arm, both serial, so the comparison measures the engines
+/// and not the pool. The workload is [`multi_user_deep`]: each user's
+/// closure is deep-expression sized, the regime the slice prunes. Demand
+/// term counts come from a separate stats-collecting run so the timed run
+/// stays uninstrumented.
 pub fn demand_batch(smoke: bool) -> DemandBatchRow {
+    use secflow::algorithm::check_against;
     let (users, depth) = if smoke { (4, 2) } else { (8, 4) };
     let case = multi_user_deep(users, depth);
     let config = AnalysisConfig::default();
-    let opts_full = BatchOptions {
-        full_saturation: true,
-        ..BatchOptions::default()
-    };
-    let opts_demand = BatchOptions::default();
+    let mut groups: Vec<(&UserName, Vec<usize>)> = Vec::new();
+    for (i, r) in case.requirements.iter().enumerate() {
+        match groups.iter_mut().find(|(u, _)| **u == r.user) {
+            Some((_, idxs)) => idxs.push(i),
+            None => groups.push((&r.user, vec![i])),
+        }
+    }
 
+    let full_opts = config.closure_options(Goal::Full(ProofMode::Off));
     let start = Instant::now();
-    let full = analyze_batch(&case.schema, &case.requirements, &config, &opts_full);
+    let mut full_terms = 0u64;
+    let mut full = vec![None; case.requirements.len()];
+    for (user, idxs) in &groups {
+        let caps = case.schema.user(user).expect("workload user");
+        let prog = NProgram::unfold_with_limit(&case.schema, caps, config.node_limit)
+            .expect("workload unfolds");
+        let closure = Closure::saturate(&prog, &full_opts, NoopObserver)
+            .0
+            .expect("full closure");
+        full_terms += closure.len() as u64;
+        for &i in idxs {
+            full[i] = Some(check_against(&prog, &closure, &case.requirements[i]));
+        }
+    }
     let full_micros = start.elapsed().as_micros();
     let start = Instant::now();
-    let demand = analyze_batch(&case.schema, &case.requirements, &config, &opts_demand);
+    let demand = analyze_batch(
+        &case.schema,
+        &case.requirements,
+        &config,
+        &BatchOptions::default(),
+    );
     let demand_micros = start.elapsed().as_micros();
 
-    let count_terms = |full_saturation: bool| {
-        let opts = BatchOptions {
-            collect_stats: true,
-            full_saturation,
-            ..BatchOptions::default()
-        };
-        analyze_batch(&case.schema, &case.requirements, &config, &opts)
-            .groups
-            .iter()
-            .map(|g| g.stats.closure.total_terms())
-            .sum()
+    let stats_opts = BatchOptions {
+        collect_stats: true,
+        ..BatchOptions::default()
     };
+    let demand_terms = analyze_batch(&case.schema, &case.requirements, &config, &stats_opts)
+        .groups
+        .iter()
+        .map(|g| g.stats.closure.total_terms())
+        .sum();
     DemandBatchRow {
         users,
         requirements: case.requirements.len(),
-        full_terms: count_terms(true),
-        demand_terms: count_terms(false),
+        full_terms,
+        demand_terms,
         full_micros,
         demand_micros,
-        identical: full.verdicts == demand.verdicts,
+        identical: demand
+            .verdicts
+            .iter()
+            .zip(&full)
+            .all(|(d, f)| d.as_ref().ok() == f.as_ref()),
     }
 }
 

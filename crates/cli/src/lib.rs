@@ -72,7 +72,8 @@ pub mod exit {
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
-    /// `check <file> [--explain] [--jobs N] [--stream] [--full-saturation]`
+    /// `check <file> [--explain] [--certify] [--jobs N] [--stream]
+    /// [--format=text|ndjson]`
     Check {
         /// Policy file path.
         file: String,
@@ -92,10 +93,6 @@ pub enum Command {
         /// final summary object. Machine-consumable streaming — schema
         /// pinned by `ndjson_stream_schema_is_pinned`.
         ndjson: bool,
-        /// Saturate the full closure instead of the demand-driven slice.
-        /// Verdicts and output are identical; this is the escape hatch for
-        /// cross-checking the demand engine.
-        full_saturation: bool,
         /// Re-validate every recorded derivation with the independent proof
         /// checker after analysis ([`Closure::certify`]); exit 4 if any
         /// derivation is rejected. Forces proof recording and full
@@ -118,7 +115,8 @@ pub enum Command {
         max_depth: usize,
         /// Enumeration cap per witness.
         max_paths: usize,
-        /// Worker threads for the batch analysis driver (1 = serial).
+        /// Worker threads for the batch analysis driver (1 = serial,
+        /// 0 = auto-detect the machine parallelism).
         jobs: usize,
     },
     /// `unfold <file> --user <name>`
@@ -217,7 +215,7 @@ secflow — static detection of security flaws in object-oriented databases
 
 USAGE:
   secflow check  <policy-file> [--explain] [--certify] [--jobs N] [--stream]
-                               [--format=text|ndjson] [--full-saturation]
+                               [--format=text|ndjson]
                                              run every `require`; exit 1 on flaws
                                              (--jobs fans user groups across N threads
                                              under a work-stealing scheduler; N defaults
@@ -231,10 +229,7 @@ USAGE:
                                              artifacts; --stream --format=ndjson emits
                                              one compact JSON object per group record
                                              plus a final summary object instead of
-                                             text lines; --full-saturation disables the
-                                             demand-driven engine and computes the
-                                             complete closure — verdicts are identical
-                                             either way; --certify re-validates every
+                                             text lines; --certify re-validates every
                                              recorded derivation with the independent
                                              proof checker and exits 4 on any rejection)
   secflow audit  <policy-file> [--format=text|json] [--severity=low|medium|high|critical]
@@ -359,7 +354,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut jobs = 1usize;
             let mut stream = false;
             let mut ndjson = false;
-            let mut full_saturation = false;
             let mut certify = false;
             let mut args = it.peekable();
             while let Some(a) = args.next() {
@@ -368,7 +362,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--stream" => stream = true,
                     "--format=ndjson" => ndjson = true,
                     "--format=text" => ndjson = false,
-                    "--full-saturation" => full_saturation = true,
                     "--certify" => certify = true,
                     "--jobs" => {
                         // 0 is meaningful: auto-detect the machine
@@ -383,8 +376,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     other => {
                         return Err(format!(
                             "unexpected argument `{other}` (check accepts --explain, \
-                             --certify, --jobs N, --stream, --format=text|ndjson, \
-                             --full-saturation)"
+                             --certify, --jobs N, --stream, --format=text|ndjson)"
                         ))
                     }
                 }
@@ -410,7 +402,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 jobs,
                 stream,
                 ndjson,
-                full_saturation,
                 certify,
             })
         }
@@ -449,14 +440,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         }
                     }
                     "--jobs" => {
+                        // 0 auto-detects the machine parallelism, as in check.
                         jobs = args
                             .next()
                             .ok_or("audit: --jobs needs a value")?
                             .parse()
                             .map_err(|_| "audit: --jobs must be a number")?;
-                        if jobs == 0 {
-                            return Err("audit: --jobs must be at least 1".into());
-                        }
                     }
                     other if other.starts_with("--severity=") => {
                         let s = &other["--severity=".len()..];
@@ -535,33 +524,34 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 steps,
             })
         }
-        "fix" => {
-            let file = it.next().ok_or("fix: missing policy file")?;
-            Ok(Command::Fix { file: file.clone() })
-        }
-        "fmt" => {
-            let file = it.next().ok_or("fmt: missing policy file")?;
-            Ok(Command::Fmt { file: file.clone() })
-        }
-        "serve" => {
-            let mut file = None;
-            for a in it {
-                match a.as_str() {
-                    _ if file.is_none() && !a.starts_with('-') => file = Some(a.clone()),
-                    other => {
-                        return Err(format!(
-                            "unexpected argument `{other}` (serve takes only the policy file; \
-                             the session is driven by NDJSON requests on stdin)"
-                        ))
-                    }
-                }
-            }
-            Ok(Command::Serve {
-                file: file.ok_or("serve: missing policy file")?,
-            })
-        }
+        "fix" => Ok(Command::Fix {
+            file: only_file("fix", it)?,
+        }),
+        "fmt" => Ok(Command::Fmt {
+            file: only_file("fmt", it)?,
+        }),
+        "serve" => Ok(Command::Serve {
+            file: only_file("serve", it)?,
+        }),
         other => Err(format!("unknown command `{other}` (try --help)")),
     }
+}
+
+/// The policy file of a command that takes nothing else; any other
+/// argument, or a second file, is a usage error.
+fn only_file<'a>(cmd: &str, args: impl Iterator<Item = &'a String>) -> Result<String, String> {
+    let mut file = None;
+    for a in args {
+        match a.as_str() {
+            _ if file.is_none() && !a.starts_with('-') => file = Some(a.clone()),
+            other => {
+                return Err(format!(
+                    "unexpected argument `{other}` ({cmd} takes only the policy file)"
+                ))
+            }
+        }
+    }
+    file.ok_or_else(|| format!("{cmd}: missing policy file"))
 }
 
 /// Parse + type-check policy text (exposed for tests).
@@ -647,7 +637,6 @@ impl Collected {
         if let Some(c) = &self.cache {
             sink.counter("cache.hits", c.stats.hits);
             sink.counter("cache.misses", c.stats.misses);
-            sink.counter("cache.union_recomputes", c.stats.union_recomputes);
             sink.counter("cache.evictions", c.stats.evictions);
             sink.counter("cache.shard.count", c.shards as u64);
             sink.gauge("cache.shard.max_len", c.max_shard_len as f64);
@@ -676,8 +665,8 @@ impl Collected {
         for (gi, g) in self.groups.iter().enumerate() {
             let tid = gi as u64 + 1;
             let mut t = group_start;
-            // A hit checks without saturating. A union recompute saturates
-            // on the cached unfolding; a failed group checks nothing.
+            // A hit checks without saturating; a failed group checks
+            // nothing.
             let served_from_cache = !g.checks.is_empty() && g.phases.get("closure").is_none();
             for (name, d) in g.phases.iter() {
                 let mut args = vec![("user".to_owned(), Json::str(&g.user))];
@@ -721,10 +710,6 @@ impl Collected {
                 vec![
                     ("hits".to_owned(), Json::count(c.stats.hits)),
                     ("misses".to_owned(), Json::count(c.stats.misses)),
-                    (
-                        "union_recomputes".to_owned(),
-                        Json::count(c.stats.union_recomputes),
-                    ),
                     ("evictions".to_owned(), Json::count(c.stats.evictions)),
                     ("shards".to_owned(), Json::count(c.shards as u64)),
                     ("occupancy".to_owned(), Json::count(c.len as u64)),
@@ -845,14 +830,13 @@ fn execute(
             jobs,
             stream,
             ndjson,
-            full_saturation,
             certify,
             ..
         } => {
             if stream {
-                check_report_stream(&schema, jobs, full_saturation, ndjson, col, cache)
+                check_report_stream(&schema, jobs, ndjson, col, cache)
             } else {
-                check_report(&schema, explain, jobs, full_saturation, certify, col, cache)
+                check_report(&schema, explain, jobs, certify, col, cache)
             }
         }
         Command::Audit {
@@ -928,8 +912,8 @@ fn collect_batch(schema: &Schema, outcome: &BatchOutcome, col: &mut Collected) {
 }
 
 /// The cache's lifetime counters and layout, read after a run. Runs that
-/// bypass it (`--explain`, `--certify`, `--full-saturation`, `audit`)
-/// report it as the earlier runs left it.
+/// bypass it (`--explain`, `--certify`, `audit`) report it as the earlier
+/// runs left it.
 fn cache_snapshot(cache: &ClosureCache) -> CacheSnapshot {
     CacheSnapshot {
         stats: cache.stats(),
@@ -952,16 +936,13 @@ fn closure_cache() -> &'static ClosureCache {
 /// needs proof-carrying closures (and keeps them as artifacts so the
 /// rendering reuses the group's closure instead of recomputing it per
 /// requirement); the plain path runs the demand-driven engine through
-/// `cache`, instrumented or not. `--full-saturation` forces the complete
-/// closure (and bypasses the cache of partial ones). `--certify` forces
-/// proof recording and kept artifacts — the proof checker needs the whole
-/// derivation record — and also bypasses the cache, which holds proof-free
-/// partial closures.
+/// `cache`, instrumented or not. `--certify` forces proof recording and
+/// kept artifacts — the proof checker needs the whole derivation record —
+/// and also bypasses the cache, which holds proof-free partial closures.
 fn check_batch(
     schema: &Schema,
     explain: bool,
     jobs: usize,
-    full_saturation: bool,
     certify: bool,
     stats: bool,
     cache: &ClosureCache,
@@ -970,7 +951,6 @@ fn check_batch(
         jobs,
         keep_artifacts: explain || certify,
         collect_stats: stats,
-        full_saturation,
     };
     analyze_batch_cached(
         schema,
@@ -1065,7 +1045,6 @@ pub fn audit_batch(schema: &Schema, jobs: usize) -> BatchOutcome {
         jobs,
         keep_artifacts: true,
         collect_stats: true,
-        full_saturation: false,
     };
     analyze_batch_cached(
         schema,
@@ -1226,10 +1205,6 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
                 Some(stats) => Json::Obj(vec![
                     ("hits".to_owned(), Json::count(stats.hits)),
                     ("misses".to_owned(), Json::count(stats.misses)),
-                    (
-                        "union_recomputes".to_owned(),
-                        Json::count(stats.union_recomputes),
-                    ),
                     (
                         "occupancy".to_owned(),
                         match outcome.cache_occupancy {
@@ -1401,7 +1376,6 @@ fn check_report(
     schema: &Schema,
     explain: bool,
     jobs: usize,
-    full_saturation: bool,
     certify: bool,
     mut col: Option<&mut Collected>,
     cache: &ClosureCache,
@@ -1414,15 +1388,7 @@ fn check_report(
         );
         return (out, exit::OK);
     }
-    let outcome = check_batch(
-        schema,
-        explain,
-        jobs,
-        full_saturation,
-        certify,
-        col.is_some(),
-        cache,
-    );
+    let outcome = check_batch(schema, explain, jobs, certify, col.is_some(), cache);
     if let Some(col) = col.as_deref_mut() {
         collect_batch(schema, &outcome, col);
         col.cache = Some(cache_snapshot(cache));
@@ -1569,7 +1535,6 @@ fn ndjson_record(schema: &Schema, record: &GroupRecord) -> (Json, usize, usize) 
 fn check_report_stream(
     schema: &Schema,
     jobs: usize,
-    full_saturation: bool,
     ndjson: bool,
     col: Option<&mut Collected>,
     cache: &ClosureCache,
@@ -1584,7 +1549,6 @@ fn check_report_stream(
         jobs,
         keep_artifacts: false,
         collect_stats: col.is_some(),
-        full_saturation,
     };
 
     /// Renders each record into verdict lines — or one NDJSON object —
@@ -2315,7 +2279,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: true,
                 jobs: 1,
-                full_saturation: false,
                 certify: false,
                 stream: false,
                 ndjson: false,
@@ -2348,7 +2311,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: false,
                 jobs: 4,
-                full_saturation: false,
                 certify: false,
                 stream: false,
                 ndjson: false,
@@ -2363,7 +2325,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: false,
                 jobs: 0,
-                full_saturation: false,
                 certify: false,
                 stream: false,
                 ndjson: false,
@@ -2379,7 +2340,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: false,
                 jobs: 0,
-                full_saturation: false,
                 certify: false,
                 stream: true,
                 ndjson: false,
@@ -2399,7 +2359,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: false,
                 jobs: 1,
-                full_saturation: false,
                 certify: false,
                 stream: true,
                 ndjson: true,
@@ -2412,7 +2371,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: false,
                 jobs: 1,
-                full_saturation: false,
                 certify: false,
                 stream: true,
                 ndjson: false,
@@ -2434,7 +2392,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: true,
             ndjson: true,
@@ -2507,7 +2464,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -2518,7 +2474,6 @@ mod tests {
                 file: "-".into(),
                 explain: false,
                 jobs,
-                full_saturation: false,
                 certify: false,
                 stream: true,
                 ndjson: false,
@@ -2550,7 +2505,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 2,
-            full_saturation: false,
             certify: false,
             stream: true,
             ndjson: false,
@@ -2570,66 +2524,41 @@ mod tests {
     }
 
     #[test]
-    fn full_saturation_flag_parsing() {
+    fn every_command_rejects_unexpected_arguments() {
+        // Each is a usage error (the binary exits 2), never a file name to
+        // read or a flag to ignore.
+        for args in [
+            &["check", "p.sfl", "--full-saturation"][..],
+            &["check", "p.sfl", "q.sfl"],
+            &["audit", "p.sfl", "--bogus"],
+            &["unfold", "p.sfl", "--user", "clerk", "--bogus"],
+            &["attack", "p.sfl", "--bogus"],
+            &["fix", "p.sfl", "--bogus"],
+            &["fix", "--jobs"],
+            &["fix", "p.sfl", "q.sfl"],
+            &["fmt", "p.sfl", "--bogus"],
+            &["fmt", "--help"],
+            &["serve", "p.sfl", "--bogus"],
+        ] {
+            let err = parse_args(&s(args)).unwrap_err();
+            assert!(err.starts_with("unexpected argument `"), "{args:?}: {err}");
+        }
+        for cmd in ["fix", "fmt", "serve"] {
+            let err = parse_args(&s(&[cmd])).unwrap_err();
+            assert_eq!(err, format!("{cmd}: missing policy file"));
+        }
         assert_eq!(
-            parse_args(&s(&["check", "p.sfl", "--full-saturation"])),
-            Ok(Command::Check {
-                file: "p.sfl".into(),
-                explain: false,
-                jobs: 1,
-                full_saturation: true,
-                certify: false,
-                stream: false,
-                ndjson: false,
+            parse_args(&s(&["fix", "p.sfl"])),
+            Ok(Command::Fix {
+                file: "p.sfl".into()
             })
         );
-        // Unknown check flags mention the escape hatch.
-        let err = parse_args(&s(&["check", "p.sfl", "--full"])).unwrap_err();
-        assert!(err.contains("--full-saturation"), "{err}");
-    }
-
-    #[test]
-    fn full_saturation_output_is_byte_identical() {
-        let demand = Command::Check {
-            file: "-".into(),
-            explain: false,
-            jobs: 1,
-            full_saturation: false,
-            certify: false,
-            stream: false,
-            ndjson: false,
-        };
-        let full = Command::Check {
-            file: "-".into(),
-            explain: false,
-            jobs: 1,
-            full_saturation: true,
-            certify: false,
-            stream: false,
-            ndjson: false,
-        };
         assert_eq!(
-            run_on_source(&demand, POLICY),
-            run_on_source(&full, POLICY),
-            "--full-saturation must not change stdout or the exit code"
+            parse_args(&s(&["fmt", "p.sfl"])),
+            Ok(Command::Fmt {
+                file: "p.sfl".into()
+            })
         );
-    }
-
-    #[test]
-    fn explain_works_with_full_saturation() {
-        let cmd = Command::Check {
-            file: "-".into(),
-            explain: true,
-            jobs: 1,
-            full_saturation: true,
-            certify: false,
-            stream: false,
-            ndjson: false,
-        };
-        let (report, code) = run_on_source(&cmd, POLICY);
-        assert_eq!(code, 1);
-        assert!(report.contains("witness ti["));
-        assert!(report.contains("(axiom for =)"));
     }
 
     #[test]
@@ -2638,7 +2567,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -2659,7 +2587,6 @@ mod tests {
             file: "-".into(),
             explain: true,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -2668,7 +2595,6 @@ mod tests {
             file: "-".into(),
             explain: true,
             jobs: 4,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -2699,7 +2625,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: false,
                 jobs: 1,
-                full_saturation: false,
                 certify: false,
                 stream: false,
                 ndjson: false,
@@ -2760,7 +2685,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -2833,7 +2757,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -2886,7 +2809,6 @@ mod tests {
         for counter in [
             "cache.hits",
             "cache.misses",
-            "cache.union_recomputes",
             "cache.evictions",
             "cache.shard.count",
             "batch.steals",
@@ -2933,7 +2855,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -3005,7 +2926,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -3023,7 +2943,6 @@ mod tests {
             file: "-".into(),
             explain: true,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -3093,7 +3012,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -3111,7 +3029,6 @@ mod tests {
                 file: "p.sfl".into(),
                 explain: false,
                 jobs: 1,
-                full_saturation: false,
                 certify: true,
                 stream: false,
                 ndjson: false,
@@ -3128,7 +3045,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,
@@ -3137,7 +3053,6 @@ mod tests {
             file: "-".into(),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: true,
             stream: false,
             ndjson: false,
@@ -3173,7 +3088,7 @@ mod tests {
     #[test]
     fn corrupted_proofs_fail_certification_with_exit_four() {
         let schema = load_str(POLICY).unwrap();
-        let mut outcome = check_batch(&schema, false, 1, false, true, false, closure_cache());
+        let mut outcome = check_batch(&schema, false, 1, true, false, closure_cache());
         // Corrupt one recorded derivation in the first group's closure: the
         // independent checker must reject it and the CLI must map that to
         // the dedicated exit code.
@@ -3202,7 +3117,6 @@ mod tests {
             file: "-".into(),
             explain: true,
             jobs: 4,
-            full_saturation: true,
             certify: true,
             stream: false,
             ndjson: false,
@@ -3271,7 +3185,20 @@ mod tests {
         assert!(parse_args(&s(&["audit", "p.sfl", "--format=yaml"])).is_err());
         assert!(parse_args(&s(&["audit", "p.sfl", "--severity=urgent"])).is_err());
         assert!(parse_args(&s(&["audit", "p.sfl", "--mode=sideways"])).is_err());
-        assert!(parse_args(&s(&["audit", "p.sfl", "--jobs", "0"])).is_err());
+        // 0 auto-detects the machine parallelism, as in check.
+        assert_eq!(
+            parse_args(&s(&["audit", "p.sfl", "--jobs", "0"])),
+            Ok(Command::Audit {
+                file: "p.sfl".into(),
+                format: AuditFormat::Text,
+                severity: None,
+                mode: WalkMode::Backward,
+                max_depth: 64,
+                max_paths: 16,
+                jobs: 0,
+            })
+        );
+        assert!(parse_args(&s(&["audit", "p.sfl", "--jobs", "x"])).is_err());
         let err = parse_args(&s(&["audit", "p.sfl", "--explain"])).unwrap_err();
         assert!(err.contains("--severity"), "{err}");
     }

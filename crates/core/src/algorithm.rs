@@ -25,7 +25,7 @@
 use crate::closure::{
     Closure, ClosureError, ClosureOptions, Goal, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT,
 };
-use crate::demand::{goal_exprs, DemandPlan};
+use crate::demand::DemandPlan;
 use crate::report::{Occurrence, OccurrenceKind, Verdict, Violation};
 use crate::rules::RuleConfig;
 use crate::stats::{ClosureStats, NoopObserver};
@@ -394,29 +394,17 @@ pub struct BatchOptions {
     pub jobs: usize,
     /// Keep each group's `(NProgram, Closure)` on [`BatchGroup::artifacts`]
     /// so callers can render explanations, certify and walk flaw paths
-    /// without recomputing. Implies a proof-carrying
-    /// ([`ProofMode::Full`]) full saturation: all three read derivations
-    /// of arbitrary terms, which a partial or proof-free closure cannot
-    /// back.
+    /// without recomputing. Selects the full arm: an uncached,
+    /// proof-carrying ([`ProofMode::Full`]) full saturation, because all
+    /// three read derivations of arbitrary terms, which a partial or
+    /// proof-free closure cannot back. Without it every group runs the
+    /// demand arm, the only one that reads a [`ClosureCache`].
     pub keep_artifacts: bool,
     /// Collect [`ClosureStats`] and per-phase timings per group. The cache
     /// still serves: a group it serves ran no saturation, so it reports zero
     /// closure counters (under the term limit) and no `unfold`/`closure`
     /// phase.
     pub collect_stats: bool,
-    /// Force full saturation even when the group is eligible for the
-    /// demand-driven engine. Verdicts are identical either way; this is the
-    /// escape hatch (CLI `--full-saturation`) and the oracle mode for the
-    /// demand differential tests. Groups keeping artifacts saturate fully
-    /// regardless.
-    pub full_saturation: bool,
-}
-
-impl BatchOptions {
-    /// Do groups run the demand arm? Only it reads the [`ClosureCache`].
-    fn demand(&self) -> bool {
-        !self.full_saturation && !self.keep_artifacts
-    }
 }
 
 impl Default for BatchOptions {
@@ -425,7 +413,6 @@ impl Default for BatchOptions {
             jobs: 1,
             keep_artifacts: false,
             collect_stats: false,
-            full_saturation: false,
         }
     }
 }
@@ -445,8 +432,6 @@ pub struct BatchGroup {
     /// Wall-clock of each requirement's check phase, aligned with
     /// `req_indexes`.
     pub check_times: Vec<Duration>,
-    /// Occurrences checked per requirement, aligned with `req_indexes`.
-    pub check_occurrences: Vec<u64>,
     /// The shared unfolding and closure, when
     /// [`BatchOptions::keep_artifacts`] and the shared phases succeeded.
     pub artifacts: Option<(NProgram, Closure)>,
@@ -478,18 +463,18 @@ pub struct BatchOutcome {
     pub cache_stats: Option<CacheStats>,
 }
 
-/// A double-hash fingerprint of a canonical text rendering. Two 64-bit
-/// `DefaultHasher` runs with different seeds: collisions would require both
-/// to collide simultaneously, which is good enough for a cache key derived
-/// from exact pretty-printed inputs.
-fn fingerprint(tag: &str, text: &str) -> (u64, u64) {
+/// A double-hash fingerprint of a canonical value: a pretty-printed text
+/// or a structural one. Two 64-bit `DefaultHasher` runs with different
+/// seeds: collisions would require both to collide simultaneously, which
+/// is good enough for a cache key derived from exact inputs.
+fn fingerprint<T: Hash + ?Sized>(tag: &str, value: &T) -> (u64, u64) {
     let mut h1 = DefaultHasher::new();
     tag.hash(&mut h1);
-    text.hash(&mut h1);
+    value.hash(&mut h1);
     let mut h2 = DefaultHasher::new();
     0x9e37_79b9_7f4a_7c15_u64.hash(&mut h2);
     tag.hash(&mut h2);
-    text.hash(&mut h2);
+    value.hash(&mut h2);
     (h1.finish(), h2.finish())
 }
 
@@ -512,36 +497,45 @@ fn program_fingerprint(schema: &Schema) -> (u64, u64) {
     fingerprint("program", &text)
 }
 
-/// Cache key: program ([`program_fingerprint`]), capability-list and
-/// configuration fingerprints — everything a cached closure depends on.
-/// The user's *name* is deliberately excluded — two users granted identical
-/// capability lists unfold to the same `S'(F)` and saturate to the same
-/// closure, so they share an entry — and so are the other users and the
-/// requirement set.
+/// What the demand arm reads of a requirement: its target and the
+/// capabilities it asks for. The user is left out: the capability list is
+/// a key component of its own.
+fn shape(r: &Requirement) -> (&FnRef, &[Vec<Cap>], &[Cap]) {
+    (&r.target, &r.arg_caps, &r.ret_caps)
+}
+
+/// One requirement per distinct [`shape`], sorted by shape: the goal set a
+/// demand closure is computed for, in an order that does not depend on the
+/// order the group lists its requirements in.
+fn distinct_shapes<'r>(reqs: &[&'r Requirement]) -> Vec<&'r Requirement> {
+    let mut shapes = reqs.to_vec();
+    shapes.sort_by(|a, b| shape(a).cmp(&shape(b)));
+    shapes.dedup_by(|a, b| shape(a) == shape(b));
+    shapes
+}
+
+/// Cache key: the whole input of a demand closure — program
+/// ([`program_fingerprint`]), capability-list, configuration and
+/// requirement-shape fingerprints. A hit means the keys are equal. The
+/// user's *name* is deliberately excluded — two users granted identical
+/// capability lists and asking the same questions unfold to the same
+/// `S'(F)` and saturate to the same closure, so they share an entry — and
+/// so are the other users and requirements.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct CacheKey {
     program_fp: (u64, u64),
     caps_fp: (u64, u64),
     config_fp: (u64, u64),
+    shapes_fp: (u64, u64),
 }
 
-/// One cached partial closure: the shared unfolding, the slice-restricted
-/// closure, which requirement shapes it was computed for, and the
-/// occurrence memo accumulated so far.
+/// One cached demand closure: the unfolding, the slice-restricted closure
+/// and the memoized `occurrences(prog, target)` of every target in the key.
 #[derive(Clone)]
 struct CacheEntry {
     prog: Arc<NProgram>,
     closure: Arc<Closure>,
-    /// Requirement shapes the plan was built from (user field ignored).
-    covered: Vec<Requirement>,
-    /// Memoized `occurrences(prog, target)` results.
     occs: OccMemo,
-    /// The plan the closure was computed under, for slice-coverage hits.
-    plan: Arc<DemandPlan>,
-    /// Did the sliced worklist drain (no early exit)? A drained closure
-    /// answers *every* query whose goals lie inside the slice; an
-    /// early-exited one only answers the goals it was tracking.
-    drained: bool,
 }
 
 /// One lock-striped segment of a [`ClosureCache`]: entries tagged with a
@@ -564,39 +558,35 @@ impl CacheShard {
 pub struct CacheStats {
     /// Groups served without any saturation.
     pub hits: u64,
-    /// Groups that had to saturate: cold misses plus union recomputes.
+    /// Groups that found no entry under their key, and unfolded and
+    /// saturated.
     pub misses: u64,
-    /// The subset of `misses` that found a cached entry for the key but
-    /// could not cover the new goals, so the closure was recomputed —
-    /// against the cached unfolding — with the union of old and new goal
-    /// sets.
-    pub union_recomputes: u64,
     /// Entries dropped because a shard exceeded its capacity; the
     /// least-recently-touched entry of the full shard goes first.
     pub evictions: u64,
 }
 
 /// A cross-call cache of demand-driven closures, keyed by
-/// `(program, capability list, analysis config)` fingerprints, where the
-/// program is the schema's class and access-function definitions.
+/// `(program, capability list, analysis config, requirement shapes)`
+/// fingerprints, where the program is the schema's class and
+/// access-function definitions and the shapes are the group's distinct
+/// `(target, arg_caps, ret_caps)` triples.
 ///
-/// `A(R)`'s expensive phases depend only on that triple plus the goal set.
-/// Other users and the requirement set are not part of the key, since
-/// `S'(F)` never reads them, and computing a key never prints the whole
-/// policy: a check costs one user's closure, however many users and
-/// requirements the policy holds. Repeated [`analyze_batch_cached`] calls
-/// against the same policy (a `serve` session, a watch loop) rediscover the
-/// same closures. A hit requires the cached
-/// run to *cover* the new requirements: either the same requirement shape
-/// was analyzed before, or the cached worklist drained and every new goal
-/// expression lies inside the cached slice (the partial closure then
-/// already contains every term the verdict can observe). Anything else
-/// recomputes — against the cached unfolding — with the union of old and
-/// new goals, and the refreshed entry replaces the old one.
+/// A demand closure depends on exactly that input: `S'(F)` unfolds one
+/// capability list against the definitions, and the slice and early exit
+/// follow the goals of the requirement shapes. Other users and
+/// requirements are not part of the key, since neither reads them, and
+/// computing a key never prints the whole policy: a check costs one user's
+/// closure, however many users and requirements the policy holds. Repeated
+/// [`analyze_batch_cached`] calls against the same policy (a `serve`
+/// session, a watch loop) rediscover the same closures. A hit means the
+/// keys are equal; a group asking a new set of shapes misses and stores an
+/// entry of its own.
 ///
 /// Bounded LRU, lock-striped: entries are spread over `shard_count()`
-/// independently locked segments chosen by a mix of all three fingerprints,
-/// so concurrent hits on different keys never contend on one mutex. Each
+/// independently locked segments chosen by a mix of the program,
+/// capability-list and config fingerprints, so concurrent hits on different
+/// lists never contend on one mutex. Each
 /// shard evicts its least-recently-touched entry past its share of the
 /// capacity (a hit refreshes recency). Lookups hold a shard lock only
 /// briefly and saturation runs outside it (concurrent misses on one key may
@@ -606,7 +596,6 @@ pub struct ClosureCache {
     per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    union_recomputes: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -633,20 +622,16 @@ impl ClosureCache {
             per_shard,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            union_recomputes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
     /// Lifetime counters. A "hit" means a group was served without any
-    /// saturation; recompute-with-union counts as a miss even though it
-    /// reuses the cached unfolding, and is additionally tallied in
-    /// [`CacheStats::union_recomputes`].
+    /// unfolding or saturation.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            union_recomputes: self.union_recomputes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
@@ -693,7 +678,8 @@ impl ClosureCache {
         // *only* in those components, and striping on `caps_fp` alone
         // pigeonholed all of them onto a single shard — one mutex carrying
         // every lookup and one shard's LRU share bounding the whole cache.
-        // The rotations keep the three double-hashes from cancelling.
+        // The rotations keep the three double-hashes from cancelling. The
+        // shapes stay out of the mix: one list's entries share a shard.
         let mix = key.caps_fp.0
             ^ key.caps_fp.1.rotate_left(11)
             ^ key.program_fp.0.rotate_left(23)
@@ -721,11 +707,8 @@ impl ClosureCache {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_miss(&self, union_recompute: bool) {
+    fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if union_recompute {
-            self.union_recomputes.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     fn store(&self, key: CacheKey, entry: CacheEntry) {
@@ -770,44 +753,14 @@ impl fmt::Debug for ClosureCache {
             .field("shards", &self.shard_count())
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
-            .field("union_recomputes", &stats.union_recomputes)
             .field("evictions", &stats.evictions)
             .finish()
     }
 }
 
-/// Do two requirements ask the same question of the closure? The user is
-/// ignored: within one cache entry the capability list is already fixed.
-fn same_goals(a: &Requirement, b: &Requirement) -> bool {
-    a.target == b.target && a.arg_caps == b.arg_caps && a.ret_caps == b.ret_caps
-}
-
-/// Can this entry answer all of `reqs` without recomputing?
-fn entry_covers(entry: &CacheEntry, reqs: &[&Requirement]) -> bool {
-    reqs.iter().all(|r| {
-        if entry.covered.iter().any(|c| same_goals(c, r)) {
-            return true;
-        }
-        if !entry.drained {
-            return false;
-        }
-        // Drained closure: correct for any goal inside the cached slice.
-        let occs = entry
-            .occs
-            .entries
-            .iter()
-            .find(|(t, _)| *t == r.target)
-            .map(|(_, o)| Arc::clone(o))
-            .unwrap_or_else(|| Arc::new(occurrences(&entry.prog, &r.target)));
-        goal_exprs(&entry.prog, r, &occs)
-            .iter()
-            .all(|&e| entry.plan.covers_expr(e))
-    })
-}
-
 /// Shared per-call cache context: the cache plus the fingerprints that are
 /// constant across groups (program and config), computed once per call.
-/// Only the capability-list part of a [`CacheKey`] varies per group.
+/// The capability-list and shape parts of a [`CacheKey`] vary per group.
 struct CacheCtx<'a> {
     cache: &'a ClosureCache,
     program_fp: (u64, u64),
@@ -816,15 +769,15 @@ struct CacheCtx<'a> {
 
 impl<'a> CacheCtx<'a> {
     /// The context for a call under `opts`: none without a cache, and none
-    /// when every group takes the full arm, which never reads a key, so
-    /// such a call prints no program.
+    /// when the groups keep artifacts and so take the full arm, which never
+    /// reads a key, so such a call prints no program.
     fn new(
         cache: Option<&'a ClosureCache>,
         schema: &Schema,
         config: &AnalysisConfig,
         opts: &BatchOptions,
     ) -> Option<CacheCtx<'a>> {
-        let cache = cache.filter(|_| opts.demand())?;
+        let cache = cache.filter(|_| !opts.keep_artifacts)?;
         Some(CacheCtx {
             cache,
             program_fp: program_fingerprint(schema),
@@ -832,21 +785,25 @@ impl<'a> CacheCtx<'a> {
         })
     }
 
-    fn key(&self, caps: &CapabilityList) -> CacheKey {
+    /// The key of a group asking `shapes` ([`distinct_shapes`]) under
+    /// `caps`, the shapes hashed structurally.
+    fn key(&self, caps: &CapabilityList, shapes: &[&Requirement]) -> CacheKey {
+        let shapes: Vec<_> = shapes.iter().map(|r| shape(r)).collect();
         CacheKey {
             program_fp: self.program_fp,
             caps_fp: fingerprint("caps", &caps.to_string()),
             config_fp: self.config_fp,
+            shapes_fp: fingerprint("shapes", &shapes),
         }
     }
 }
 
 /// The demand arm: unfold `S'(F)` for `caps`, slice it to the goals of
-/// `group_reqs` and saturate the slice, through the cache when one is
-/// passed. An entry that cannot cover the group is recomputed against its
-/// cached unfolding with the union of old and new goals. `unfold` is timed
-/// on a cold miss and `closure` on any miss; a hit records neither, because
-/// neither ran.
+/// the group's distinct requirement shapes and saturate the slice, through
+/// the cache when one is passed. A hit returns the entry stored under the
+/// group's key; a miss computes the closure and stores it. `unfold` and
+/// `closure` are timed on a miss; a hit records neither, because neither
+/// ran.
 fn demand_shared(
     schema: &Schema,
     caps: &CapabilityList,
@@ -856,72 +813,54 @@ fn demand_shared(
     cache: Option<&CacheCtx<'_>>,
     stats: &mut AnalysisStats,
 ) -> Result<(Arc<NProgram>, Arc<Closure>, OccMemo), AnalysisError> {
-    let keyed = cache.map(|ctx| (ctx, ctx.key(caps)));
-    let prior = keyed.as_ref().and_then(|(ctx, key)| ctx.cache.lookup(key));
-    if let Some((ctx, _)) = &keyed {
-        match &prior {
-            Some(entry) if entry_covers(entry, group_reqs) => {
+    let shapes = distinct_shapes(group_reqs);
+    let keyed = cache.map(|ctx| (ctx, ctx.key(caps, &shapes)));
+    if let Some((ctx, key)) = &keyed {
+        match ctx.cache.lookup(key) {
+            Some(entry) => {
                 ctx.cache.note_hit();
                 stats.program_nodes = entry.prog.len() as u64;
                 if opts.collect_stats {
                     // Nothing saturated: zero counters under the budget.
                     stats.closure = ClosureStats::new(config.term_limit);
                 }
-                return Ok((
-                    Arc::clone(&entry.prog),
-                    Arc::clone(&entry.closure),
-                    entry.occs.clone(),
-                ));
+                return Ok((entry.prog, entry.closure, entry.occs));
             }
-            _ => ctx.cache.note_miss(prior.is_some()),
+            None => ctx.cache.note_miss(),
         }
     }
-    let (prog, mut memo, mut covered) = match prior {
-        Some(entry) => (entry.prog, entry.occs, entry.covered),
-        None => {
-            let prog = stats.phases.time("unfold", || {
-                NProgram::unfold_with_limit(schema, caps, config.node_limit)
-            })?;
-            (Arc::new(prog), OccMemo::default(), Vec::new())
-        }
-    };
+    let prog = stats.phases.time("unfold", || {
+        NProgram::unfold_with_limit(schema, caps, config.node_limit)
+    })?;
     stats.program_nodes = prog.len() as u64;
-    for r in group_reqs {
-        if !covered.iter().any(|c| same_goals(c, r)) {
-            covered.push((*r).clone());
-        }
-    }
-    let (closure, plan) = stats.phases.time("closure", || {
+    let mut memo = OccMemo::default();
+    let closure = stats.phases.time("closure", || {
         let occs: Vec<Arc<Vec<Occurrence>>> =
-            covered.iter().map(|r| memo.get(&prog, &r.target)).collect();
+            shapes.iter().map(|r| memo.get(&prog, &r.target)).collect();
         let plan = DemandPlan::build(
             &prog,
-            covered.iter().zip(&occs).map(|(r, o)| (r, o.as_slice())),
+            shapes.iter().zip(&occs).map(|(r, o)| (*r, o.as_slice())),
         );
         let copts = config.closure_options(Goal::Demand(&plan));
-        let closure = saturate(&prog, &copts, opts.collect_stats, &mut stats.closure);
-        (closure, plan)
-    });
-    let closure = Arc::new(closure?);
+        saturate(&prog, &copts, opts.collect_stats, &mut stats.closure)
+    })?;
+    let (prog, closure) = (Arc::new(prog), Arc::new(closure));
     if let Some((ctx, key)) = keyed {
         ctx.cache.store(
             key,
             CacheEntry {
                 prog: Arc::clone(&prog),
                 closure: Arc::clone(&closure),
-                covered,
                 occs: memo.clone(),
-                plan: Arc::new(plan),
-                drained: !closure.early_exited(),
             },
         );
     }
     Ok((prog, closure, memo))
 }
 
-/// The full arm: unfold `S'(F)` for `caps` and saturate all of it, with
-/// proofs when the artifacts are kept. The cache holds partial closures,
-/// so this arm never uses it.
+/// The full arm: unfold `S'(F)` for `caps` and saturate all of it with
+/// proofs, for callers that keep the artifacts. The cache holds partial,
+/// proof-free closures, so this arm never uses it.
 fn full_shared(
     schema: &Schema,
     caps: &CapabilityList,
@@ -933,12 +872,7 @@ fn full_shared(
         NProgram::unfold_with_limit(schema, caps, config.node_limit)
     })?;
     stats.program_nodes = prog.len() as u64;
-    let proofs = if opts.keep_artifacts {
-        ProofMode::Full
-    } else {
-        ProofMode::Off
-    };
-    let copts = config.closure_options(Goal::Full(proofs));
+    let copts = config.closure_options(Goal::Full(ProofMode::Full));
     let closure = stats.phases.time("closure", || {
         saturate(&prog, &copts, opts.collect_stats, &mut stats.closure)
     })?;
@@ -1009,10 +943,10 @@ pub fn analyze_batch(
 /// [`analyze_batch`] with an optional cross-call [`ClosureCache`].
 ///
 /// Cache reuse applies to every group that runs demand-driven
-/// (`!full_saturation`, `!keep_artifacts`); full and proof-carrying
-/// closures bypass it. Collecting stats does not: a group the cache serves
-/// ran no saturation, so it adds no closure counters. Passing `None` is
-/// exactly [`analyze_batch`].
+/// (`!keep_artifacts`); the full, proof-carrying closures of kept artifacts
+/// bypass it. Collecting stats does not: a group the cache serves ran no
+/// saturation, so it adds no closure counters. Passing `None` is exactly
+/// [`analyze_batch`].
 pub fn analyze_batch_cached(
     schema: &Schema,
     reqs: &[Requirement],
@@ -1362,14 +1296,13 @@ fn run_group(
         req_indexes: req_indexes.clone(),
         stats: AnalysisStats::default(),
         check_times: Vec::with_capacity(req_indexes.len()),
-        check_occurrences: Vec::with_capacity(req_indexes.len()),
         artifacts: None,
     };
     // Demand-driven saturation answers exactly the goal queries the checks
     // below will make; kept artifacts are inspected beyond those queries
     // (derivations of arbitrary terms), so they need the full fixpoint.
     let shared = caps.and_then(|caps| {
-        if !opts.demand() {
+        if opts.keep_artifacts {
             return full_shared(schema, caps, config, opts, &mut group.stats);
         }
         let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
@@ -1396,7 +1329,6 @@ fn run_group(
                 let req = &reqs[i];
                 let start = Instant::now();
                 let occs = memo.get(&prog, &req.target);
-                group.check_occurrences.push(occs.len() as u64);
                 group.stats.occurrences_checked += occs.len() as u64;
                 let v = check_with_occurrences(&prog, &*closure, req, &occs);
                 let elapsed = start.elapsed();
@@ -1675,7 +1607,6 @@ mod tests {
             jobs: 2,
             keep_artifacts: true,
             collect_stats: true,
-            full_saturation: false,
         };
         let out = analyze_batch(&s, &reqs, &AnalysisConfig::default(), &opts);
         assert_eq!(out.jobs_used, 2);
@@ -1688,7 +1619,6 @@ mod tests {
             assert!(g.stats.phases.get("check").is_some());
             assert!(g.stats.closure.total_terms() as usize == closure.len());
             assert_eq!(g.check_times.len(), g.req_indexes.len());
-            assert_eq!(g.check_occurrences.len(), g.req_indexes.len());
         }
         // Proof-carrying artifacts can render derivations (the --explain
         // path reuses them instead of recomputing).
@@ -1698,8 +1628,9 @@ mod tests {
     }
 
     #[test]
-    fn analyze_matches_full_saturation_on_the_fixture() {
+    fn analyze_matches_the_oracle_on_the_fixture() {
         let s = schema();
+        let config = AnalysisConfig::default();
         for req in [
             "(clerk, r_salary(x) : ti)",
             "(safe_clerk, r_salary(x) : ti)",
@@ -1709,43 +1640,22 @@ mod tests {
             "(safe_payroll, r_name(x) : ti)",
         ] {
             let r = parse_requirement(req).unwrap();
-            let demand = analyze(&s, &r).unwrap();
-            let full = analyze_batch(
-                &s,
-                std::slice::from_ref(&r),
-                &AnalysisConfig::default(),
-                &BatchOptions {
-                    full_saturation: true,
-                    ..BatchOptions::default()
-                },
-            )
-            .verdicts
-            .remove(0)
-            .unwrap();
-            assert_eq!(demand, full, "{req}");
+            let oracle = crate::reference::analyze_ref(&s, &r, &config).unwrap();
+            assert_eq!(analyze(&s, &r).unwrap(), oracle, "{req}");
         }
     }
 
     #[test]
-    fn batch_full_saturation_matches_demand_default() {
+    fn batch_demand_matches_the_oracle() {
         let s = schema();
         let reqs = batch_reqs();
-        let demand = analyze_batch(
-            &s,
-            &reqs,
-            &AnalysisConfig::default(),
-            &BatchOptions::default(),
-        );
-        let full = analyze_batch(
-            &s,
-            &reqs,
-            &AnalysisConfig::default(),
-            &BatchOptions {
-                full_saturation: true,
-                ..BatchOptions::default()
-            },
-        );
-        assert_eq!(demand.verdicts, full.verdicts);
+        let config = AnalysisConfig::default();
+        let demand = analyze_batch(&s, &reqs, &config, &BatchOptions::default());
+        let oracle: Vec<_> = reqs
+            .iter()
+            .map(|r| crate::reference::analyze_ref(&s, r, &config))
+            .collect();
+        assert_eq!(demand.verdicts, oracle);
         assert_eq!(
             demand.cache_occupancy, None,
             "uncached batches report no occupancy"
@@ -1762,7 +1672,6 @@ mod tests {
         let first = analyze_batch_cached(&s, &reqs, &config, &opts, Some(&cache));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 4), "four users, all cold");
-        assert_eq!(stats.union_recomputes, 0, "cold misses are not recomputes");
         assert_eq!(cache.len(), 4);
         assert_eq!(
             first.cache_occupancy,
@@ -1782,40 +1691,45 @@ mod tests {
     }
 
     #[test]
-    fn cache_unions_goals_for_new_requirements() {
+    fn cache_keys_are_exact_requirement_shape_sets() {
+        // One capability list, three shape sets: each set is a key of its
+        // own, and a hit means the group asked exactly a stored set.
         let s = schema();
         let config = AnalysisConfig::default();
         let opts = BatchOptions::default();
         let cache = ClosureCache::new(8);
-        let first = [parse_requirement("(clerk, r_salary(x) : ti)").unwrap()];
-        analyze_batch_cached(&s, &first, &config, &opts, Some(&cache));
-        // A different goal on the same user: recompute against the cached
-        // unfolding with the union of goal sets, then serve both shapes.
-        let second = [parse_requirement("(clerk, r_budget(x) : ta)").unwrap()];
-        let out = analyze_batch_cached(&s, &second, &config, &opts, Some(&cache));
-        assert_eq!(
-            out.verdicts[0],
-            analyze(&s, &second[0]),
-            "union recompute keeps verdicts identical"
-        );
-        assert_eq!(cache.len(), 1, "same key, refreshed entry");
-        assert_eq!(
-            cache.stats().union_recomputes,
-            1,
-            "second goal shape recomputed against the cached entry"
-        );
-        let both: Vec<_> = ["(clerk, r_salary(x) : ti)", "(clerk, r_budget(x) : ta)"]
-            .iter()
-            .map(|r| parse_requirement(r).unwrap())
-            .collect();
-        let before = cache.stats();
-        let out = analyze_batch_cached(&s, &both, &config, &opts, Some(&cache));
-        let after = cache.stats();
-        assert_eq!(after.hits, before.hits + 1, "union entry hits");
-        assert_eq!(after.misses, before.misses, "no further misses");
-        assert_eq!(after.union_recomputes, before.union_recomputes);
-        let expected: Vec<_> = both.iter().map(|r| analyze(&s, r)).collect();
-        assert_eq!(out.verdicts, expected);
+        let reqs = |texts: &[&str]| -> Vec<Requirement> {
+            texts
+                .iter()
+                .map(|r| parse_requirement(r).unwrap())
+                .collect()
+        };
+        let a = reqs(&["(clerk, r_salary(x) : ti)"]);
+        let b = reqs(&["(clerk, r_budget(x) : ta)"]);
+        let both = reqs(&["(clerk, r_budget(x) : ta)", "(clerk, r_salary(x) : ti)"]);
+        let run = |batch: &[Requirement]| {
+            let before = cache.stats();
+            let out = analyze_batch_cached(&s, batch, &config, &opts, Some(&cache));
+            let expected: Vec<_> = batch.iter().map(|r| analyze(&s, r)).collect();
+            assert_eq!(out.verdicts, expected);
+            let after = cache.stats();
+            (after.hits - before.hits, after.misses - before.misses)
+        };
+        assert_eq!(run(&a), (0, 1), "A is cold");
+        assert_eq!(run(&b), (0, 1), "B is another key on the same list");
+        assert_eq!(cache.len(), 2);
+        assert_eq!(run(&a), (1, 0), "A is served from its own entry");
+        assert_eq!(run(&b), (1, 0), "B is served from its own entry");
+        assert_eq!(run(&both), (0, 1), "A+B is a third key");
+        assert_eq!(cache.len(), 3);
+        // Order and repeats within a group do not change the key.
+        let again = reqs(&[
+            "(clerk, r_salary(x) : ti)",
+            "(clerk, r_budget(x) : ta)",
+            "(clerk, r_salary(x) : ti)",
+        ]);
+        assert_eq!(run(&again), (1, 0), "the same shape set hits");
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
@@ -2073,20 +1987,13 @@ mod tests {
         let reqs = batch_reqs();
         let config = AnalysisConfig::default();
         let cache = ClosureCache::new(8);
-        for opts in [
-            BatchOptions {
-                keep_artifacts: true,
-                ..BatchOptions::default()
-            },
-            BatchOptions {
-                full_saturation: true,
-                ..BatchOptions::default()
-            },
-        ] {
-            let out = analyze_batch_cached(&s, &reqs, &config, &opts, Some(&cache));
-            let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
-            assert_eq!(out.verdicts, expected);
-        }
+        let opts = BatchOptions {
+            keep_artifacts: true,
+            ..BatchOptions::default()
+        };
+        let out = analyze_batch_cached(&s, &reqs, &config, &opts, Some(&cache));
+        let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
+        assert_eq!(out.verdicts, expected);
         assert!(cache.is_empty(), "ineligible runs never touch the cache");
         assert_eq!(cache.stats(), CacheStats::default());
     }

@@ -223,20 +223,6 @@ impl GoalTracker {
     }
 }
 
-/// The expressions the verdict check will query for one requirement — the
-/// union of its tracked occurrences' goal expressions. Used by the batch
-/// closure cache to decide whether a cached slice already answers a new
-/// requirement.
-pub fn goal_exprs(prog: &NProgram, req: &Requirement, occs: &[Occurrence]) -> Vec<ExprId> {
-    let mut out = Vec::new();
-    for occ in occs {
-        if let Some(pairs) = occurrence_goals(prog, req, occ) {
-            out.extend(pairs.into_iter().map(|(e, _)| e));
-        }
-    }
-    out
-}
-
 /// The capability queries `occurrence_violates` will make on this
 /// occurrence, or `None` when the occurrence can never be violated (a
 /// `ti`/`pi` capability demanded on a non-basic outer parameter, or more
@@ -503,14 +489,16 @@ mod tests {
     }
 
     #[test]
-    fn goal_exprs_union_over_occurrences() {
+    fn plan_tracks_the_goal_of_each_occurrence() {
         let s = schema();
         let prog = clerk_prog(&s);
         let req = parse_requirement("(clerk, r_budget(x) : ti)").unwrap();
         let occs = occurrences(&prog, &req.target);
-        // Outer occurrence (ret 2 of the standalone grant? none — clerk has
-        // no outer r_budget) plus the inner node 2.
-        let exprs = goal_exprs(&prog, &req, &occs);
-        assert_eq!(exprs, vec![2]);
+        // No outer occurrence (clerk holds no r_budget), one inner node 2:
+        // a single goal, ti on 2, decides the plan.
+        let plan = DemandPlan::build(&prog, [(&req, occs.as_slice())]);
+        assert_eq!((plan.tracked_occurrences(), plan.goal_count()), (1, 1));
+        let mut tr = plan.tracker();
+        assert!(tr.on_insert(&Term::Ti(2, crate::term::Origin::AXIOM)));
     }
 }

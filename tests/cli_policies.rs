@@ -12,7 +12,6 @@ fn check_stockbroker_policy_file() {
         file: policy("stockbroker"),
         explain: true,
         jobs: 1,
-        full_saturation: false,
         certify: false,
         stream: false,
         ndjson: false,
@@ -33,7 +32,6 @@ fn check_hospital_policy_file() {
         file: policy("hospital"),
         explain: false,
         jobs: 1,
-        full_saturation: false,
         certify: false,
         stream: false,
         ndjson: false,
@@ -51,7 +49,6 @@ fn bank_policy_shows_pessimism() {
         file: policy("bank"),
         explain: false,
         jobs: 1,
-        full_saturation: false,
         certify: false,
         stream: false,
         ndjson: false,
@@ -98,7 +95,6 @@ fn missing_file_exits_three() {
         file: policy("does_not_exist"),
         explain: false,
         jobs: 1,
-        full_saturation: false,
         certify: false,
         stream: false,
         ndjson: false,
@@ -115,7 +111,6 @@ fn exit_codes_are_distinct_per_outcome_class() {
         file: policy("stockbroker_safe"),
         explain: false,
         jobs: 1,
-        full_saturation: false,
         certify: false,
         stream: false,
         ndjson: false,
@@ -125,7 +120,6 @@ fn exit_codes_are_distinct_per_outcome_class() {
         file: policy("stockbroker"),
         explain: false,
         jobs: 1,
-        full_saturation: false,
         certify: false,
         stream: false,
         ndjson: false,
@@ -138,7 +132,6 @@ fn exit_codes_are_distinct_per_outcome_class() {
         file: policy("does_not_exist"),
         explain: false,
         jobs: 1,
-        full_saturation: false,
         certify: false,
         stream: false,
         ndjson: false,
@@ -162,27 +155,38 @@ fn exit_codes_are_distinct_per_outcome_class() {
     }
 }
 
+/// Every checked-in policy file, sorted.
+fn policy_files() -> Vec<std::path::PathBuf> {
+    let dir = format!("{}/policies", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("policies/ is readable")
+        .map(|e| e.expect("policies/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sfl"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 4, "expected the fixture policies in {dir}");
+    files
+}
+
+/// `--certify` runs the full, proof-carrying closure and the plain run the
+/// demand-driven one: on every policy file the verdict lines and the exit
+/// code must agree, and every derivation must certify.
 #[test]
 fn certify_passes_on_every_policy_file() {
-    for name in ["stockbroker", "hospital", "bank"] {
-        let plain = run(&Command::Check {
-            file: policy(name),
-            explain: false,
-            jobs: 1,
-            full_saturation: false,
-            certify: false,
-            stream: false,
-            ndjson: false,
-        });
-        let (report, code) = run(&Command::Check {
-            file: policy(name),
-            explain: false,
-            jobs: 1,
-            full_saturation: false,
-            certify: true,
-            stream: false,
-            ndjson: false,
-        });
+    for path in policy_files() {
+        let name = path.display().to_string();
+        let check = |certify| {
+            run(&Command::Check {
+                file: name.clone(),
+                explain: false,
+                jobs: 1,
+                certify,
+                stream: false,
+                ndjson: false,
+            })
+        };
+        let plain = check(false);
+        let (report, code) = check(true);
         assert_eq!(code, plain.1, "{name}: --certify changed the exit code");
         assert!(
             report.starts_with(&plain.0),
@@ -192,31 +196,6 @@ fn certify_passes_on_every_policy_file() {
             report.contains("certified: "),
             "{name}: missing certify summary"
         );
-    }
-}
-
-#[test]
-fn full_saturation_matches_demand_on_policy_files() {
-    for name in ["stockbroker", "hospital", "bank"] {
-        let demand = run(&Command::Check {
-            file: policy(name),
-            explain: false,
-            jobs: 1,
-            full_saturation: false,
-            certify: false,
-            stream: false,
-            ndjson: false,
-        });
-        let full = run(&Command::Check {
-            file: policy(name),
-            explain: false,
-            jobs: 1,
-            full_saturation: true,
-            certify: false,
-            stream: false,
-            ndjson: false,
-        });
-        assert_eq!(demand, full, "{name}: --full-saturation changed the output");
     }
 }
 
@@ -237,38 +216,28 @@ fn instrumented_check_agrees_with_plain_on_every_flag_set() {
             format: TraceFormat::Jsonl,
         }),
     };
-    // (explain, certify, full_saturation, stream, ndjson)
+    // (explain, certify, stream, ndjson)
     let flag_sets = [
-        (false, false, false, false, false),
-        (true, false, false, false, false),
-        (false, true, false, false, false),
-        (false, false, true, false, false),
-        (true, true, true, false, false),
-        (false, false, false, true, false),
-        (false, false, false, true, true),
+        (false, false, false, false),
+        (true, false, false, false),
+        (false, true, false, false),
+        (true, true, false, false),
+        (false, false, true, false),
+        (false, false, true, true),
     ];
-    let dir = format!("{}/policies", env!("CARGO_MANIFEST_DIR"));
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("policies/ is readable")
-        .map(|e| e.expect("policies/ entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "sfl"))
-        .collect();
-    files.sort();
-    assert!(files.len() >= 4, "expected the fixture policies in {dir}");
     let sorted_lines = |text: &str| {
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
         lines.sort();
         lines
     };
-    for path in &files {
-        let src = std::fs::read_to_string(path).expect("policy file is readable");
-        for (explain, certify, full_saturation, stream, ndjson) in flag_sets {
+    for path in policy_files() {
+        let src = std::fs::read_to_string(&path).expect("policy file is readable");
+        for (explain, certify, stream, ndjson) in flag_sets {
             for jobs in [1, 4] {
                 let cmd = Command::Check {
                     file: path.display().to_string(),
                     explain,
                     jobs,
-                    full_saturation,
                     certify,
                     stream,
                     ndjson,
@@ -294,11 +263,6 @@ fn instrumented_check_agrees_with_plain_on_every_flag_set() {
             }
         }
     }
-}
-
-#[test]
-fn usage_documents_full_saturation() {
-    assert!(secflow_cli::USAGE.contains("--full-saturation"));
 }
 
 #[test]
@@ -371,7 +335,6 @@ fn audit_agrees_with_check_on_every_policy_file() {
             file: policy(name),
             explain: false,
             jobs: 1,
-            full_saturation: false,
             certify: false,
             stream: false,
             ndjson: false,

@@ -13,10 +13,10 @@ use oodb_lang::requirement::Requirement;
 use oodb_lang::Schema;
 use proptest::prelude::*;
 use secflow::algorithm::{
-    analyze_batch, AnalysisConfig, AnalysisError, BatchOptions, ClosureCache,
+    analyze_batch, check_against, AnalysisConfig, AnalysisError, BatchOptions, ClosureCache,
 };
 use secflow::algorithm::{analyze_batch_cached, occurrences};
-use secflow::closure::{Closure, ClosureOptions, Goal};
+use secflow::closure::{Closure, ClosureOptions, Goal, ProofMode};
 use secflow::demand::DemandPlan;
 use secflow::report::Verdict;
 use secflow::stats::NoopObserver;
@@ -25,22 +25,38 @@ use secflow::unfold::{ExprId, NProgram};
 use secflow_workloads::random::{random_case, RandomSpec};
 use secflow_workloads::scale;
 
-/// One requirement as a batch of one — demand-driven, or fully saturated
-/// when `full` — so every comparison below asks about exactly one
-/// requirement's demand slice.
-fn one(
+/// One requirement as a batch of one through the demand arm, so every
+/// comparison below asks about exactly one requirement's demand slice.
+fn demand(
     schema: &Schema,
     req: &Requirement,
     config: &AnalysisConfig,
-    full: bool,
 ) -> Result<Verdict, AnalysisError> {
-    let opts = BatchOptions {
-        full_saturation: full,
-        ..BatchOptions::default()
-    };
-    analyze_batch(schema, std::slice::from_ref(req), config, &opts)
-        .verdicts
-        .remove(0)
+    analyze_batch(
+        schema,
+        std::slice::from_ref(req),
+        config,
+        &BatchOptions::default(),
+    )
+    .verdicts
+    .remove(0)
+}
+
+/// The same requirement on the engine without the driver: unfold the
+/// user's `S'(F)`, saturate all of it under `config`'s rules and budget,
+/// and check.
+fn full(
+    schema: &Schema,
+    req: &Requirement,
+    config: &AnalysisConfig,
+) -> Result<Verdict, AnalysisError> {
+    let caps = schema
+        .user(&req.user)
+        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
+    let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
+    let opts = config.closure_options(Goal::Full(ProofMode::Off));
+    let closure = Closure::saturate(&prog, &opts, NoopObserver).0?;
+    Ok(check_against(&prog, &closure, req))
 }
 
 /// The demand engine on one plan vs. the full engine on the same program:
@@ -118,9 +134,9 @@ fn scale_families_verdicts_and_closures_identical() {
     ];
     let config = AnalysisConfig::default();
     for (label, case) in cases {
-        let demand = one(&case.schema, &case.requirement, &config, false);
-        let full = one(&case.schema, &case.requirement, &config, true);
-        assert_eq!(demand, full, "{label}: verdicts differ");
+        let d = demand(&case.schema, &case.requirement, &config);
+        let f = full(&case.schema, &case.requirement, &config);
+        assert_eq!(d, f, "{label}: verdicts differ");
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
         let plan = DemandPlan::for_requirement(&prog, &case.requirement);
@@ -132,8 +148,13 @@ fn scale_families_verdicts_and_closures_identical() {
 fn multi_user_batch_demand_matches_full_saturation() {
     let case = scale::multi_user(4, 8);
     let config = AnalysisConfig::default();
+    let expected: Vec<_> = case
+        .requirements
+        .iter()
+        .map(|r| full(&case.schema, r, &config))
+        .collect();
     for jobs in [1, 4] {
-        let demand = analyze_batch(
+        let batch = analyze_batch(
             &case.schema,
             &case.requirements,
             &config,
@@ -142,17 +163,7 @@ fn multi_user_batch_demand_matches_full_saturation() {
                 ..BatchOptions::default()
             },
         );
-        let full = analyze_batch(
-            &case.schema,
-            &case.requirements,
-            &config,
-            &BatchOptions {
-                jobs,
-                full_saturation: true,
-                ..BatchOptions::default()
-            },
-        );
-        assert_eq!(demand.verdicts, full.verdicts, "jobs={jobs}");
+        assert_eq!(batch.verdicts, expected, "jobs={jobs}");
     }
 }
 
@@ -165,7 +176,7 @@ fn cached_batches_stay_identical_across_calls() {
     let baseline: Vec<_> = case
         .requirements
         .iter()
-        .map(|r| one(&case.schema, r, &config, true))
+        .map(|r| full(&case.schema, r, &config))
         .collect();
     for round in 0..3 {
         let out = analyze_batch_cached(
@@ -180,7 +191,6 @@ fn cached_batches_stay_identical_across_calls() {
     let stats = cache.stats();
     assert_eq!(stats.misses, 4, "one cold miss per user group");
     assert_eq!(stats.hits, 8, "rounds two and three fully cached");
-    assert_eq!(stats.union_recomputes, 0, "repeat rounds never widen goals");
 }
 
 /// `TermLimit` aborts identically: the demand engine's inserts are a
@@ -206,9 +216,9 @@ fn term_limit_aborts_agree_on_the_paper_fixture() {
             term_limit: limit,
             ..AnalysisConfig::default()
         };
-        let demand = one(&schema, &req, &config, false);
-        let full = one(&schema, &req, &config, true);
-        match (&demand, &full) {
+        let d = demand(&schema, &req, &config);
+        let f = full(&schema, &req, &config);
+        match (&d, &f) {
             // Demand hitting the budget implies full hits it (subsequence).
             (Err(AnalysisError::Closure(_)), f) => assert!(
                 matches!(f, Err(AnalysisError::Closure(_))),
@@ -216,7 +226,7 @@ fn term_limit_aborts_agree_on_the_paper_fixture() {
             ),
             // Full aborting while demand fits is the optimisation working.
             (_, Err(AnalysisError::Closure(_))) => {}
-            _ => assert_eq!(demand, full, "limit={limit}"),
+            _ => assert_eq!(d, f, "limit={limit}"),
         }
     }
 }
@@ -231,9 +241,9 @@ proptest! {
         let case = random_case(seed, &RandomSpec::default());
         let config = AnalysisConfig::default();
         for req in &case.requirements {
-            let demand = one(&case.schema, req, &config, false);
-            let full = one(&case.schema, req, &config, true);
-            prop_assert_eq!(&demand, &full, "verdict differs for seed {} req {}", seed, req);
+            let d = demand(&case.schema, req, &config);
+            let f = full(&case.schema, req, &config);
+            prop_assert_eq!(&d, &f, "verdict differs for seed {} req {}", seed, req);
         }
     }
 
@@ -262,9 +272,9 @@ proptest! {
             ..AnalysisConfig::default()
         };
         for req in &case.requirements {
-            let demand = one(&case.schema, req, &config, false);
-            let full = one(&case.schema, req, &config, true);
-            match (&demand, &full) {
+            let d = demand(&case.schema, req, &config);
+            let f = full(&case.schema, req, &config);
+            match (&d, &f) {
                 // Demand aborting implies full aborts: demand's inserts are
                 // a subsequence of full's, so it reaches any budget later.
                 (Err(AnalysisError::Closure(_)), f) => prop_assert!(
@@ -274,7 +284,7 @@ proptest! {
                 // The converse is the optimisation working as intended: the
                 // sliced run can fit a budget the full closure exceeds.
                 (_, Err(AnalysisError::Closure(_))) => {}
-                _ => prop_assert_eq!(&demand, &full, "seed {} req {}", seed, req),
+                _ => prop_assert_eq!(&d, &f, "seed {} req {}", seed, req),
             }
         }
     }
