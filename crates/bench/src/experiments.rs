@@ -830,7 +830,7 @@ pub fn batch_throughput(smoke: bool) -> Vec<BatchRow> {
         rows.push(BatchRow {
             users,
             requirements: case.requirements.len(),
-            jobs: out.jobs_used,
+            jobs: out.summary.jobs_used,
             micros,
         });
     }

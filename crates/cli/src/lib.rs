@@ -26,8 +26,8 @@
 //! Exit codes are distinct per outcome class (see [`exit`]):
 //! 0 = all requirements satisfied, 1 = at least one violated,
 //! 2 = command-line usage error, 3 = input error (unreadable file,
-//! parse/type/analysis failure), 4 = `--certify`/`audit` rejected a
-//! derivation.
+//! parse/type/analysis failure, or output that cannot be written),
+//! 4 = `--certify`/`audit` rejected a derivation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,20 +36,21 @@ use oodb_lang::{check_schema, parse_schema, Schema};
 use oodb_model::{FnRef, UserName};
 use secflow::algorithm::{
     analyze_batch_cached, analyze_batch_streaming, occurrences, AnalysisConfig, AnalysisSink,
-    BatchOptions, BatchOutcome, CacheStats, ClosureCache, GroupRecord,
+    AnalysisStats, BatchGroup, BatchOptions, BatchOutcome, CacheStats, ClosureCache, GroupRecord,
+    StreamSummary,
 };
 use secflow::closure::Closure;
 use secflow::incremental::IncrementalUser;
 use secflow::provenance::{audit_witness, render_path, ProvenanceOptions, Severity, WalkMode};
 use secflow::report::{render_derivation, render_term, Verdict};
-use secflow::stats::ClosureStats;
 use secflow::unfold::NProgram;
 use secflow_dynamic::attack_requirement;
 use secflow_dynamic::strategy::StrategySpec;
 use secflow_dynamic::AttackerConfig;
 use secflow_obs::{Json, MetricsSink, Phases, Recorder, TraceBuffer, TraceFormat};
 use std::fmt::Write as _;
-use std::sync::OnceLock;
+use std::io::{self, Write};
+use std::sync::{Mutex, OnceLock};
 
 /// Process exit codes, one constant per outcome class. Scripts can rely on
 /// these staying distinct: a missing input file (3) is distinguishable from
@@ -62,7 +63,9 @@ pub mod exit {
     /// Command-line usage error: unknown command, unknown flag, bad value.
     pub const USAGE: i32 = 2;
     /// Input error: unreadable policy file, parse or type errors, unknown
-    /// user, or an analysis failure (e.g. the term budget aborting).
+    /// user, or an analysis failure (e.g. the term budget aborting) — and
+    /// output that cannot be written (a closed stdout), after which nothing
+    /// more is written.
     pub const INPUT: i32 = 3;
     /// `--certify` found a recorded derivation the independent proof
     /// checker rejects.
@@ -282,7 +285,8 @@ EXIT CODES (distinct per outcome class, stable for scripting):
   0   every requirement satisfied (or nothing to do)
   1   at least one requirement violated / attack realised / repair needed
   2   command-line usage error (unknown command or flag, bad value)
-  3   input error: unreadable file, parse/type error, analysis failure
+  3   input error: unreadable file, parse/type error, analysis failure;
+      or unwritable output (e.g. a closed pipe), which ends output at once
   4   --certify or audit rejected a recorded derivation
 
 POLICY FILES contain class, fn, user and require declarations:
@@ -563,18 +567,20 @@ pub fn load_str(src: &str) -> Result<Schema, String> {
 
 /// Run a command against policy *text*; returns (report, exit code).
 pub fn run_on_source(cmd: &Command, src: &str) -> (String, i32) {
-    execute(cmd, src, None, closure_cache())
+    let out = run_on_source_with_obs(cmd, src, &ObsOptions::default());
+    (out.stdout, out.code)
 }
 
 /// Run a command end-to-end (file IO included); returns (report, exit code).
 pub fn run(cmd: &Command) -> (String, i32) {
-    let out = run_with_obs(cmd, &ObsOptions::default());
-    (out.stdout, out.code)
+    let mut out = Vec::new();
+    let (_, code) = run_with_obs(cmd, &ObsOptions::default(), &mut out);
+    (String::from_utf8_lossy(&out).into_owned(), code)
 }
 
-/// Output of an instrumented run: the report (stdout), the observability
-/// stream (stderr), the encoded trace document (when `--trace=FILE` was
-/// given — the caller writes it) and the exit code.
+/// Output of an instrumented run on policy text: the report (stdout), the
+/// observability stream (stderr), the encoded trace document (when
+/// `--trace=FILE` was given — the caller writes it) and the exit code.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CliOutput {
     /// The command's report — byte-identical to the uninstrumented run.
@@ -614,10 +620,9 @@ struct CacheSnapshot {
 /// Everything collected while an instrumented command runs.
 #[derive(Default)]
 struct Collected {
-    phases: Phases,
-    closure: ClosureStats,
-    program_nodes: u64,
-    occurrences: u64,
+    /// The front end's and the command's phases, with every batch group's
+    /// stats folded in.
+    stats: AnalysisStats,
     requirements: u64,
     steals: u64,
     cache: Option<CacheSnapshot>,
@@ -626,12 +631,12 @@ struct Collected {
 
 impl Collected {
     fn record_to(&self, sink: &mut dyn MetricsSink) {
-        self.phases.record_to(sink);
+        self.stats.phases.record_to(sink);
         if self.requirements > 0 {
-            self.closure.record_to(sink);
+            self.stats.closure.record_to(sink);
             sink.counter("analysis.requirements", self.requirements);
-            sink.counter("analysis.program_nodes", self.program_nodes);
-            sink.counter("analysis.occurrences", self.occurrences);
+            sink.counter("analysis.program_nodes", self.stats.program_nodes);
+            sink.counter("analysis.occurrences", self.stats.occurrences_checked);
             sink.counter("batch.steals", self.steals);
         }
         if let Some(c) = &self.cache {
@@ -655,7 +660,7 @@ impl Collected {
         let us = |d: std::time::Duration| d;
         let mut cursor = 0u64;
         let mut group_start = 0u64;
-        for (name, d) in self.phases.iter() {
+        for (name, d) in self.stats.phases.iter() {
             tb.span(name, "phase", 0, cursor, us(d), vec![]);
             cursor += d.as_micros() as u64;
             if name == "typecheck" {
@@ -728,14 +733,29 @@ impl Collected {
 /// [`CliOutput::trace_output`] carries the trace document destined for the
 /// `--trace=FILE` target.
 pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
-    run_observed(cmd, src, obs, closure_cache())
+    let mut stdout = Vec::new();
+    let (stderr, trace_output, code) = run_observed(cmd, src, obs, closure_cache(), &mut stdout);
+    CliOutput {
+        stdout: String::from_utf8_lossy(&stdout).into_owned(),
+        stderr,
+        trace_output,
+        code,
+    }
 }
 
-/// [`run_on_source_with_obs`] with the closure cache passed in.
-fn run_observed(cmd: &Command, src: &str, obs: &ObsOptions, cache: &ClosureCache) -> CliOutput {
+/// [`execute`] with observability, the report written to `out`: returns
+/// the stderr text, the trace document for a `--trace=FILE` target and the
+/// exit code.
+fn run_observed(
+    cmd: &Command,
+    src: &str,
+    obs: &ObsOptions,
+    cache: &ClosureCache,
+    out: &mut (dyn Write + Send),
+) -> (String, Option<String>, i32) {
     let mut col = Collected::default();
-    let (stdout, code) = execute(cmd, src, (!obs.is_off()).then_some(&mut col), cache);
-    let mut stderr = String::new();
+    let report = execute(cmd, src, (!obs.is_off()).then_some(&mut col), cache, out);
+    let (mut stderr, code) = finish(report, out);
     let mut trace_output = None;
     if let Some(trace) = &obs.trace {
         let encoded = col.build_trace().encode(trace.format);
@@ -757,74 +777,92 @@ fn run_observed(cmd: &Command, src: &str, obs: &ObsOptions, cache: &ClosureCache
             MetricsFormat::Json => stderr.push_str(&report.to_json().pretty()),
         }
     }
-    CliOutput {
-        stdout,
-        stderr,
-        trace_output,
-        code,
+    (stderr, trace_output, code)
+}
+
+/// Flush `out` after a report was written to it. Returns the stderr text
+/// and the exit code: a failed write or flush ended output, and the run
+/// exits [`exit::INPUT`] with one line on stderr — exit 0 or 1 would tell
+/// a script a verdict it never received.
+fn finish(report: io::Result<i32>, out: &mut dyn Write) -> (String, i32) {
+    match report.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => (String::new(), code),
+        Err(e) => (format!("error: cannot write output: {e}\n"), exit::INPUT),
     }
 }
 
-/// Run a command end-to-end with observability: file IO included, and the
-/// `--trace=FILE` document written to its target.
-pub fn run_with_obs(cmd: &Command, obs: &ObsOptions) -> CliOutput {
-    match cmd {
-        Command::Help => CliOutput {
-            stdout: USAGE.to_owned(),
-            ..CliOutput::default()
-        },
+/// Run a command end-to-end with observability: file IO included, the
+/// report written to `out` and flushed (the binary passes a buffered
+/// stdout, which the stream path writes from worker threads, hence `Send`),
+/// and the `--trace=FILE` document written to its target. Returns the
+/// stderr text and the exit code.
+pub fn run_with_obs(
+    cmd: &Command,
+    obs: &ObsOptions,
+    out: &mut (dyn Write + Send),
+) -> (String, i32) {
+    let file = match cmd {
+        Command::Help => return finish(out.write_all(USAGE.as_bytes()).map(|()| exit::OK), out),
         Command::Check { file, .. }
         | Command::Audit { file, .. }
         | Command::Unfold { file, .. }
         | Command::Attack { file, .. }
         | Command::Fix { file }
         | Command::Fmt { file }
-        | Command::Serve { file } => match std::fs::read_to_string(file) {
-            Ok(src) => {
-                let mut out = run_on_source_with_obs(cmd, &src, obs);
-                if let (Some(trace), Some(doc)) = (&obs.trace, &out.trace_output) {
-                    if let Some(path) = &trace.file {
-                        if let Err(e) = std::fs::write(path, doc) {
-                            let _ =
-                                writeln!(out.stderr, "error: cannot write trace to `{path}`: {e}");
-                        }
-                    }
-                }
-                out
-            }
-            Err(e) => CliOutput {
-                stdout: format!("error: cannot read `{file}`: {e}\n"),
-                code: exit::INPUT,
-                ..CliOutput::default()
-            },
-        },
+        | Command::Serve { file } => file,
+    };
+    let src = match std::fs::read_to_string(file) {
+        Ok(src) => src,
+        Err(e) => {
+            let report = writeln!(out, "error: cannot read `{file}`: {e}");
+            return finish(report.map(|()| exit::INPUT), out);
+        }
+    };
+    let (mut stderr, trace_output, code) = run_observed(cmd, &src, obs, closure_cache(), out);
+    let path = obs.trace.as_ref().and_then(|t| t.file.as_ref());
+    if let (Some(path), Some(doc)) = (path, trace_output) {
+        if let Err(e) = std::fs::write(path, doc) {
+            let _ = writeln!(stderr, "error: cannot write trace to `{path}`: {e}");
+        }
     }
+    (stderr, code)
 }
 
-/// The one command dispatcher behind [`run_on_source`] and
-/// [`run_on_source_with_obs`]. With a collector, phases are timed and the
-/// analysis commands collect their batch statistics into it; the report and
-/// exit code are the same either way, and so is the use of `cache`, which
-/// serves `check` (the public entry points pass the process-wide one).
+/// The one command dispatcher behind every entry point: each report is
+/// written into `out`, and the exit code returned; an error is a write
+/// into `out` that failed. With a collector, phases are timed and the
+/// analysis commands collect their batch statistics into it; the report
+/// and exit code are the same either way, and so is the use of `cache`,
+/// which serves `check` (the public entry points pass the process-wide
+/// one).
 fn execute(
     cmd: &Command,
     src: &str,
     mut col: Option<&mut Collected>,
     cache: &ClosureCache,
-) -> (String, i32) {
+    out: &mut (dyn Write + Send),
+) -> io::Result<i32> {
     if let Command::Help = cmd {
-        return (USAGE.to_owned(), exit::OK);
+        out.write_all(USAGE.as_bytes())?;
+        return Ok(exit::OK);
     }
     let schema = match timed(&mut col, "parse", || parse_schema(src)) {
         Ok(s) => s,
-        Err(e) => return (format!("error: {e}\n"), exit::INPUT),
+        Err(e) => {
+            writeln!(out, "error: {e}")?;
+            return Ok(exit::INPUT);
+        }
     };
     if let Err(e) = timed(&mut col, "typecheck", || check_schema(&schema)) {
-        return (format!("error: {e}\n"), exit::INPUT);
+        writeln!(out, "error: {e}")?;
+        return Ok(exit::INPUT);
     }
     match cmd {
         Command::Help => unreachable!("--help is answered before the policy is parsed"),
-        Command::Fmt { .. } => (schema.to_string(), exit::OK),
+        Command::Fmt { .. } => {
+            write!(out, "{schema}")?;
+            Ok(exit::OK)
+        }
         &Command::Check {
             explain,
             jobs,
@@ -834,9 +872,9 @@ fn execute(
             ..
         } => {
             if stream {
-                check_report_stream(&schema, jobs, ndjson, col, cache)
+                check_report_stream(&schema, jobs, ndjson, col, cache, out)
             } else {
-                check_report(&schema, explain, jobs, certify, col, cache)
+                check_report(&schema, explain, jobs, certify, col, cache, out)
             }
         }
         Command::Audit {
@@ -860,39 +898,50 @@ fn execute(
             };
             let outcome = audit_batch(&schema, *jobs);
             if let Some(col) = col.as_deref_mut() {
-                collect_batch(&schema, &outcome, col);
-                col.cache = Some(cache_snapshot(cache));
+                collect_batch(&schema, &outcome.summary, &outcome.groups, cache, col);
             }
-            timed(&mut col, "audit", || render_audit(&schema, &outcome, &opts))
+            let (report, code) =
+                timed(&mut col, "audit", || render_audit(&schema, &outcome, &opts));
+            out.write_all(report.as_bytes())?;
+            Ok(code)
         }
-        Command::Unfold { user, .. } => timed(&mut col, "unfold", || unfold_report(&schema, user)),
+        Command::Unfold { user, .. } => {
+            timed(&mut col, "unfold", || unfold_report(&schema, user, out))
+        }
         Command::Attack { steps, .. } => {
-            timed(&mut col, "attack", || attack_report(&schema, *steps))
+            timed(&mut col, "attack", || attack_report(&schema, *steps, out))
         }
-        Command::Fix { .. } => timed(&mut col, "fix", || fix_report(&schema)),
-        Command::Serve { .. } => timed(&mut col, "serve", || serve_stdin(&schema)),
+        Command::Fix { .. } => timed(&mut col, "fix", || fix_report(&schema, out)),
+        Command::Serve { .. } => timed(&mut col, "serve", || {
+            serve(&schema, io::stdin().lock(), out)
+        }),
     }
 }
 
 /// Run `f`, timed as phase `name` when a collector is passed.
 fn timed<T>(col: &mut Option<&mut Collected>, name: &str, f: impl FnOnce() -> T) -> T {
     match col {
-        Some(col) => col.phases.time(name, f),
+        Some(col) => col.stats.phases.time(name, f),
         None => f(),
     }
 }
 
-/// Fold a stats-collecting [`BatchOutcome`] into the metrics/trace
-/// collector: aggregate phases and closure counters and capture per-group
-/// timelines.
-fn collect_batch(schema: &Schema, outcome: &BatchOutcome, col: &mut Collected) {
-    for g in &outcome.groups {
-        for (name, d) in g.stats.phases.iter() {
-            col.phases.add(name, d);
-        }
-        col.closure.merge(&g.stats.closure);
-        col.program_nodes = col.program_nodes.max(g.stats.program_nodes);
-        col.occurrences += g.stats.occurrences_checked;
+/// Fold a batch into the metrics/trace collector: the summary's folded
+/// group stats, requirement and steal counts, the cache state, and one
+/// trace lane per group a buffered batch kept (`groups`; none for a
+/// stream).
+fn collect_batch(
+    schema: &Schema,
+    summary: &StreamSummary,
+    groups: &[BatchGroup],
+    cache: &ClosureCache,
+    col: &mut Collected,
+) {
+    col.stats.merge(&summary.stats);
+    col.requirements = summary.requirements as u64;
+    col.steals = summary.steals;
+    col.cache = Some(cache_snapshot(cache));
+    for g in groups {
         col.groups.push(GroupTrace {
             user: g.user.to_string(),
             phases: g.stats.phases.clone(),
@@ -907,8 +956,6 @@ fn collect_batch(schema: &Schema, outcome: &BatchOutcome, col: &mut Collected) {
                 .collect(),
         });
     }
-    col.requirements = schema.requirements.len() as u64;
-    col.steals = outcome.steals;
 }
 
 /// The cache's lifetime counters and layout, read after a run. Runs that
@@ -987,24 +1034,24 @@ fn certify_groups(outcome: &BatchOutcome) -> Result<(Vec<secflow::Certificate>, 
     Ok((certs, summary))
 }
 
-/// The `--certify` pass of `check`: appends the summary line on success;
-/// on a rejection appends the failure line and returns [`exit::CERTIFY`].
+/// The `--certify` pass of `check`: writes the summary line on success;
+/// on a rejection writes the failure line and returns [`exit::CERTIFY`].
 /// Returns the certificates so an instrumented run can absorb the per-rule
 /// check counters into its metrics.
 fn certify_outcome(
     outcome: &BatchOutcome,
-    out: &mut String,
-) -> Result<Vec<secflow::Certificate>, i32> {
-    match certify_groups(outcome) {
+    out: &mut dyn Write,
+) -> io::Result<Result<Vec<secflow::Certificate>, i32>> {
+    Ok(match certify_groups(outcome) {
         Ok((certs, summary)) => {
-            let _ = writeln!(out, "{summary}");
+            writeln!(out, "{summary}")?;
             Ok(certs)
         }
         Err(failure) => {
-            let _ = writeln!(out, "{failure}");
+            writeln!(out, "{failure}")?;
             Err(exit::CERTIFY)
         }
-    }
+    })
 }
 
 /// Requirement index → group index, from a batch outcome.
@@ -1039,7 +1086,7 @@ pub struct AuditOptions {
 /// artifacts kept (the certifier and the provenance walk both need them),
 /// per-group stats collected for the report. The closure cache is not
 /// consulted — it holds proof-free partial closures that cannot back an
-/// audit.
+/// audit — so the report's `cache` is always `null`.
 pub fn audit_batch(schema: &Schema, jobs: usize) -> BatchOutcome {
     let opts = BatchOptions {
         jobs,
@@ -1201,22 +1248,6 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
     match opts.format {
         AuditFormat::Text => (text, code),
         AuditFormat::Json => {
-            let cache = match outcome.cache_stats {
-                Some(stats) => Json::Obj(vec![
-                    ("hits".to_owned(), Json::count(stats.hits)),
-                    ("misses".to_owned(), Json::count(stats.misses)),
-                    (
-                        "occupancy".to_owned(),
-                        match outcome.cache_occupancy {
-                            Some((len, cap)) => {
-                                Json::Arr(vec![Json::count(len as u64), Json::count(cap as u64)])
-                            }
-                            None => Json::Null,
-                        },
-                    ),
-                ]),
-                None => Json::Null,
-            };
             let groups = outcome
                 .groups
                 .iter()
@@ -1268,7 +1299,7 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
                 ),
                 ("violations".to_owned(), Json::Arr(violations_json)),
                 ("groups".to_owned(), Json::Arr(groups)),
-                ("cache".to_owned(), cache),
+                ("cache".to_owned(), Json::Null),
                 (
                     "summary".to_owned(),
                     Json::Obj(vec![
@@ -1379,61 +1410,58 @@ fn check_report(
     certify: bool,
     mut col: Option<&mut Collected>,
     cache: &ClosureCache,
-) -> (String, i32) {
-    let mut out = String::new();
+    out: &mut dyn Write,
+) -> io::Result<i32> {
     if schema.requirements.is_empty() {
-        let _ = writeln!(
+        writeln!(
             out,
             "no `require` declarations in the policy — nothing to check"
-        );
-        return (out, exit::OK);
+        )?;
+        return Ok(exit::OK);
     }
     let outcome = check_batch(schema, explain, jobs, certify, col.is_some(), cache);
     if let Some(col) = col.as_deref_mut() {
-        collect_batch(schema, &outcome, col);
-        col.cache = Some(cache_snapshot(cache));
+        collect_batch(schema, &outcome.summary, &outcome.groups, cache, col);
     }
     let group_idx = group_of(&outcome, schema.requirements.len());
     let mut violated = 0usize;
     for (i, req) in schema.requirements.iter().enumerate() {
         match &outcome.verdicts[i] {
-            Ok(Verdict::Satisfied) => {
-                let _ = writeln!(out, "ok    {req}");
-            }
+            Ok(Verdict::Satisfied) => writeln!(out, "ok    {req}")?,
             Ok(Verdict::Violated(violations)) => {
                 violated += 1;
-                let _ = writeln!(out, "FLAW  {req}  ({} occurrence(s))", violations.len());
+                writeln!(out, "FLAW  {req}  ({} occurrence(s))", violations.len())?;
                 if explain {
                     if let Some((prog, closure)) = outcome.groups[group_idx[i]].artifacts.as_ref() {
-                        render_explanations(prog, closure, violations, &mut out);
+                        render_explanations(prog, closure, violations, out)?;
                     }
                 }
             }
             Err(e) => {
-                let _ = writeln!(out, "error {req}: {e}");
-                return (out, exit::INPUT);
+                writeln!(out, "error {req}: {e}")?;
+                return Ok(exit::INPUT);
             }
         }
     }
-    let _ = writeln!(
+    writeln!(
         out,
         "{} requirement(s), {} violated",
         schema.requirements.len(),
         violated
-    );
+    )?;
     if certify {
-        match certify_outcome(&outcome, &mut out) {
+        match certify_outcome(&outcome, out)? {
             Ok(certs) => {
                 if let Some(col) = col {
                     for cert in &certs {
-                        col.closure.absorb_certificate(cert);
+                        col.stats.closure.absorb_certificate(cert);
                     }
                 }
             }
-            Err(code) => return (out, code),
+            Err(code) => return Ok(code),
         }
     }
-    (out, i32::from(violated > 0))
+    Ok(i32::from(violated > 0))
 }
 
 /// A requirement's verdict reduced to what the NDJSON records carry —
@@ -1503,27 +1531,29 @@ fn ndjson_record(schema: &Schema, record: &GroupRecord) -> (Json, usize, usize) 
     }
     let obj = Json::Obj(vec![
         ("group".to_owned(), Json::count(record.group_index as u64)),
-        ("user".to_owned(), Json::str(record.user.as_str())),
+        ("user".to_owned(), Json::str(record.group.user.as_str())),
         (
             "occurrences_checked".to_owned(),
-            Json::count(record.occurrences_checked),
+            Json::count(record.group.stats.occurrences_checked),
         ),
         ("verdicts".to_owned(), Json::Arr(verdicts)),
     ]);
     (obj, violated, errors)
 }
 
-/// The `--stream` check path: verdict lines are rendered and appended the
-/// moment their group completes, so nothing per-group is buffered and
-/// memory stays flat however many users the policy holds. Each line is
+/// The `--stream` check path: each group's verdict lines are written into
+/// `out` the moment the group completes, so nothing per-group is buffered
+/// and memory stays flat however many users the policy holds. Each line is
 /// tagged `[g<index>]` with the group's first-seen position (the streaming
 /// determinism contract: records may complete in any order under a
 /// parallel pool, but the index lets a consumer reassemble input order).
 /// Unlike the buffered path, an analysis error does not short-circuit —
 /// every group is still reported, and the run exits [`exit::INPUT`] when
-/// any error occurred, else 1 on violations as usual. With `col` the run is
-/// instrumented: closure stats are collected on cache misses and the
-/// streaming summary is folded into the metrics collector.
+/// any error occurred, else 1 on violations as usual. The first failed
+/// write ends output; the pool still finishes the remaining groups, whose
+/// records are dropped. With `col` the run is instrumented: closure stats
+/// are collected on cache misses and the streaming summary is folded into
+/// the metrics collector.
 ///
 /// With `ndjson` each group record becomes exactly one compact JSON object
 /// per line — `{"group":…,"user":…,"occurrences_checked":…,"verdicts":[…]}`
@@ -1538,12 +1568,14 @@ fn check_report_stream(
     ndjson: bool,
     col: Option<&mut Collected>,
     cache: &ClosureCache,
-) -> (String, i32) {
+    out: &mut (dyn Write + Send),
+) -> io::Result<i32> {
     if schema.requirements.is_empty() {
-        return (
-            "no `require` declarations in the policy — nothing to check\n".to_owned(),
-            exit::OK,
-        );
+        writeln!(
+            out,
+            "no `require` declarations in the policy — nothing to check"
+        )?;
+        return Ok(exit::OK);
     }
     let opts = BatchOptions {
         jobs,
@@ -1551,13 +1583,14 @@ fn check_report_stream(
         collect_stats: col.is_some(),
     };
 
-    /// Renders each record into verdict lines — or one NDJSON object —
-    /// under the sink lock; violation/error tallies ride along in the same
-    /// mutex.
+    /// Renders each record into verdict lines — or one NDJSON object — and
+    /// writes them under the sink lock; violation/error tallies and the
+    /// first write error ride along in the same mutex.
     struct LineSink<'a> {
         schema: &'a Schema,
         ndjson: bool,
-        out: std::sync::Mutex<(String, usize, usize)>, // (text, violated, errors)
+        // (writer, violated, errors, first write error)
+        out: Mutex<(&'a mut (dyn Write + Send), usize, usize, io::Result<()>)>,
     }
     impl AnalysisSink for LineSink<'_> {
         fn emit(&self, record: GroupRecord) {
@@ -1593,16 +1626,19 @@ fn check_report_stream(
                 }
             }
             let mut guard = self.out.lock().expect("no panics hold the sink lock");
-            guard.0.push_str(&lines);
-            guard.1 += violated;
-            guard.2 += errors;
+            let (out, v, e, written) = &mut *guard;
+            if written.is_ok() {
+                *written = out.write_all(lines.as_bytes());
+            }
+            *v += violated;
+            *e += errors;
         }
     }
 
     let sink = LineSink {
         schema,
         ndjson,
-        out: std::sync::Mutex::new((String::new(), 0, 0)),
+        out: Mutex::new((&mut *out, 0, 0, Ok(()))),
     };
     let summary = analyze_batch_streaming(
         schema,
@@ -1612,7 +1648,12 @@ fn check_report_stream(
         Some(cache),
         &sink,
     );
-    let (mut out, violated, errors) = sink.out.into_inner().expect("no panics hold the sink lock");
+    if let Some(col) = col {
+        collect_batch(schema, &summary, &[], cache, col);
+    }
+    let (out, violated, errors, written) =
+        sink.out.into_inner().expect("no panics hold the sink lock");
+    written?;
     if ndjson {
         let obj = Json::Obj(vec![(
             "summary".to_owned(),
@@ -1627,27 +1668,19 @@ fn check_report_stream(
                 ("workers".to_owned(), Json::count(summary.jobs_used as u64)),
             ]),
         )]);
-        let _ = writeln!(out, "{obj}");
+        writeln!(out, "{obj}")?;
     } else {
-        let _ = writeln!(
+        writeln!(
             out,
             "{} requirement(s), {} violated — streamed {} group(s) on {} worker(s)",
             summary.requirements, violated, summary.groups, summary.jobs_used
-        );
+        )?;
     }
-    if let Some(col) = col {
-        col.closure.merge(&summary.closure);
-        col.occurrences = summary.occurrences;
-        col.requirements = summary.requirements as u64;
-        col.steals = summary.steals;
-        col.cache = Some(cache_snapshot(cache));
-    }
-    let code = if errors > 0 {
+    Ok(if errors > 0 {
         exit::INPUT
     } else {
         i32::from(violated > 0)
-    };
-    (out, code)
+    })
 }
 
 /// Print Figure-1 style derivations for every witness of a violated
@@ -1657,52 +1690,54 @@ fn render_explanations(
     prog: &NProgram,
     closure: &Closure,
     violations: &[secflow::Violation],
-    out: &mut String,
-) {
+    out: &mut dyn Write,
+) -> io::Result<()> {
     for v in violations {
         for w in &v.witnesses {
-            let _ = writeln!(out, "  witness {}", render_term(prog, w));
+            writeln!(out, "  witness {}", render_term(prog, w))?;
             let derivation = render_derivation(prog, closure, w);
             for line in derivation.lines() {
-                let _ = writeln!(out, "    {line}");
+                writeln!(out, "    {line}")?;
             }
         }
     }
+    Ok(())
 }
 
-fn unfold_report(schema: &Schema, user: &str) -> (String, i32) {
+fn unfold_report(schema: &Schema, user: &str, out: &mut dyn Write) -> io::Result<i32> {
     let Some(caps) = schema.user_str(user) else {
-        return (format!("error: unknown user `{user}`\n"), exit::INPUT);
+        writeln!(out, "error: unknown user `{user}`")?;
+        return Ok(exit::INPUT);
     };
-    match NProgram::unfold(schema, caps) {
-        Ok(prog) => {
-            let mut out = String::new();
-            let _ = writeln!(out, "S'(F) for {user} = {caps}:");
-            for outer in &prog.outers {
-                let _ = writeln!(out, "  {}: {}", outer.fn_ref, prog.render(outer.root));
-            }
-            let _ = writeln!(out, "{} numbered occurrences", prog.len());
-            // Also list the occurrences of every required target for this
-            // user, as orientation.
-            for req in schema
-                .requirements
-                .iter()
-                .filter(|r| r.user.as_str() == user)
-            {
-                let occ = occurrences(&prog, &req.target);
-                let _ = writeln!(out, "occurrences of {}: {}", req.target, occ.len());
-            }
-            (out, 0)
+    let prog = match NProgram::unfold(schema, caps) {
+        Ok(prog) => prog,
+        Err(e) => {
+            writeln!(out, "error: {e}")?;
+            return Ok(exit::INPUT);
         }
-        Err(e) => (format!("error: {e}\n"), exit::INPUT),
+    };
+    writeln!(out, "S'(F) for {user} = {caps}:")?;
+    for outer in &prog.outers {
+        writeln!(out, "  {}: {}", outer.fn_ref, prog.render(outer.root))?;
     }
+    writeln!(out, "{} numbered occurrences", prog.len())?;
+    // Also list the occurrences of every required target for this user, as
+    // orientation.
+    for req in schema
+        .requirements
+        .iter()
+        .filter(|r| r.user.as_str() == user)
+    {
+        let occ = occurrences(&prog, &req.target);
+        writeln!(out, "occurrences of {}: {}", req.target, occ.len())?;
+    }
+    Ok(exit::OK)
 }
 
-fn attack_report(schema: &Schema, steps: usize) -> (String, i32) {
-    let mut out = String::new();
+fn attack_report(schema: &Schema, steps: usize, out: &mut dyn Write) -> io::Result<i32> {
     if schema.requirements.is_empty() {
-        let _ = writeln!(out, "no `require` declarations — nothing to attack");
-        return (out, 0);
+        writeln!(out, "no `require` declarations — nothing to attack")?;
+        return Ok(exit::OK);
     }
     let cfg = AttackerConfig {
         strategies: StrategySpec {
@@ -1716,14 +1751,14 @@ fn attack_report(schema: &Schema, steps: usize) -> (String, i32) {
         match attack_requirement(schema, req, &cfg) {
             Ok(o) if o.achieved => {
                 realised += 1;
-                let _ = writeln!(
+                writeln!(
                     out,
                     "REALISED {req}\n  {}",
                     o.witness.map(|w| w.summary).unwrap_or_default()
-                );
+                )?;
             }
             Ok(o) => {
-                let _ = writeln!(
+                writeln!(
                     out,
                     "not realised {req}{}",
                     if o.skipped_shapes > 0 {
@@ -1731,63 +1766,58 @@ fn attack_report(schema: &Schema, steps: usize) -> (String, i32) {
                     } else {
                         String::new()
                     }
-                );
+                )?;
             }
-            Err(e) => {
-                let _ = writeln!(out, "error {req}: {e}");
-            }
+            Err(e) => writeln!(out, "error {req}: {e}")?,
         }
     }
-    let _ = writeln!(
+    writeln!(
         out,
         "{} requirement(s), {} realised within bounds",
         schema.requirements.len(),
         realised
-    );
-    (out, i32::from(realised > 0))
+    )?;
+    Ok(i32::from(realised > 0))
 }
 
-fn fix_report(schema: &Schema) -> (String, i32) {
+fn fix_report(schema: &Schema, out: &mut dyn Write) -> io::Result<i32> {
     use secflow::advisor::{advise, Advice, AdvisorConfig};
-    let mut out = String::new();
     if schema.requirements.is_empty() {
-        let _ = writeln!(out, "no `require` declarations — nothing to fix");
-        return (out, 0);
+        writeln!(out, "no `require` declarations — nothing to fix")?;
+        return Ok(exit::OK);
     }
     let mut flawed = 0usize;
     for req in &schema.requirements {
         match advise(schema, req, &AdvisorConfig::default()) {
-            Ok(Advice::AlreadySatisfied) => {
-                let _ = writeln!(out, "ok    {req}");
-            }
+            Ok(Advice::AlreadySatisfied) => writeln!(out, "ok    {req}")?,
             Ok(Advice::Repairs(repairs)) => {
                 flawed += 1;
-                let _ = writeln!(out, "FLAW  {req} — minimal repairs:");
+                writeln!(out, "FLAW  {req} — minimal repairs:")?;
                 for r in repairs {
-                    let _ = writeln!(out, "        {r}");
+                    writeln!(out, "        {r}")?;
                 }
             }
             Ok(Advice::BudgetExhausted(repairs)) => {
                 flawed += 1;
-                let _ = writeln!(
+                writeln!(
                     out,
                     "FLAW  {req} — search budget exhausted; repairs found so far:"
-                );
+                )?;
                 for r in repairs {
-                    let _ = writeln!(out, "        {r}");
+                    writeln!(out, "        {r}")?;
                 }
             }
             Ok(Advice::Unrepairable) => {
                 flawed += 1;
-                let _ = writeln!(out, "FLAW  {req} — no revocation subset helps");
+                writeln!(out, "FLAW  {req} — no revocation subset helps")?;
             }
             Err(e) => {
-                let _ = writeln!(out, "error {req}: {e}");
-                return (out, exit::INPUT);
+                writeln!(out, "error {req}: {e}")?;
+                return Ok(exit::INPUT);
             }
         }
     }
-    (out, i32::from(flawed > 0))
+    Ok(i32::from(flawed > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -2205,15 +2235,17 @@ fn read_request_line<R: std::io::BufRead>(
 /// answers an error line instead of ending the session, and so does a line
 /// longer than 64 KiB, which is discarded as it is read; only EOF, a
 /// `shutdown` request or a read error ends it (each followed by the
-/// matching final line). Returns the exit code.
-pub fn serve_io<R: std::io::BufRead, W: std::io::Write>(
-    schema: &Schema,
-    mut input: R,
-    mut out: W,
-) -> i32 {
+/// matching final line), or a failed write, which ends it at once with
+/// [`exit::INPUT`]. Returns the exit code.
+pub fn serve_io<R: io::BufRead, W: Write>(schema: &Schema, input: R, out: W) -> i32 {
+    serve(schema, input, out).unwrap_or(exit::INPUT)
+}
+
+/// [`serve_io`], returning the error of the write that ended the session.
+fn serve<R: io::BufRead, W: Write>(schema: &Schema, mut input: R, mut out: W) -> io::Result<i32> {
     let mut state = ServeState::new(schema);
-    let _ = out.write_all(state.ready_line().as_bytes());
-    let _ = out.flush();
+    out.write_all(state.ready_line().as_bytes())?;
+    out.flush()?;
     let mut buf = Vec::new();
     loop {
         let (resp, done) = match read_request_line(&mut input, &mut buf) {
@@ -2225,23 +2257,15 @@ pub fn serve_io<R: std::io::BufRead, W: std::io::Write>(
             // Strip a `\r` left by `\r\n`, exactly like `BufRead::lines`.
             Ok(RequestLine::Line) => state.handle(buf.strip_suffix(b"\r").unwrap_or(&buf)),
         };
-        let _ = out.write_all(resp.as_bytes());
-        let _ = out.flush();
+        out.write_all(resp.as_bytes())?;
+        out.flush()?;
         if done {
-            return exit::OK;
+            return Ok(exit::OK);
         }
     }
-    let _ = out.write_all(state.shutdown_line().as_bytes());
-    let _ = out.flush();
-    exit::OK
-}
-
-/// The real `secflow serve` loop: [`serve_io`] over stdin and stdout. The
-/// buffered `(report, code)` return stays empty; everything was already
-/// streamed.
-fn serve_stdin(schema: &Schema) -> (String, i32) {
-    let code = serve_io(schema, std::io::stdin().lock(), std::io::stdout().lock());
-    (String::new(), code)
+    out.write_all(state.shutdown_line().as_bytes())?;
+    out.flush()?;
+    Ok(exit::OK)
 }
 
 #[cfg(test)]
@@ -2266,7 +2290,15 @@ mod tests {
     /// An instrumented run on a cold cache of its own, so its counters do
     /// not depend on what other tests left in the process-wide one.
     fn observe(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
-        run_observed(cmd, src, obs, &ClosureCache::default())
+        let mut stdout = Vec::new();
+        let (stderr, trace_output, code) =
+            run_observed(cmd, src, obs, &ClosureCache::default(), &mut stdout);
+        CliOutput {
+            stdout: String::from_utf8(stdout).expect("reports are UTF-8"),
+            stderr,
+            trace_output,
+            code,
+        }
     }
 
     #[test]
@@ -2431,14 +2463,19 @@ mod tests {
         let record = GroupRecord {
             group_index: 3,
             worker: 0,
-            user: oodb_model::UserName::new("clerk"),
+            group: BatchGroup {
+                user: oodb_model::UserName::new("clerk"),
+                req_indexes: vec![1],
+                stats: AnalysisStats::default(),
+                check_times: Vec::new(),
+                artifacts: None,
+            },
             verdicts: vec![(
                 1,
                 Err(secflow::algorithm::AnalysisError::Closure(
                     secflow::closure::ClosureError::TermLimit { limit: 64 },
                 )),
             )],
-            occurrences_checked: 0,
         };
         let (obj, violated, errors) = ndjson_record(&schema, &record);
         assert_eq!((violated, errors), (0, 1));
@@ -2521,6 +2558,169 @@ mod tests {
             "{}",
             out.stderr
         );
+    }
+
+    #[test]
+    fn streamed_metrics_match_the_buffered_run_on_every_policy() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../policies");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("policies directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sfl"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty());
+        let metrics = ObsOptions {
+            metrics: Some(MetricsFormat::Json),
+            trace: None,
+        };
+        for path in files {
+            let src = std::fs::read_to_string(&path).expect("policy file reads");
+            let doc = |stream| {
+                let cmd = Command::Check {
+                    file: "-".into(),
+                    explain: false,
+                    jobs: 1,
+                    certify: false,
+                    stream,
+                    ndjson: false,
+                };
+                Json::parse(&observe(&cmd, &src, &metrics).stderr).expect("one metrics document")
+            };
+            let (buffered, streamed) = (doc(false), doc(true));
+            let names = |doc: &Json, key: &str| match doc.get(key) {
+                Some(Json::Obj(fields)) => {
+                    let mut names: Vec<String> = fields.iter().map(|(k, _)| k.clone()).collect();
+                    names.sort();
+                    names
+                }
+                other => panic!("`{key}` is not an object: {other:?}"),
+            };
+            for key in ["counters", "spans_ms"] {
+                assert_eq!(
+                    names(&streamed, key),
+                    names(&buffered, key),
+                    "{key} of {}",
+                    path.display()
+                );
+            }
+            for counter in [
+                "analysis.program_nodes",
+                "analysis.occurrences",
+                "closure.terms.total",
+            ] {
+                let value = |doc: &Json| {
+                    doc.get("counters")
+                        .and_then(|c| c.get(counter))
+                        .and_then(Json::as_u64)
+                };
+                assert_eq!(
+                    value(&streamed),
+                    value(&buffered),
+                    "{counter} of {}",
+                    path.display()
+                );
+            }
+        }
+    }
+
+    /// Records the cache's miss count at the first write it receives.
+    struct FirstWrite<'c> {
+        cache: &'c ClosureCache,
+        misses: Option<u64>,
+    }
+
+    impl Write for FirstWrite<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.misses.get_or_insert(self.cache.stats().misses);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stream_writes_each_record_as_its_group_completes() {
+        // Three users on three distinct lists: each group misses the cache,
+        // so the miss count at the first write says how many groups had
+        // completed when the first line left.
+        let policy = r#"
+            class Broker { salary: int, budget: int }
+            fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }
+            user a { checkBudget, w_budget }
+            user b { checkBudget }
+            user c { w_budget }
+            require (a, r_salary(x) : ti)
+            require (b, r_salary(x) : ti)
+            require (c, r_salary(x) : ti)
+        "#;
+        let cmd = Command::Check {
+            file: "-".into(),
+            explain: false,
+            jobs: 1,
+            certify: false,
+            stream: true,
+            ndjson: false,
+        };
+        let cache = ClosureCache::default();
+        let mut out = FirstWrite {
+            cache: &cache,
+            misses: None,
+        };
+        let code = execute(&cmd, policy, None, &cache, &mut out).unwrap();
+        assert_eq!(code, exit::VIOLATION);
+        assert_eq!(out.misses, Some(1));
+        assert_eq!(cache.stats().misses, 3);
+    }
+
+    /// A writer whose every write fails, like a pipe whose reader exited.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn unwritable_output_exits_three_without_panicking() {
+        let check = |stream, ndjson| Command::Check {
+            file: "-".into(),
+            explain: false,
+            jobs: 1,
+            certify: false,
+            stream,
+            ndjson,
+        };
+        // `serve` fails on its `ready` line, before it reads stdin.
+        for cmd in [
+            check(false, false),
+            check(true, true),
+            audit_cmd(),
+            Command::Fmt { file: "-".into() },
+            Command::Serve { file: "-".into() },
+        ] {
+            let (stderr, _, code) = run_observed(
+                &cmd,
+                POLICY,
+                &ObsOptions::default(),
+                &ClosureCache::default(),
+                &mut ClosedPipe,
+            );
+            assert_eq!(code, exit::INPUT, "{cmd:?}");
+            assert_eq!(stderr.lines().count(), 1, "{cmd:?}: {stderr}");
+            assert!(
+                stderr.starts_with("error: cannot write output: "),
+                "{cmd:?}: {stderr}"
+            );
+        }
+        let schema = load_str(POLICY).unwrap();
+        let request = &b"{\"op\":\"check\",\"user\":\"clerk\"}\n"[..];
+        assert_eq!(serve_io(&schema, request, ClosedPipe), exit::INPUT);
     }
 
     #[test]
@@ -2859,7 +3059,9 @@ mod tests {
             stream: false,
             ndjson: false,
         };
-        let plain = execute(&cmd, policy, None, &ClosureCache::default());
+        let mut plain = Vec::new();
+        let code = execute(&cmd, policy, None, &ClosureCache::default(), &mut plain).unwrap();
+        let plain = (String::from_utf8(plain).unwrap(), code);
         let metrics = ObsOptions {
             metrics: Some(MetricsFormat::Json),
             trace: None,
@@ -3099,8 +3301,10 @@ mod tests {
             .expect("closure has a ta term");
         // `rule for =` can only conclude an equality, never a `ta` term.
         assert!(closure.replace_proof(&t, "rule for =", vec![]));
-        let mut out = String::new();
-        let code = match certify_outcome(&outcome, &mut out) {
+        let mut out = Vec::new();
+        let certified = certify_outcome(&outcome, &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let code = match certified {
             Ok(_) => panic!("corrupted outcome certified: {out}"),
             Err(code) => code,
         };

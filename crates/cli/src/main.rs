@@ -10,8 +10,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let out = secflow_cli::run_with_obs(&cmd, &obs);
-    print!("{}", out.stdout);
-    eprint!("{}", out.stderr);
-    std::process::exit(out.code);
+    // Buffered, and flushed by `run_with_obs` before it returns: `exit`
+    // runs no destructors. Not a `StdoutLock`, which is not `Send`; the
+    // stream path writes from its worker threads.
+    let mut stdout = std::io::BufWriter::new(std::io::stdout());
+    let (stderr, code) = secflow_cli::run_with_obs(&cmd, &obs, &mut stdout);
+    eprint!("{stderr}");
+    std::process::exit(code);
 }

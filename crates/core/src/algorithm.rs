@@ -188,6 +188,20 @@ pub struct AnalysisStats {
     pub occurrences_checked: u64,
 }
 
+impl AnalysisStats {
+    /// Fold another group's stats into these: phases and occurrences add
+    /// up, closure counters merge ([`ClosureStats::merge`]) and
+    /// `program_nodes` keeps the largest program.
+    pub fn merge(&mut self, other: &AnalysisStats) {
+        for (name, d) in other.phases.iter() {
+            self.phases.add(name, d);
+        }
+        self.closure.merge(&other.closure);
+        self.program_nodes = self.program_nodes.max(other.program_nodes);
+        self.occurrences_checked += other.occurrences_checked;
+    }
+}
+
 /// The capability queries `A(R)`'s verdict check needs from a closure.
 ///
 /// Both closure engines implement this — the fast dense engine
@@ -437,7 +451,8 @@ pub struct BatchGroup {
     pub artifacts: Option<(NProgram, Closure)>,
 }
 
-/// The result of [`analyze_batch`].
+/// The result of [`analyze_batch`]: the streamed records of
+/// [`analyze_batch_streaming`], placed in input order.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// Per-requirement verdicts, in input order. A failure in a group's
@@ -447,20 +462,9 @@ pub struct BatchOutcome {
     pub verdicts: Vec<Result<Verdict, AnalysisError>>,
     /// Per-group bookkeeping, in first-seen order of the users.
     pub groups: Vec<BatchGroup>,
-    /// Worker threads actually used (after resolving `jobs == 0` and
-    /// clamping to the group count).
-    pub jobs_used: usize,
-    /// Steal operations performed by the work-stealing pool: 0 for serial
-    /// runs.
-    pub steals: u64,
-    /// `(len, capacity)` of the [`ClosureCache`] after this batch, when one
-    /// was passed to [`analyze_batch_cached`]; `None` for uncached runs.
-    pub cache_occupancy: Option<(usize, usize)>,
-    /// Lifetime hit/miss counters of the cache after this batch, when one
-    /// was passed; `None` for uncached runs. Lifetime, not per-batch: the
-    /// cache is shared across calls, so consumers report the running
-    /// totals (monotone counters).
-    pub cache_stats: Option<CacheStats>,
+    /// The aggregate the streaming driver returned: workers, steals, the
+    /// folded group stats and the cache state after the batch.
+    pub summary: StreamSummary,
 }
 
 /// A double-hash fingerprint of a canonical value: a pretty-printed text
@@ -940,7 +944,10 @@ pub fn analyze_batch(
     analyze_batch_cached(schema, reqs, config, opts, None)
 }
 
-/// [`analyze_batch`] with an optional cross-call [`ClosureCache`].
+/// [`analyze_batch`] with an optional cross-call [`ClosureCache`]: the
+/// records of [`analyze_batch_streaming`] collected and placed by group
+/// index and requirement index, which keeps the pool's nondeterministic
+/// group→worker assignment out of the output.
 ///
 /// Cache reuse applies to every group that runs demand-driven
 /// (`!keep_artifacts`); the full, proof-carrying closures of kept artifacts
@@ -954,34 +961,16 @@ pub fn analyze_batch_cached(
     opts: &BatchOptions,
     cache: Option<&ClosureCache>,
 ) -> BatchOutcome {
-    let ctx = CacheCtx::new(cache, schema, config, opts);
-    let grouped = group_by_user(reqs);
-    let n_groups = grouped.len();
-    let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
-    // Each worker keeps its own `(group index, result)` pairs; placing them
-    // by index at join keeps the pool's nondeterministic group→worker
-    // assignment out of the output.
-    let (done, steals) = run_pool(
-        n_groups,
-        jobs,
-        |_| Vec::new(),
-        |done, gi| {
-            let group = &grouped[gi];
-            let caps = user_caps(schema, &group.0);
-            done.push((
-                gi,
-                run_group(schema, caps, reqs, group, config, opts, ctx.as_ref()),
-            ));
-        },
-    );
+    let sink = Mutex::new(Vec::new());
+    let summary = analyze_batch_streaming(schema, reqs, config, opts, cache, &sink);
     let mut verdicts: Vec<Option<Result<Verdict, AnalysisError>>> =
         reqs.iter().map(|_| None).collect();
-    let mut groups: Vec<Option<BatchGroup>> = (0..n_groups).map(|_| None).collect();
-    for (gi, (group, vs)) in done.into_iter().flatten() {
-        for (i, v) in vs {
+    let mut groups: Vec<Option<BatchGroup>> = (0..summary.groups).map(|_| None).collect();
+    for record in sink.into_inner().expect("no panics hold the sink lock") {
+        for (i, v) in record.verdicts {
             verdicts[i] = Some(v);
         }
-        groups[gi] = Some(group);
+        groups[record.group_index] = Some(record.group);
     }
     BatchOutcome {
         verdicts: verdicts
@@ -990,12 +979,9 @@ pub fn analyze_batch_cached(
             .collect(),
         groups: groups
             .into_iter()
-            .map(|g| g.expect("every group index was claimed by a worker"))
+            .map(|g| g.expect("every group emits exactly one record"))
             .collect(),
-        jobs_used: jobs,
-        steals,
-        cache_occupancy: cache.map(|c| (c.len(), c.capacity())),
-        cache_stats: cache.map(|c| c.stats()),
+        summary,
     }
 }
 
@@ -1029,7 +1015,7 @@ pub(crate) fn user_caps<'s>(
 }
 
 /// Group requirement indexes by user, first-seen order — the unit of shared
-/// work for both the buffered and streaming batch drivers.
+/// work of the batch driver.
 fn group_by_user(reqs: &[Requirement]) -> Vec<(UserName, Vec<usize>)> {
     let mut group_of: HashMap<UserName, usize> = HashMap::new();
     let mut grouped: Vec<(UserName, Vec<usize>)> = Vec::new();
@@ -1066,8 +1052,8 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// Every group index is processed exactly once: indexes only ever move
 /// between deques under a victim's lock, and a worker drains its own deque
 /// before exiting. Each worker threads a private state value (`init` →
-/// `work` → returned at join), which is how both drivers collect results
-/// and fold per-worker [`ClosureStats`] without a shared lock. Returns the
+/// `work` → returned at join), which is how the driver folds per-worker
+/// [`AnalysisStats`] without a shared lock. Returns the
 /// worker states in worker-index order plus the number of steals performed.
 /// With one job nothing is spawned: the calling thread runs every group in
 /// index order as worker 0.
@@ -1148,12 +1134,11 @@ pub struct GroupRecord {
     /// the worker whose chunk it was seeded into — the trace of how the
     /// pool balanced the batch.
     pub worker: usize,
-    /// The user whose capability list this group analyzed.
-    pub user: UserName,
+    /// The group's user, requirement indexes, stats, check times and kept
+    /// artifacts.
+    pub group: BatchGroup,
     /// `(requirement index, verdict)` pairs, input order within the group.
     pub verdicts: Vec<(usize, Result<Verdict, AnalysisError>)>,
-    /// Occurrences checked across the group's requirements.
-    pub occurrences_checked: u64,
 }
 
 /// A consumer of streamed batch results. Implementations must be
@@ -1165,8 +1150,8 @@ pub trait AnalysisSink: Sync {
     fn emit(&self, record: GroupRecord);
 }
 
-/// The simplest sink: buffer every record in completion order (tests, and
-/// consumers that want to reassemble input order themselves).
+/// The simplest sink: buffer every record in completion order
+/// ([`analyze_batch_cached`] reassembles input order from it).
 impl AnalysisSink for Mutex<Vec<GroupRecord>> {
     fn emit(&self, record: GroupRecord) {
         self.lock()
@@ -1187,30 +1172,30 @@ pub struct StreamSummary {
     /// Worker threads actually used (after resolving `jobs == 0` and
     /// clamping to the group count).
     pub jobs_used: usize,
-    /// Steal operations performed by the work-stealing pool.
+    /// Steal operations performed by the work-stealing pool: 0 for serial
+    /// runs.
     pub steals: u64,
-    /// Closure counters folded across all groups (zeroed unless
-    /// [`BatchOptions::collect_stats`]). Each worker merges its own groups'
-    /// stats locally and the cross-worker fold happens once at join, in
-    /// worker-index order — one merge per worker instead of one lock
+    /// Every group's stats folded by [`AnalysisStats::merge`] (closure
+    /// counters zeroed unless [`BatchOptions::collect_stats`]). Each worker
+    /// folds its own groups and the cross-worker fold happens once at join,
+    /// in worker-index order — one merge per worker instead of one lock
     /// round-trip per group. Totals, maxima and sticky flags are identical
-    /// to a serial fold; only the row order of the per-label tables can
-    /// differ (the merge contract sums labels wherever they sit).
-    pub closure: ClosureStats,
-    /// Total occurrences checked.
-    pub occurrences: u64,
+    /// to a serial fold; only the row order of the per-label tables and of
+    /// the phases can differ.
+    pub stats: AnalysisStats,
     /// `(len, capacity)` of the cache after this batch, when one was passed.
     pub cache_occupancy: Option<(usize, usize)>,
     /// Lifetime cache counters after this batch, when one was passed.
+    /// Lifetime, not per-batch: the cache is shared across calls, so
+    /// consumers report the running totals (monotone counters).
     pub cache_stats: Option<CacheStats>,
 }
 
-/// [`analyze_batch_cached`], streaming: each group's verdicts are handed to
-/// `sink.emit` the moment the group completes, and nothing per-group is
-/// retained — memory stays flat no matter how many users the batch holds.
-/// Grouping, cache eligibility and the verdicts themselves are identical to
-/// the buffered path (the differential suite reassembles records by
-/// `group_index` and compares byte-for-byte).
+/// The batch driver: each group's record is handed to `sink.emit` the
+/// moment the group completes, and nothing per-group is retained — memory
+/// stays flat no matter how many users the batch holds.
+/// [`analyze_batch_cached`] is this driver with a sink that collects every
+/// record.
 pub fn analyze_batch_streaming(
     schema: &Schema,
     reqs: &[Requirement],
@@ -1223,52 +1208,34 @@ pub fn analyze_batch_streaming(
     let grouped = group_by_user(reqs);
     let n_groups = grouped.len();
     let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
-
-    #[derive(Default)]
-    struct WorkerAcc {
-        worker: usize,
-        closure: ClosureStats,
-        occurrences: u64,
-    }
-
-    let emit_group = |acc: &mut WorkerAcc, gi: usize| {
-        let group = &grouped[gi];
-        let caps = user_caps(schema, &group.0);
-        let (group, verdicts) = run_group(schema, caps, reqs, group, config, opts, ctx.as_ref());
-        acc.closure.merge(&group.stats.closure);
-        acc.occurrences += group.stats.occurrences_checked;
-        sink.emit(GroupRecord {
-            group_index: gi,
-            worker: acc.worker,
-            user: group.user,
-            verdicts,
-            occurrences_checked: group.stats.occurrences_checked,
-        });
-    };
-
-    let (accs, steals) = run_pool(
+    let (folds, steals) = run_pool(
         n_groups,
         jobs,
-        |w| WorkerAcc {
-            worker: w,
-            ..WorkerAcc::default()
+        |w| (w, AnalysisStats::default()),
+        |(worker, stats), gi| {
+            let group = &grouped[gi];
+            let caps = user_caps(schema, &group.0);
+            let (group, verdicts) =
+                run_group(schema, caps, reqs, group, config, opts, ctx.as_ref());
+            stats.merge(&group.stats);
+            sink.emit(GroupRecord {
+                group_index: gi,
+                worker: *worker,
+                group,
+                verdicts,
+            });
         },
-        emit_group,
     );
-
-    let mut closure = ClosureStats::default();
-    let mut occurrences = 0;
-    for acc in &accs {
-        closure.merge(&acc.closure);
-        occurrences += acc.occurrences;
+    let mut stats = AnalysisStats::default();
+    for (_, worker_stats) in &folds {
+        stats.merge(worker_stats);
     }
     StreamSummary {
         groups: n_groups,
         requirements: reqs.len(),
         jobs_used: jobs,
         steals,
-        closure,
-        occurrences,
+        stats,
         cache_occupancy: cache.map(|c| (c.len(), c.capacity())),
         cache_stats: cache.map(|c| c.stats()),
     }
@@ -1568,7 +1535,7 @@ mod tests {
         assert_eq!(users, ["clerk", "safe_clerk", "payroll", "safe_payroll"]);
         // clerk's two requirements share one group.
         assert_eq!(out.groups[0].req_indexes, [0, 3]);
-        assert_eq!(out.jobs_used, 1);
+        assert_eq!(out.summary.jobs_used, 1);
     }
 
     #[test]
@@ -1609,7 +1576,7 @@ mod tests {
             collect_stats: true,
         };
         let out = analyze_batch(&s, &reqs, &AnalysisConfig::default(), &opts);
-        assert_eq!(out.jobs_used, 2);
+        assert_eq!(out.summary.jobs_used, 2);
         for g in &out.groups {
             let (prog, closure) = g.artifacts.as_ref().expect("artifacts kept");
             assert!(!prog.is_empty());
@@ -1657,7 +1624,7 @@ mod tests {
             .collect();
         assert_eq!(demand.verdicts, oracle);
         assert_eq!(
-            demand.cache_occupancy, None,
+            demand.summary.cache_occupancy, None,
             "uncached batches report no occupancy"
         );
     }
@@ -1674,7 +1641,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (0, 4), "four users, all cold");
         assert_eq!(cache.len(), 4);
         assert_eq!(
-            first.cache_occupancy,
+            first.summary.cache_occupancy,
             Some((4, 8)),
             "occupancy reported after a cached batch"
         );
@@ -1900,7 +1867,10 @@ mod tests {
         );
         assert_eq!(out.verdicts, expected);
         assert!(effective_jobs(0) >= 1);
-        assert_eq!(out.jobs_used, effective_jobs(0).min(out.groups.len()));
+        assert_eq!(
+            out.summary.jobs_used,
+            effective_jobs(0).min(out.groups.len())
+        );
     }
 
     #[test]
@@ -1920,7 +1890,7 @@ mod tests {
             records.sort_by_key(|r| r.group_index);
             assert_eq!(summary.groups, buffered.groups.len());
             assert_eq!(summary.requirements, reqs.len());
-            let users: Vec<_> = records.iter().map(|r| r.user.clone()).collect();
+            let users: Vec<_> = records.iter().map(|r| r.group.user.clone()).collect();
             let expected_users: Vec<_> = buffered.groups.iter().map(|g| g.user.clone()).collect();
             assert_eq!(users, expected_users, "records reassemble to group order");
             let mut verdicts: Vec<Option<Result<Verdict, AnalysisError>>> =
@@ -1967,18 +1937,28 @@ mod tests {
         for g in &buffered.groups {
             expect.merge(&g.stats.closure);
         }
-        assert_eq!(summary.closure.total_terms(), expect.total_terms());
-        assert_eq!(summary.closure.rounds, expect.rounds);
-        assert_eq!(summary.closure.derive_calls, expect.derive_calls);
-        assert_eq!(summary.closure.worklist_peak, expect.worklist_peak);
+        assert_eq!(summary.stats.closure.total_terms(), expect.total_terms());
+        assert_eq!(summary.stats.closure.rounds, expect.rounds);
+        assert_eq!(summary.stats.closure.derive_calls, expect.derive_calls);
+        assert_eq!(summary.stats.closure.worklist_peak, expect.worklist_peak);
         assert_eq!(
-            summary.occurrences,
+            summary.stats.occurrences_checked,
             buffered
                 .groups
                 .iter()
                 .map(|g| g.stats.occurrences_checked)
                 .sum::<u64>()
         );
+        assert_eq!(
+            summary.stats.program_nodes,
+            buffered
+                .groups
+                .iter()
+                .map(|g| g.stats.program_nodes)
+                .max()
+                .unwrap()
+        );
+        assert!(summary.stats.phases.get("closure").is_some());
     }
 
     #[test]

@@ -164,11 +164,11 @@ fn streamed_stats_totals_are_schedule_invariant() {
             &sink,
         );
         (
-            summary.closure.total_terms(),
-            summary.closure.derive_calls,
-            summary.closure.rounds,
-            summary.closure.worklist_peak,
-            summary.occurrences,
+            summary.stats.closure.total_terms(),
+            summary.stats.closure.derive_calls,
+            summary.stats.closure.rounds,
+            summary.stats.closure.worklist_peak,
+            summary.stats.occurrences_checked,
         )
     };
     let reference = totals(1);
