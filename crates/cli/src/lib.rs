@@ -35,9 +35,9 @@
 use oodb_lang::{check_schema, parse_schema, Schema};
 use oodb_model::{FnRef, UserName};
 use secflow::algorithm::{
-    analyze_batch_cached, analyze_batch_streaming, occurrences, AnalysisConfig, AnalysisSink,
-    AnalysisStats, BatchGroup, BatchOptions, BatchOutcome, CacheStats, ClosureCache, GroupRecord,
-    StreamSummary,
+    analyze_batch_cached, analyze_batch_streaming, analyze_caps, effective_jobs, occurrences,
+    AnalysisConfig, AnalysisSink, AnalysisStats, BatchGroup, BatchOptions, BatchOutcome,
+    CacheStats, ClosureCache, GroupRecord, StreamSummary,
 };
 use secflow::closure::Closure;
 use secflow::incremental::IncrementalUser;
@@ -50,7 +50,7 @@ use secflow_dynamic::AttackerConfig;
 use secflow_obs::{Json, MetricsSink, Phases, Recorder, TraceBuffer, TraceFormat};
 use std::fmt::Write as _;
 use std::io::{self, Write};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Process exit codes, one constant per outcome class. Scripts can rely on
 /// these staying distinct: a missing input file (3) is distinguishable from
@@ -83,7 +83,8 @@ pub enum Command {
         /// Print derivations for each violation.
         explain: bool,
         /// Worker threads for the batch analysis driver (1 = serial,
-        /// 0 = auto-detect the machine parallelism).
+        /// 0 = auto-detect the machine parallelism); runs use at most the
+        /// machine parallelism.
         jobs: usize,
         /// Stream per-group verdict lines as groups complete instead of
         /// buffering the whole outcome — memory stays flat however many
@@ -119,7 +120,8 @@ pub enum Command {
         /// Enumeration cap per witness.
         max_paths: usize,
         /// Worker threads for the batch analysis driver (1 = serial,
-        /// 0 = auto-detect the machine parallelism).
+        /// 0 = auto-detect the machine parallelism); runs use at most the
+        /// machine parallelism.
         jobs: usize,
     },
     /// `unfold <file> --user <name>`
@@ -151,8 +153,8 @@ pub enum Command {
     /// stdin and streams NDJSON responses — including per-requirement
     /// verdict *deltas* after each capability edit — to stdout. Edited
     /// users are maintained incrementally ([`secflow::IncrementalUser`]);
-    /// un-edited users are answered through the process-wide
-    /// [`ClosureCache`].
+    /// un-edited users are answered from their capability list alone
+    /// ([`analyze_caps`]).
     Serve {
         /// Policy file path.
         file: String,
@@ -222,14 +224,15 @@ USAGE:
                                              run every `require`; exit 1 on flaws
                                              (--jobs fans user groups across N threads
                                              under a work-stealing scheduler; N defaults
-                                             to 1, and --jobs 0 auto-detects the machine
-                                             parallelism; --stream prints each group's
-                                             verdict lines as the group completes,
-                                             tagged [g<index>] with its first-seen
-                                             position, keeping memory flat however many
-                                             users the policy holds — incompatible with
-                                             --explain/--certify, which buffer per-group
-                                             artifacts; --stream --format=ndjson emits
+                                             to 1, at most the machine parallelism runs,
+                                             and --jobs 0 auto-detects it; --stream
+                                             prints each group's verdict lines as the
+                                             group completes, tagged [g<index>] with
+                                             its first-seen position, keeping memory
+                                             flat however many users the policy holds —
+                                             incompatible with --explain/--certify,
+                                             which buffer per-group artifacts;
+                                             --stream --format=ndjson emits
                                              one compact JSON object per group record
                                              plus a final summary object instead of
                                              text lines; --certify re-validates every
@@ -246,7 +249,7 @@ USAGE:
                                              emits the versioned secflow.audit/1
                                              report; --severity filters paths below
                                              the band (verdicts and exit codes are
-                                             unchanged)
+                                             unchanged); --jobs N as for check
   secflow unfold <policy-file> --user <u>    print the numbered unfolding S'(F)
   secflow attack <policy-file> [--steps N]   try to realise each flaw concretely
   secflow fix    <policy-file>               suggest minimal revocations per flaw
@@ -734,7 +737,7 @@ impl Collected {
 /// `--trace=FILE` target.
 pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
     let mut stdout = Vec::new();
-    let (stderr, trace_output, code) = run_observed(cmd, src, obs, closure_cache(), &mut stdout);
+    let (stderr, trace_output, code) = run_observed(cmd, src, obs, &mut stdout);
     CliOutput {
         stdout: String::from_utf8_lossy(&stdout).into_owned(),
         stderr,
@@ -743,18 +746,18 @@ pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> Cli
     }
 }
 
-/// [`execute`] with observability, the report written to `out`: returns
-/// the stderr text, the trace document for a `--trace=FILE` target and the
-/// exit code.
+/// [`execute`] with observability and a closure cache of the run's own,
+/// the report written to `out`: returns the stderr text, the trace
+/// document for a `--trace=FILE` target and the exit code.
 fn run_observed(
     cmd: &Command,
     src: &str,
     obs: &ObsOptions,
-    cache: &ClosureCache,
     out: &mut (dyn Write + Send),
 ) -> (String, Option<String>, i32) {
+    let cache = ClosureCache::default();
     let mut col = Collected::default();
-    let report = execute(cmd, src, (!obs.is_off()).then_some(&mut col), cache, out);
+    let report = execute(cmd, src, (!obs.is_off()).then_some(&mut col), &cache, out);
     let (mut stderr, code) = finish(report, out);
     let mut trace_output = None;
     if let Some(trace) = &obs.trace {
@@ -818,7 +821,7 @@ pub fn run_with_obs(
             return finish(report.map(|()| exit::INPUT), out);
         }
     };
-    let (mut stderr, trace_output, code) = run_observed(cmd, &src, obs, closure_cache(), out);
+    let (mut stderr, trace_output, code) = run_observed(cmd, &src, obs, out);
     let path = obs.trace.as_ref().and_then(|t| t.file.as_ref());
     if let (Some(path), Some(doc)) = (path, trace_output) {
         if let Err(e) = std::fs::write(path, doc) {
@@ -833,8 +836,8 @@ pub fn run_with_obs(
 /// into `out` that failed. With a collector, phases are timed and the
 /// analysis commands collect their batch statistics into it; the report
 /// and exit code are the same either way, and so is the use of `cache`,
-/// which serves `check` (the public entry points pass the process-wide
-/// one).
+/// which serves `check` (the public entry points pass a fresh one per
+/// run).
 fn execute(
     cmd: &Command,
     src: &str,
@@ -871,6 +874,7 @@ fn execute(
             certify,
             ..
         } => {
+            let jobs = workers(jobs);
             if stream {
                 check_report_stream(&schema, jobs, ndjson, col, cache, out)
             } else {
@@ -896,7 +900,7 @@ fn execute(
                     mode: *mode,
                 },
             };
-            let outcome = audit_batch(&schema, *jobs);
+            let outcome = audit_batch(&schema, workers(*jobs));
             if let Some(col) = col.as_deref_mut() {
                 collect_batch(&schema, &outcome.summary, &outcome.groups, cache, col);
             }
@@ -915,6 +919,19 @@ fn execute(
         Command::Serve { .. } => timed(&mut col, "serve", || {
             serve(&schema, io::stdin().lock(), out)
         }),
+    }
+}
+
+/// The worker count `check` and `audit` run for `--jobs N`: N, but no more
+/// than the machine parallelism, which `0` leaves the batch analysis to
+/// detect. Each worker is an OS thread, so a large N would otherwise
+/// exhaust the thread limit. N ≤ 1 skips the query, which reads the
+/// process's cgroup files.
+fn workers(jobs: usize) -> usize {
+    if jobs <= 1 {
+        jobs
+    } else {
+        jobs.min(effective_jobs(0))
     }
 }
 
@@ -958,9 +975,8 @@ fn collect_batch(
     }
 }
 
-/// The cache's lifetime counters and layout, read after a run. Runs that
-/// bypass it (`--explain`, `--certify`, `audit`) report it as the earlier
-/// runs left it.
+/// The cache's counters and layout, read after a run. Runs that bypass it
+/// (`--explain`, `--certify`, `audit`) report an empty one.
 fn cache_snapshot(cache: &ClosureCache) -> CacheSnapshot {
     CacheSnapshot {
         stats: cache.stats(),
@@ -969,14 +985,6 @@ fn cache_snapshot(cache: &ClosureCache) -> CacheSnapshot {
         shards: cache.shard_count(),
         max_shard_len: cache.max_shard_len(),
     }
-}
-
-/// The process-wide closure cache behind plain `check` runs. Repeated
-/// checks of the same policy (shell loops, watch modes, editor
-/// integrations) skip unfolding and saturation entirely.
-fn closure_cache() -> &'static ClosureCache {
-    static CACHE: OnceLock<ClosureCache> = OnceLock::new();
-    CACHE.get_or_init(ClosureCache::default)
 }
 
 /// Run the batch driver over every `require` of the policy. `--explain`
@@ -1825,10 +1833,10 @@ fn fix_report(schema: &Schema, out: &mut dyn Write) -> io::Result<i32> {
 // ---------------------------------------------------------------------------
 
 /// The state behind one `secflow serve` session: each user's requirement
-/// indexes, per-user incremental closures materialised on first edit, the
-/// last-reported statuses the edit deltas are diffed against, and the
-/// process-wide [`ClosureCache`] answering checks of users that were never
-/// edited.
+/// indexes, per-user incremental closures materialised on first edit, and
+/// the last-reported statuses the edit deltas are diffed against. Users
+/// that were never edited are answered by [`analyze_caps`] on their
+/// capability list, as the guard and the advisor answer theirs.
 struct ServeState<'s> {
     schema: &'s Schema,
     config: AnalysisConfig,
@@ -1901,7 +1909,7 @@ impl<'s> ServeState<'s> {
 
     /// Current statuses of every requirement naming `user`, in declaration
     /// order: read through the maintained incremental closure when the user
-    /// is resident, the cached batch path otherwise.
+    /// is resident, [`analyze_caps`] on their capability list otherwise.
     fn statuses(&self, user: &UserName) -> Vec<(usize, ReqStatus)> {
         let run = self.reqs_of(user);
         if let Some(inc) = self.resident.get(user) {
@@ -1912,19 +1920,17 @@ impl<'s> ServeState<'s> {
                 })
                 .collect()
         } else {
+            let caps = self
+                .schema
+                .user(user)
+                .expect("`user_named` admits only users of the schema");
             let reqs: Vec<_> = run
                 .iter()
                 .map(|&(_, i)| self.schema.requirements[i].clone())
                 .collect();
-            let outcome = analyze_batch_cached(
-                self.schema,
-                &reqs,
-                &self.config,
-                &BatchOptions::default(),
-                Some(closure_cache()),
-            );
+            let verdicts = analyze_caps(self.schema, caps, &reqs, &self.config);
             run.iter()
-                .zip(&outcome.verdicts)
+                .zip(&verdicts)
                 .map(|(&(_, i), v)| (i, ReqStatus::of(v)))
                 .collect()
         }
@@ -2090,8 +2096,6 @@ impl<'s> ServeState<'s> {
     }
 
     fn stats_line(&self) -> String {
-        let cache = closure_cache();
-        let cs = cache.stats();
         let resident_terms: u64 = self
             .resident
             .values()
@@ -2107,17 +2111,6 @@ impl<'s> ServeState<'s> {
                     Json::count(self.resident.len() as u64),
                 ),
                 ("resident_terms".to_owned(), Json::count(resident_terms)),
-                (
-                    "cache".to_owned(),
-                    Json::Obj(vec![
-                        ("entries".to_owned(), Json::count(cache.len() as u64)),
-                        ("capacity".to_owned(), Json::count(cache.capacity() as u64)),
-                        ("shards".to_owned(), Json::count(cache.shard_count() as u64)),
-                        ("hits".to_owned(), Json::count(cs.hits)),
-                        ("misses".to_owned(), Json::count(cs.misses)),
-                        ("evictions".to_owned(), Json::count(cs.evictions)),
-                    ]),
-                ),
             ]),
         )]);
         format!("{obj}\n")
@@ -2285,20 +2278,6 @@ mod tests {
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
-    }
-
-    /// An instrumented run on a cold cache of its own, so its counters do
-    /// not depend on what other tests left in the process-wide one.
-    fn observe(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
-        let mut stdout = Vec::new();
-        let (stderr, trace_output, code) =
-            run_observed(cmd, src, obs, &ClosureCache::default(), &mut stdout);
-        CliOutput {
-            stdout: String::from_utf8(stdout).expect("reports are UTF-8"),
-            stderr,
-            trace_output,
-            code,
-        }
     }
 
     #[test]
@@ -2550,7 +2529,7 @@ mod tests {
             metrics: Some(MetricsFormat::Json),
             trace: None,
         };
-        let out = observe(&streamed, POLICY, &obs);
+        let out = run_on_source_with_obs(&streamed, POLICY, &obs);
         assert_eq!(out.code, 1);
         assert!(out.stderr.contains("\"batch.steals\""), "{}", out.stderr);
         assert!(
@@ -2585,7 +2564,8 @@ mod tests {
                     stream,
                     ndjson: false,
                 };
-                Json::parse(&observe(&cmd, &src, &metrics).stderr).expect("one metrics document")
+                Json::parse(&run_on_source_with_obs(&cmd, &src, &metrics).stderr)
+                    .expect("one metrics document")
             };
             let (buffered, streamed) = (doc(false), doc(true));
             let names = |doc: &Json, key: &str| match doc.get(key) {
@@ -2704,13 +2684,8 @@ mod tests {
             Command::Fmt { file: "-".into() },
             Command::Serve { file: "-".into() },
         ] {
-            let (stderr, _, code) = run_observed(
-                &cmd,
-                POLICY,
-                &ObsOptions::default(),
-                &ClosureCache::default(),
-                &mut ClosedPipe,
-            );
+            let (stderr, _, code) =
+                run_observed(&cmd, POLICY, &ObsOptions::default(), &mut ClosedPipe);
             assert_eq!(code, exit::INPUT, "{cmd:?}");
             assert_eq!(stderr.lines().count(), 1, "{cmd:?}: {stderr}");
             assert!(
@@ -2762,7 +2737,19 @@ mod tests {
     }
 
     #[test]
-    fn repeated_checks_share_the_process_cache() {
+    fn every_run_starts_with_a_cold_cache() {
+        // Three users hold one list: each run saturates it once and serves
+        // the other two groups from its own cache, whatever ran before.
+        let policy = r#"
+            class Broker { salary: int, budget: int }
+            fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }
+            user a { checkBudget, w_budget }
+            user b { checkBudget, w_budget }
+            user c { checkBudget, w_budget }
+            require (a, r_salary(x) : ti)
+            require (b, r_salary(x) : ti)
+            require (c, r_salary(x) : ti)
+        "#;
         let cmd = Command::Check {
             file: "-".into(),
             explain: false,
@@ -2771,13 +2758,55 @@ mod tests {
             stream: false,
             ndjson: false,
         };
-        let first = run_on_source(&cmd, POLICY);
-        let hits_before = closure_cache().stats().hits;
-        let second = run_on_source(&cmd, POLICY);
-        assert_eq!(first, second);
+        let metrics = ObsOptions {
+            metrics: Some(MetricsFormat::Json),
+            trace: None,
+        };
+        for run in 0..2 {
+            let out = run_on_source_with_obs(&cmd, policy, &metrics);
+            let doc = Json::parse(&out.stderr).expect("stderr is one valid JSON document");
+            let counter = |name: &str| {
+                doc.get("counters")
+                    .and_then(|c| c.get(name))
+                    .and_then(Json::as_u64)
+            };
+            assert_eq!(counter("cache.misses"), Some(1), "run {run}");
+            assert_eq!(counter("cache.hits"), Some(2), "run {run}");
+        }
+    }
+
+    #[test]
+    fn jobs_run_at_most_the_machine_parallelism() {
+        // Every worker is an OS thread: `--jobs 64` on 64 groups must not
+        // ask for more threads than the machine runs at once.
+        let mut policy = String::from(
+            "class Broker { salary: int, budget: int }\n\
+             fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }\n",
+        );
+        for i in 0..64 {
+            let _ = writeln!(policy, "user u{i} {{ checkBudget, w_budget }}");
+            let _ = writeln!(policy, "require (u{i}, r_salary(x) : ti)");
+        }
+        let cmd = Command::Check {
+            file: "-".into(),
+            explain: false,
+            jobs: 64,
+            certify: false,
+            stream: true,
+            ndjson: true,
+        };
+        let (out, code) = run_on_source(&cmd, &policy);
+        assert_eq!(code, exit::VIOLATION);
+        let summary = Json::parse(out.lines().last().expect("a summary line")).unwrap();
+        let workers = summary
+            .get("summary")
+            .and_then(|s| s.get("workers"))
+            .and_then(Json::as_u64)
+            .expect("the summary counts its workers");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert!(
-            closure_cache().stats().hits > hits_before,
-            "second identical check must be served from the cache"
+            (1..=cores as u64).contains(&workers),
+            "{workers} workers on {cores} cores"
         );
     }
 
@@ -2809,8 +2838,8 @@ mod tests {
             metrics: Some(MetricsFormat::Json),
             trace: Some(TraceOptions::default()),
         };
-        let a = observe(&serial, POLICY, &obs);
-        let b = observe(&parallel, POLICY, &obs);
+        let a = run_on_source_with_obs(&serial, POLICY, &obs);
+        let b = run_on_source_with_obs(&parallel, POLICY, &obs);
         assert_eq!(a.stdout, b.stdout);
         assert_eq!(a.code, b.code);
     }
@@ -2892,7 +2921,7 @@ mod tests {
         let (plain, plain_code) = run_on_source(&cmd, POLICY);
         // Metrics on + trace without a file: the trace is dropped, stderr
         // holds the metrics report alone — no interleaving.
-        let out = observe(
+        let out = run_on_source_with_obs(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2911,7 +2940,7 @@ mod tests {
         );
         assert!(out.trace_output.is_none(), "no file target, no file output");
         // Trace alone (no file): stderr is pure JSONL trace events.
-        let traced = observe(
+        let traced = run_on_source_with_obs(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2926,7 +2955,7 @@ mod tests {
             assert!(ev.get("name").is_some() && ev.get("ph").is_some());
         }
         // Trace to a file: stderr empty, events in trace_output instead.
-        let to_file = observe(
+        let to_file = run_on_source_with_obs(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -2961,7 +2990,7 @@ mod tests {
             stream: false,
             ndjson: false,
         };
-        let out = observe(
+        let out = run_on_source_with_obs(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -3066,7 +3095,7 @@ mod tests {
             metrics: Some(MetricsFormat::Json),
             trace: None,
         };
-        let out = observe(&cmd, policy, &metrics);
+        let out = run_on_source_with_obs(&cmd, policy, &metrics);
         assert_eq!((out.stdout.as_str(), out.code), (plain.0.as_str(), plain.1));
         let doc = Json::parse(&out.stderr).expect("stderr is one valid JSON document");
         let counter = |name: &str| {
@@ -3081,7 +3110,7 @@ mod tests {
             metrics: None,
             trace: Some(TraceOptions::default()),
         };
-        let traced = observe(&cmd, policy, &trace);
+        let traced = run_on_source_with_obs(&cmd, policy, &trace);
         assert_eq!(traced.stdout, plain.0);
         let hits = traced
             .stderr
@@ -3099,7 +3128,7 @@ mod tests {
             user: "clerk".into(),
         };
         let (plain, _) = run_on_source(&cmd, POLICY);
-        let out = observe(
+        let out = run_on_source_with_obs(
             &cmd,
             POLICY,
             &ObsOptions {
@@ -3110,7 +3139,7 @@ mod tests {
         assert_eq!(out.stdout, plain);
         assert!(out.stderr.contains("unfold"));
         // Parse errors still exit 3 with the metrics facility on.
-        let bad = observe(
+        let bad = run_on_source_with_obs(
             &Command::Fmt { file: "-".into() },
             "class C { x: bogus_type }",
             &ObsOptions {
@@ -3271,7 +3300,7 @@ mod tests {
         );
         // The instrumented path additionally surfaces per-rule check
         // counters in the metrics report.
-        let obs = observe(
+        let obs = run_on_source_with_obs(
             &certified,
             POLICY,
             &ObsOptions {
@@ -3290,7 +3319,7 @@ mod tests {
     #[test]
     fn corrupted_proofs_fail_certification_with_exit_four() {
         let schema = load_str(POLICY).unwrap();
-        let mut outcome = check_batch(&schema, false, 1, true, false, closure_cache());
+        let mut outcome = check_batch(&schema, false, 1, true, false, &ClosureCache::default());
         // Corrupt one recorded derivation in the first group's closure: the
         // independent checker must reject it and the CLI must map that to
         // the dedicated exit code.
@@ -3546,7 +3575,7 @@ mod tests {
 
     #[test]
     fn audit_emits_trace_and_metrics_without_interleaving() {
-        let out = observe(
+        let out = run_on_source_with_obs(
             &audit_cmd(),
             POLICY,
             &ObsOptions {
@@ -3661,7 +3690,7 @@ mod tests {
         let stats = lines[4].get("stats").expect("stats record");
         assert_eq!(stats.get("resident").and_then(Json::as_u64), Some(1));
         assert!(stats.get("resident_terms").and_then(Json::as_u64).unwrap() > 0);
-        assert!(stats.get("cache").is_some());
+        assert!(stats.get("cache").is_none());
 
         let shutdown = lines[5].get("shutdown").expect("shutdown record");
         assert_eq!(shutdown.get("requests").and_then(Json::as_u64), Some(5));

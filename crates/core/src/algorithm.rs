@@ -989,8 +989,10 @@ pub fn analyze_batch_cached(
 /// through the batch driver's demand path, in `reqs` order. The
 /// requirements' user names are never read, so no user of `schema` need
 /// hold `caps` (the guard passes a session's functions, the advisor a list
-/// with grants revoked). Uncached: a [`ClosureCache`] key prints the
-/// program on every call, which costs both callers more than it saves.
+/// with grants revoked, `secflow serve` a never-edited user's own list).
+/// Uncached: a [`ClosureCache`] key prints the program on every call, and
+/// on these callers' inputs that print costs more than the closure it
+/// guards.
 pub fn analyze_caps(
     schema: &Schema,
     caps: &CapabilityList,
@@ -1183,8 +1185,6 @@ pub struct StreamSummary {
     /// to a serial fold; only the row order of the per-label tables and of
     /// the phases can differ.
     pub stats: AnalysisStats,
-    /// `(len, capacity)` of the cache after this batch, when one was passed.
-    pub cache_occupancy: Option<(usize, usize)>,
     /// Lifetime cache counters after this batch, when one was passed.
     /// Lifetime, not per-batch: the cache is shared across calls, so
     /// consumers report the running totals (monotone counters).
@@ -1236,7 +1236,6 @@ pub fn analyze_batch_streaming(
         jobs_used: jobs,
         steals,
         stats,
-        cache_occupancy: cache.map(|c| (c.len(), c.capacity())),
         cache_stats: cache.map(|c| c.stats()),
     }
 }
@@ -1623,10 +1622,6 @@ mod tests {
             .map(|r| crate::reference::analyze_ref(&s, r, &config))
             .collect();
         assert_eq!(demand.verdicts, oracle);
-        assert_eq!(
-            demand.summary.cache_occupancy, None,
-            "uncached batches report no occupancy"
-        );
     }
 
     #[test]
@@ -1640,11 +1635,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 4), "four users, all cold");
         assert_eq!(cache.len(), 4);
-        assert_eq!(
-            first.summary.cache_occupancy,
-            Some((4, 8)),
-            "occupancy reported after a cached batch"
-        );
         let second = analyze_batch_cached(&s, &reqs, &config, &opts, Some(&cache));
         let stats = cache.stats();
         assert_eq!(

@@ -137,20 +137,6 @@ impl Term {
             _ => None,
         }
     }
-
-    /// Same capability/shape ignoring origin — used for subsumption (a term
-    /// that differs only in origin is still new, because origins matter for
-    /// the pi-join rule, but reporting collapses them).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Term::Ta(_) => "ta",
-            Term::Pa(_) => "pa",
-            Term::Ti(..) => "ti",
-            Term::Pi(..) => "pi",
-            Term::PiStar(..) => "pi*",
-            Term::Eq(..) => "=",
-        }
-    }
 }
 
 impl fmt::Display for Term {

@@ -288,11 +288,6 @@ pub struct AccessFnDef {
 }
 
 impl AccessFnDef {
-    /// Parameter type by position.
-    pub fn param_type(&self, i: usize) -> Option<&Type> {
-        self.params.get(i).map(|(_, t)| t)
-    }
-
     /// Arity.
     pub fn arity(&self) -> usize {
         self.params.len()

@@ -323,7 +323,7 @@ fn check_function(schema: &Schema, def: &AccessFnDef) -> Result<(), TypeError> {
     for (p, t) in &def.params {
         env.push(p.clone(), t.clone());
     }
-    let body_ty = type_of_expr_inner(schema, &mut env, &def.body, &ctx)?;
+    let body_ty = type_of_expr(schema, &mut env, &def.body, &ctx)?;
     if !def.ret.accepts(&body_ty) {
         return Err(TypeError::Mismatch {
             expected: format!("return type `{}`", def.ret),
@@ -352,38 +352,7 @@ fn check_type_exists(schema: &Schema, t: &Type, ctx: &str) -> Result<(), TypeErr
 }
 
 /// Infer the type of an expression in the given environment.
-pub fn type_of_expr(
-    schema: &Schema,
-    env: &mut Env2,
-    expr: &Expr,
-    ctx: &str,
-) -> Result<Type, TypeError> {
-    type_of_expr_inner(schema, &mut env.0, expr, ctx)
-}
-
-/// Opaque environment wrapper so callers can build environments without
-/// depending on internal representation.
-#[derive(Clone, Debug, Default)]
-pub struct Env2(Env);
-
-impl Env2 {
-    /// Empty environment.
-    pub fn new() -> Env2 {
-        Env2::default()
-    }
-
-    /// Bind a variable.
-    pub fn bind(&mut self, v: impl Into<VarName>, t: Type) {
-        self.0.push(v.into(), t);
-    }
-}
-
-fn type_of_expr_inner(
-    schema: &Schema,
-    env: &mut Env,
-    expr: &Expr,
-    ctx: &str,
-) -> Result<Type, TypeError> {
+fn type_of_expr(schema: &Schema, env: &mut Env, expr: &Expr, ctx: &str) -> Result<Type, TypeError> {
     match expr {
         Expr::Const(l) => Ok(l.ty()),
         Expr::Var(v) => env
@@ -404,7 +373,7 @@ fn type_of_expr_inner(
             }
             let mut tys = Vec::with_capacity(args.len());
             for a in args {
-                tys.push(type_of_expr_inner(schema, env, a, ctx)?);
+                tys.push(type_of_expr(schema, env, a, ctx)?);
             }
             type_of_basic(*op, &tys, ctx)
         }
@@ -424,7 +393,7 @@ fn type_of_expr_inner(
                 });
             }
             for (a, (p, want)) in args.iter().zip(&def.params) {
-                let got = type_of_expr_inner(schema, env, a, ctx)?;
+                let got = type_of_expr(schema, env, a, ctx)?;
                 if !want.accepts(&got) {
                     return Err(TypeError::Mismatch {
                         expected: format!("`{want}` for parameter `{p}` of `{f}`"),
@@ -436,7 +405,7 @@ fn type_of_expr_inner(
             Ok(def.ret.clone())
         }
         Expr::Read(attr, recv) => {
-            let recv_ty = type_of_expr_inner(schema, env, recv, ctx)?;
+            let recv_ty = type_of_expr(schema, env, recv, ctx)?;
             let class = recv_ty.as_class().ok_or_else(|| TypeError::Mismatch {
                 expected: "an object type as receiver of a read".to_owned(),
                 actual: recv_ty.clone(),
@@ -457,7 +426,7 @@ fn type_of_expr_inner(
                 })
         }
         Expr::Write(attr, recv, val) => {
-            let recv_ty = type_of_expr_inner(schema, env, recv, ctx)?;
+            let recv_ty = type_of_expr(schema, env, recv, ctx)?;
             let class = recv_ty.as_class().ok_or_else(|| TypeError::Mismatch {
                 expected: "an object type as receiver of a write".to_owned(),
                 actual: recv_ty.clone(),
@@ -477,7 +446,7 @@ fn type_of_expr_inner(
                     context: format!("class `{class}` has no such attribute ({ctx})"),
                 })?
                 .clone();
-            let got = type_of_expr_inner(schema, env, val, ctx)?;
+            let got = type_of_expr(schema, env, val, ctx)?;
             if !want.accepts(&got) {
                 return Err(TypeError::Mismatch {
                     expected: format!("`{want}` for attribute `{class}.{attr}`"),
@@ -504,7 +473,7 @@ fn type_of_expr_inner(
                 });
             }
             for (a, attr) in args.iter().zip(&def.attrs) {
-                let got = type_of_expr_inner(schema, env, a, ctx)?;
+                let got = type_of_expr(schema, env, a, ctx)?;
                 if !attr.ty.accepts(&got) {
                     return Err(TypeError::Mismatch {
                         expected: format!("`{}` for attribute `{}.{}`", attr.ty, class, attr.name),
@@ -518,10 +487,10 @@ fn type_of_expr_inner(
         Expr::Let { bindings, body } => {
             let mark = env.len();
             for (name, value) in bindings {
-                let t = type_of_expr_inner(schema, env, value, ctx)?;
+                let t = type_of_expr(schema, env, value, ctx)?;
                 env.push(name.clone(), t);
             }
-            let t = type_of_expr_inner(schema, env, body, ctx);
+            let t = type_of_expr(schema, env, body, ctx);
             env.truncate(mark);
             t
         }

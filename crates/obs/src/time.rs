@@ -21,11 +21,6 @@ impl Stopwatch {
         self.start.elapsed()
     }
 
-    /// Time since start, in fractional milliseconds.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed().as_secs_f64() * 1e3
-    }
-
     /// Restart and return the lap time.
     pub fn lap(&mut self) -> Duration {
         let now = Instant::now();

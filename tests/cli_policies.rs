@@ -693,6 +693,275 @@ fn serve_checks_agree_with_batch_analysis_on_a_many_user_policy() {
     assert_eq!(checked, 2 * users.len());
 }
 
+/// One request of a random `serve` script on [`many_user_policy`].
+#[derive(Clone, Debug)]
+enum ServeRequest {
+    Check(String),
+    /// `(op, user, fn)`: a grant or a revoke.
+    Edit(&'static str, String, String),
+    Stats,
+    /// A line the session must refuse: not JSON, or a non-string value.
+    Malformed(String),
+    /// An empty or all-space line: no response, not a request.
+    Blank(String),
+}
+
+impl ServeRequest {
+    /// Draw a request from `(kind, user, fn)`, each a uniform integer.
+    /// Half the user draws land on `u0`–`u7`, so edited users get checked
+    /// and edited again.
+    fn from_draw((kind, u, f): (u32, usize, usize)) -> ServeRequest {
+        let user = if u < 40 {
+            format!("u{}", u % 8)
+        } else {
+            format!("u{}", u - 40)
+        };
+        let func = match f {
+            0..=7 => format!("p{f}"),
+            8..=15 => format!("r_a{}", f - 8),
+            _ => format!("w_a{}", f - 16),
+        };
+        let op = if f % 2 == 0 { "grant" } else { "revoke" };
+        match kind {
+            0..=34 => ServeRequest::Check(user),
+            35..=54 => ServeRequest::Edit("grant", user, func),
+            55..=74 => ServeRequest::Edit("revoke", user, func),
+            75..=78 => ServeRequest::Check("nobody".into()),
+            79..=80 => ServeRequest::Edit(op, "nobody".into(), func),
+            // `p9` is not defined: a grant fails, a revoke changes nothing.
+            81..=84 => ServeRequest::Edit(op, user, "p9".into()),
+            85..=88 => ServeRequest::Malformed(format!(r#"{{"op":"check","user":"{user}""#)),
+            89..=92 => ServeRequest::Malformed(format!(r#"{{"op":"check","user":{u}}}"#)),
+            93..=96 => ServeRequest::Blank(" ".repeat(f % 3)),
+            _ => ServeRequest::Stats,
+        }
+    }
+
+    fn line(&self) -> String {
+        match self {
+            ServeRequest::Check(user) => format!(r#"{{"op":"check","user":"{user}"}}"#),
+            ServeRequest::Edit(op, user, f) => {
+                format!(r#"{{"op":"{op}","user":"{user}","fn":"{f}"}}"#)
+            }
+            ServeRequest::Stats => r#"{"op":"stats"}"#.to_owned(),
+            ServeRequest::Malformed(line) | ServeRequest::Blank(line) => line.clone(),
+        }
+    }
+}
+
+/// A requirement's serve status: `(index, status, occurrences)`.
+type StatusRow = (u64, String, Option<u64>);
+
+fn status_rows(doc: &secflow_obs::Json, key: &str) -> Result<Vec<StatusRow>, String> {
+    use secflow_obs::Json;
+    let rows = doc
+        .get(key)
+        .and_then(Json::as_arr)
+        .ok_or("no verdict array")?;
+    rows.iter()
+        .map(|v| {
+            Ok((
+                v.get("requirement")
+                    .and_then(Json::as_u64)
+                    .ok_or("no index")?,
+                v.get("status")
+                    .and_then(Json::as_str)
+                    .ok_or("no status")?
+                    .to_owned(),
+                v.get("occurrences").and_then(Json::as_u64),
+            ))
+        })
+        .collect()
+}
+
+/// What a `serve` session on `many_user_policy` must answer: the schema
+/// with every accepted edit applied to its lists, and the statuses the
+/// session last reported per user. Statuses come from `RefClosure`.
+struct ServeModel {
+    schema: oodb_lang::Schema,
+    last: std::collections::BTreeMap<String, Vec<StatusRow>>,
+    resident: std::collections::BTreeSet<String>,
+    requests: u64,
+    edits: u64,
+}
+
+impl ServeModel {
+    fn statuses(&self, user: &str) -> Vec<StatusRow> {
+        use secflow::Verdict;
+        let config = secflow::algorithm::AnalysisConfig::default();
+        self.schema
+            .requirements
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.user.as_str() == user)
+            .map(
+                |(i, r)| match secflow::analyze_ref(&self.schema, r, &config) {
+                    Ok(Verdict::Satisfied) => (i as u64, "satisfied".into(), None),
+                    Ok(Verdict::Violated(vs)) => {
+                        (i as u64, "violated".into(), Some(vs.len() as u64))
+                    }
+                    Err(e) => panic!("the oracle fails on requirement {i}: {e}"),
+                },
+            )
+            .collect()
+    }
+
+    /// The response `req` must get, checked against `resp`; updates the
+    /// model as the session updates itself.
+    fn answer(&mut self, req: &ServeRequest, resp: &secflow_obs::Json) -> Result<(), String> {
+        use oodb_model::UserName;
+        use secflow_obs::Json;
+        self.requests += 1;
+        let error = |model: &ServeModel| match resp {
+            Json::Obj(fields)
+                if fields.len() == 2
+                    && resp.get("error").and_then(Json::as_str).is_some()
+                    && resp.get("request").and_then(Json::as_u64) == Some(model.requests) =>
+            {
+                Ok(())
+            }
+            _ => Err(format!("expected error for request {}", model.requests)),
+        };
+        let known = |user: &str| self.schema.users.contains_key(&UserName::new(user));
+        match req {
+            ServeRequest::Blank(_) => unreachable!("blank lines are not requests"),
+            ServeRequest::Malformed(_) => error(self),
+            ServeRequest::Check(user) if !known(user) => error(self),
+            ServeRequest::Edit(_, user, _) if !known(user) => error(self),
+            ServeRequest::Check(user) => {
+                let want = self.statuses(user);
+                if resp.get("op").and_then(Json::as_str) != Some("check")
+                    || resp.get("user").and_then(Json::as_str) != Some(user)
+                    || status_rows(resp, "verdicts")? != want
+                {
+                    return Err(format!("check of {user}: expected {want:?}"));
+                }
+                self.last.insert(user.clone(), want);
+                Ok(())
+            }
+            ServeRequest::Edit(op, user, f) => {
+                // The session materialises the user before it applies the
+                // edit, and diffs against the pre-edit statuses if it never
+                // reported any.
+                self.resident.insert(user.clone());
+                let before = match self.last.get(user) {
+                    Some(rows) => rows.clone(),
+                    None => self.statuses(user),
+                };
+                if *op == "grant" && f == "p9" {
+                    self.last.insert(user.clone(), before);
+                    return error(self);
+                }
+                let caps = self.schema.users.get_mut(&UserName::new(user)).unwrap();
+                let fn_ref: oodb_model::FnRef = f.parse().unwrap();
+                let changed = if *op == "grant" {
+                    caps.grant(fn_ref)
+                } else {
+                    caps.revoke(&fn_ref)
+                };
+                self.edits += u64::from(changed);
+                let now = self.statuses(user);
+                let deltas: Vec<StatusRow> = now
+                    .iter()
+                    .filter(|r| !before.contains(r))
+                    .cloned()
+                    .collect();
+                if resp.get("op").and_then(Json::as_str) != Some(*op)
+                    || resp.get("user").and_then(Json::as_str) != Some(user)
+                    || resp.get("changed") != Some(&Json::Bool(changed))
+                    || status_rows(resp, "deltas")? != deltas
+                {
+                    return Err(format!(
+                        "{op} {f} on {user}: expected changed {changed}, deltas {deltas:?}"
+                    ));
+                }
+                self.last.insert(user.clone(), now);
+                Ok(())
+            }
+            ServeRequest::Stats => {
+                let stats = resp.get("stats").ok_or("no stats object")?;
+                let count = |key: &str| stats.get(key).and_then(Json::as_u64);
+                if count("requests") != Some(self.requests)
+                    || count("edits") != Some(self.edits)
+                    || count("resident") != Some(self.resident.len() as u64)
+                    || count("resident_terms").is_none()
+                    || stats.get("cache").is_some()
+                {
+                    return Err("stats disagree with the model".into());
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Drive `serve_session` on `many_user_policy()` with `script` and check
+/// every response line against [`ServeModel`]: each is one JSON object,
+/// each non-blank request gets exactly one, and the session ends with
+/// exit 0 and a `shutdown` line whose counts match the model.
+fn serve_script_agrees_with_the_oracle(script: &[ServeRequest]) -> Result<(), String> {
+    use secflow_obs::Json;
+    let schema = secflow_cli::load_str(&many_user_policy()).unwrap();
+    let lines: Vec<String> = script.iter().map(ServeRequest::line).collect();
+    let (out, code) = secflow_cli::serve_session(&schema, &lines);
+    if code != secflow_cli::exit::OK {
+        return Err(format!("exit code {code}"));
+    }
+    let mut responses = out
+        .lines()
+        .map(|line| Json::parse(line).map_err(|e| format!("response `{line}` is not JSON: {e}")));
+    let mut next = || responses.next().ok_or("the stream ended early")?;
+    let ready = next()?;
+    let ready = ready.get("ready").ok_or("no ready line")?;
+    if ready.get("users").and_then(Json::as_u64) != Some(40) {
+        return Err("ready line does not count 40 users".into());
+    }
+    let mut model = ServeModel {
+        schema: schema.clone(),
+        last: Default::default(),
+        resident: Default::default(),
+        requests: 0,
+        edits: 0,
+    };
+    for (req, line) in script.iter().zip(&lines) {
+        if let ServeRequest::Blank(_) = req {
+            continue;
+        }
+        let resp = next()?;
+        model
+            .answer(req, &resp)
+            .map_err(|e| format!("{e}\n  request: {line}\n  response: {resp}"))?;
+    }
+    let shutdown = next()?;
+    let counts = shutdown.get("shutdown").ok_or("no shutdown line")?;
+    if counts.get("requests").and_then(Json::as_u64) != Some(model.requests)
+        || counts.get("edits").and_then(Json::as_u64) != Some(model.edits)
+    {
+        return Err(format!("shutdown line {shutdown} disagrees with the model"));
+    }
+    match next() {
+        Ok(extra) => Err(format!("a line after shutdown: {extra}")),
+        Err(_) => Ok(()),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// Random scripts of checks, grants, revokes, unknown names, malformed
+    /// and blank lines: never-edited users (`analyze_caps`) and resident
+    /// ones (`IncrementalUser`) both answer what `RefClosure` does on the
+    /// edited policy.
+    #[test]
+    fn random_serve_scripts_agree_with_the_oracle(
+        draws in proptest::collection::vec((0u32..100, 0usize..80, 0usize..24), 1..41)
+    ) {
+        let script: Vec<ServeRequest> = draws.into_iter().map(ServeRequest::from_draw).collect();
+        let verdict = serve_script_agrees_with_the_oracle(&script);
+        proptest::prop_assert!(verdict.is_ok(), "{}\nscript: {:#?}", verdict.unwrap_err(), script);
+    }
+}
+
 #[test]
 fn usage_documents_serve() {
     assert!(secflow_cli::USAGE.contains("serve"));
