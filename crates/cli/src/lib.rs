@@ -774,6 +774,9 @@ fn run_observed(
     if let Some(format) = obs.metrics {
         let mut rec = Recorder::new();
         col.record_to(&mut rec);
+        if let Some(kb) = peak_rss_kb() {
+            rec.gauge("process.peak_rss_kb", kb as f64);
+        }
         let report = rec.into_report();
         match format {
             MetricsFormat::Text => stderr.push_str(&report.render_table()),
@@ -781,6 +784,14 @@ fn run_observed(
         }
     }
     (stderr, trace_output, code)
+}
+
+/// The process's peak resident set so far, in KiB: `VmHWM` in
+/// `/proc/self/status`, where that file exists.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Flush `out` after a report was written to it. Returns the stderr text

@@ -624,9 +624,8 @@ impl Builder<'_> {
                 let ty = self
                     .schema
                     .classes
-                    .get(class)
-                    .and_then(|c| c.attr_type(attr))
-                    .cloned()
+                    .attr(class, attr.as_str())
+                    .map(|a| a.ty.clone())
                     .ok_or_else(|| {
                         UnfoldError::Malformed(format!("unknown attribute `{class}.{attr}`"))
                     })?;

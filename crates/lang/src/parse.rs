@@ -24,10 +24,11 @@
 //! read/write functions in call position; `new C(…)` is the constructor.
 
 use crate::ast::{AccessFnDef, BasicOp, Expr, Literal, Schema};
-use crate::lexer::{lex, LexError, Spanned, Token};
+use crate::lexer::{LexError, Lexer, Spanned, Token};
 use crate::query::{Atom, CmpOp, CmpRhs, Cond, FromSource, Invocation, Query, SelectItem};
 use crate::requirement::{Cap, Requirement};
-use oodb_model::{CapabilityList, ClassDef, FnRef, Type, VarName};
+use oodb_model::{AttrName, CapabilityList, ClassDef, FnRef, Type, UserName, VarName};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Parse error with a 1-based line number.
@@ -66,28 +67,58 @@ pub const KEYWORDS: &[&str] = &[
     "true", "false", "and", "or", "not", "int", "bool", "string",
 ];
 
-/// Maximum nesting depth for expressions, types and conditions. The parser
-/// is recursive-descent; without a bound, adversarial input (thousands of
-/// nested parentheses) would overflow the stack instead of erroring.
+/// Maximum nesting depth for expressions, types, conditions and queries.
+/// The parser is recursive-descent, and the type checker, the unfolder, the
+/// printer and `Drop` recurse over the trees it builds; without a bound,
+/// adversarial input (thousands of nested parentheses, `not`s or `+`s)
+/// would overflow the stack instead of erroring. Parentheses, set types,
+/// `let`, call arguments, unary prefixes and nested selects each take one
+/// level, and so does each operator on a binary chain, on top of the
+/// deepest operand before it: the bound is on the height of the tree.
 const MAX_DEPTH: u32 = 200;
 
-struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
+/// A token slot: a token, or the lex error standing in its place.
+type Slot<'a> = Option<Result<Spanned<'a>, LexError>>;
+
+/// A recursive-descent parser over an on-demand [`Lexer`].
+///
+/// It holds two tokens of lookahead and no token vector. A lex error waits
+/// in its token's slot: the parser reports it when it reaches that token,
+/// so an earlier syntax error is reported first.
+///
+/// `schema` collects the parsed definitions; references to declared names
+/// share the declaration's copy of the name.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token, `None` at the end of input.
+    cur: Slot<'a>,
+    /// The token after it.
+    next: Slot<'a>,
     depth: u32,
+    /// The deepest `depth` reached since the innermost open operator chain
+    /// began (see [`Parser::chain_start`]).
+    peak: u32,
+    schema: Schema,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, ParseError> {
-        Ok(Parser {
-            tokens: lex(src)?,
-            pos: 0,
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let mut lexer = Lexer::new(src);
+        let cur = lexer.next();
+        let next = lexer.next();
+        Parser {
+            lexer,
+            cur,
+            next,
             depth: 0,
-        })
+            peak: 0,
+            schema: Schema::new(),
+        }
     }
 
     fn enter(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         if self.depth > MAX_DEPTH {
             return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
         }
@@ -98,46 +129,89 @@ impl Parser {
         self.depth -= 1;
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|s| &s.token)
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.enter()?;
+        let r = f(self);
+        self.leave();
+        r
     }
 
-    fn peek2(&self) -> Option<&Token> {
-        self.tokens.get(self.pos + 1).map(|s| &s.token)
+    /// Begin a chain of left-associative binary operators. Its tree is
+    /// left-deep: each operator sits above everything to its left, so
+    /// [`Parser::chain_op`] counts it one level above the deepest point the
+    /// chain has reached. Returns what [`Parser::chain_end`] restores.
+    fn chain_start(&mut self) -> (u32, u32) {
+        let outer = (self.depth, self.peak);
+        self.peak = self.depth;
+        outer
+    }
+
+    /// Count one operator of the open chain.
+    fn chain_op(&mut self) -> Result<(), ParseError> {
+        self.depth = self.peak;
+        self.enter()
+    }
+
+    fn chain_end(&mut self, (depth, peak): (u32, u32)) {
+        self.depth = depth;
+        self.peak = self.peak.max(peak);
+    }
+
+    fn peek(&self) -> Option<&Token<'a>> {
+        match &self.cur {
+            Some(Ok(s)) => Some(&s.token),
+            _ => None,
+        }
+    }
+
+    fn peek2(&self) -> Option<&Token<'a>> {
+        match (&self.cur, &self.next) {
+            (Some(Ok(_)), Some(Ok(s))) => Some(&s.token),
+            _ => None,
+        }
     }
 
     fn line(&self) -> u32 {
-        self.tokens
-            .get(self.pos)
-            .map(|s| s.line)
-            .unwrap_or(self.tokens.last().map(|s| s.line).unwrap_or(0))
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            message: message.into(),
-            line: self.line(),
-        })
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|s| s.token.clone());
-        if t.is_some() {
-            self.pos += 1;
+        match &self.cur {
+            Some(Ok(s)) => s.line,
+            Some(Err(e)) => e.line,
+            None => self.lexer.last_line(),
         }
-        t
     }
 
-    fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
+    /// An error at the current token; a lex error in its place wins.
+    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
+        match &self.cur {
+            Some(Err(e)) => Err(e.clone().into()),
+            _ => Err(ParseError {
+                message: message.into(),
+                line: self.line(),
+            }),
+        }
+    }
+
+    /// Take the current token and lex the next one. A lex error is never
+    /// taken: it stays current until the parser reports it.
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let Some(Ok(_)) = self.cur else {
+            return None;
+        };
+        let ahead = self.lexer.next();
+        let cur = std::mem::replace(&mut self.next, ahead);
+        std::mem::replace(&mut self.cur, cur).and_then(|s| s.ok().map(|s| s.token))
+    }
+
+    fn expect(&mut self, want: &Token<'_>) -> Result<(), ParseError> {
         match self.peek() {
             Some(t) if t == want => {
-                self.pos += 1;
+                self.bump();
                 Ok(())
             }
-            Some(t) => {
-                let t = t.clone();
-                self.err(format!("expected `{want}`, found `{t}`"))
-            }
+            Some(t) => self.err(format!("expected `{want}`, found `{t}`")),
             None => self.err(format!("expected `{want}`, found end of input")),
         }
     }
@@ -145,65 +219,50 @@ impl Parser {
     fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
         match self.peek() {
             Some(t) if t.is_kw(kw) => {
-                self.pos += 1;
+                self.bump();
                 Ok(())
             }
-            Some(t) => {
-                let t = t.clone();
-                self.err(format!("expected `{kw}`, found `{t}`"))
-            }
+            Some(t) => self.err(format!("expected `{kw}`, found `{t}`")),
             None => self.err(format!("expected `{kw}`, found end of input")),
         }
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(t) if t.is_kw(kw)) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let hit = matches!(self.peek(), Some(t) if t.is_kw(kw));
+        if hit {
+            self.bump();
         }
+        hit
     }
 
-    fn eat(&mut self, want: &Token) -> bool {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn eat(&mut self, want: &Token<'_>) -> bool {
+        let hit = self.peek() == Some(want);
+        if hit {
+            self.bump();
         }
+        hit
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(Token::Ident(s)) if !KEYWORDS.contains(&s.as_str()) => {
-                let s = s.clone();
-                self.pos += 1;
+            Some(&Token::Ident(s)) if !KEYWORDS.contains(&s) => {
+                self.bump();
                 Ok(s)
             }
-            Some(Token::Ident(s)) => {
-                let s = s.clone();
-                self.err(format!("keyword `{s}` cannot be used as {what}"))
-            }
-            Some(t) => {
-                let t = t.clone();
-                self.err(format!("expected {what}, found `{t}`"))
-            }
+            Some(Token::Ident(s)) => self.err(format!("keyword `{s}` cannot be used as {what}")),
+            Some(t) => self.err(format!("expected {what}, found `{t}`")),
             None => self.err(format!("expected {what}, found end of input")),
         }
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
+        self.cur.is_none()
     }
 
     // ------------------------------------------------------------ types
 
     fn ty(&mut self) -> Result<Type, ParseError> {
-        self.enter()?;
-        let r = self.ty_inner();
-        self.leave();
-        r
+        self.nested(Self::ty_inner)
     }
 
     fn ty_inner(&mut self) -> Result<Type, ParseError> {
@@ -213,10 +272,9 @@ impl Parser {
             return Ok(Type::set(inner));
         }
         match self.peek() {
-            Some(Token::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(match s.as_str() {
+            Some(&Token::Ident(s)) => {
+                self.bump();
+                Ok(match s {
                     "int" => Type::INT,
                     "bool" => Type::BOOL,
                     "string" => Type::STR,
@@ -234,40 +292,52 @@ impl Parser {
     // ------------------------------------------------------ expressions
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.enter()?;
-        let r = self.or_expr();
-        self.leave();
-        r
+        self.nested(Self::or_expr)
+    }
+
+    /// A chain `operand (op operand)*`, where `op` picks the chain's
+    /// operators, as a left-deep tree of `join`s (see
+    /// [`Parser::chain_start`]).
+    fn chain<T, O>(
+        &mut self,
+        operand: fn(&mut Self) -> Result<T, ParseError>,
+        op: fn(&Token<'_>) -> Option<O>,
+        join: fn(O, T, T) -> T,
+    ) -> Result<T, ParseError> {
+        let outer = self.chain_start();
+        let mut lhs = operand(self)?;
+        while let Some(o) = self.peek().and_then(op) {
+            self.bump();
+            self.chain_op()?;
+            let rhs = operand(self)?;
+            lhs = join(o, lhs, rhs);
+        }
+        self.chain_end(outer);
+        Ok(lhs)
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_kw("or") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::bin(BasicOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
+        let op = |t: &Token<'_>| t.is_kw("or").then_some(BasicOp::Or);
+        self.chain(Self::and_expr, op, Expr::bin)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_kw("and") {
-            let rhs = self.not_expr()?;
-            lhs = Expr::bin(BasicOp::And, lhs, rhs);
-        }
-        Ok(lhs)
+        let op = |t: &Token<'_>| t.is_kw("and").then_some(BasicOp::And);
+        self.chain(Self::not_expr, op, Expr::bin)
     }
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_kw("not") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             Ok(Expr::Basic(BasicOp::Not, vec![inner]))
         } else {
             self.cmp_expr()
         }
     }
 
+    /// A comparison takes one operator: a chain of at most one link.
     fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.chain_start();
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Some(Token::Ge) => Some(BasicOp::Ge),
@@ -278,50 +348,42 @@ impl Parser {
             Some(Token::NotEq) => Some(BasicOp::NeOp),
             _ => None,
         };
-        if let Some(op) = op {
-            self.pos += 1;
-            let rhs = self.add_expr()?;
-            Ok(Expr::bin(op, lhs, rhs))
-        } else {
-            Ok(lhs)
-        }
+        let e = match op {
+            Some(op) => {
+                self.bump();
+                self.chain_op()?;
+                let rhs = self.add_expr()?;
+                Expr::bin(op, lhs, rhs)
+            }
+            None => lhs,
+        };
+        self.chain_end(outer);
+        Ok(e)
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BasicOp::Add,
-                Some(Token::Minus) => BasicOp::Sub,
-                Some(Token::PlusPlus) => BasicOp::Concat,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.mul_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
+        let op = |t: &Token<'_>| match t {
+            Token::Plus => Some(BasicOp::Add),
+            Token::Minus => Some(BasicOp::Sub),
+            Token::PlusPlus => Some(BasicOp::Concat),
+            _ => None,
+        };
+        self.chain(Self::mul_expr, op, Expr::bin)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BasicOp::Mul,
-                Some(Token::Slash) => BasicOp::Div,
-                Some(Token::Percent) => BasicOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
+        let op = |t: &Token<'_>| match t {
+            Token::Star => Some(BasicOp::Mul),
+            Token::Slash => Some(BasicOp::Div),
+            Token::Percent => Some(BasicOp::Mod),
+            _ => None,
+        };
+        self.chain(Self::unary_expr, op, Expr::bin)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Token::Minus) {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Self::unary_expr)?;
             // Fold `-` on an integer literal into a negative constant, so
             // pretty-printed negative literals round-trip structurally.
             if let Expr::Const(Literal::Int(n)) = inner {
@@ -334,64 +396,65 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
-            Some(Token::Int(i)) => {
-                self.pos += 1;
-                Ok(Expr::Const(Literal::Int(i)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Const(Literal::Str(s)))
-            }
-            Some(Token::LParen) => {
-                self.pos += 1;
+        let Some(t) = self.peek() else {
+            return self.err("unexpected end of input in expression");
+        };
+        let s = match *t {
+            Token::Ident(s) => s,
+            Token::LParen => {
+                self.bump();
                 let e = self.expr()?;
                 self.expect(&Token::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            Some(Token::Ident(s)) => match s.as_str() {
-                "true" => {
-                    self.pos += 1;
-                    Ok(Expr::Const(Literal::Bool(true)))
-                }
-                "false" => {
-                    self.pos += 1;
-                    Ok(Expr::Const(Literal::Bool(false)))
-                }
-                "null" => {
-                    self.pos += 1;
-                    Ok(Expr::Const(Literal::Null))
-                }
-                "let" => self.let_expr(),
-                "new" => {
-                    self.pos += 1;
-                    let class = self.ident("a class name")?;
-                    self.expect(&Token::LParen)?;
+            Token::Int(_) | Token::Str(_) => {
+                return Ok(match self.bump() {
+                    Some(Token::Int(i)) => Expr::Const(Literal::Int(i)),
+                    Some(Token::Str(s)) => Expr::Const(Literal::Str(s)),
+                    _ => unreachable!("peeked a literal"),
+                })
+            }
+            _ => return self.err(format!("unexpected `{t}` in expression")),
+        };
+        match s {
+            "true" => {
+                self.bump();
+                Ok(Expr::Const(Literal::Bool(true)))
+            }
+            "false" => {
+                self.bump();
+                Ok(Expr::Const(Literal::Bool(false)))
+            }
+            "null" => {
+                self.bump();
+                Ok(Expr::Const(Literal::Null))
+            }
+            "let" => self.let_expr(),
+            "new" => {
+                self.bump();
+                let class = self.ident("a class name")?;
+                self.expect(&Token::LParen)?;
+                let args = self.expr_args()?;
+                Ok(Expr::New(class.into(), args))
+            }
+            _ if KEYWORDS.contains(&s) => {
+                self.err(format!("unexpected keyword `{s}` in expression"))
+            }
+            _ => {
+                self.bump();
+                if self.eat(&Token::LParen) {
                     let args = self.expr_args()?;
-                    Ok(Expr::New(class.into(), args))
+                    self.call_from_name(s, args)
+                } else {
+                    Ok(Expr::var(s))
                 }
-                _ if KEYWORDS.contains(&s.as_str()) => {
-                    self.err(format!("unexpected keyword `{s}` in expression"))
-                }
-                _ => {
-                    self.pos += 1;
-                    if self.peek() == Some(&Token::LParen) {
-                        self.pos += 1;
-                        let args = self.expr_args()?;
-                        self.call_from_name(&s, args)
-                    } else {
-                        Ok(Expr::var(s))
-                    }
-                }
-            },
-            Some(t) => self.err(format!("unexpected `{t}` in expression")),
-            None => self.err("unexpected end of input in expression"),
+            }
         }
     }
 
     /// Resolve a call by name: `r_att` / `w_att` are special, anything else
     /// is an access-function invocation.
-    fn call_from_name(&mut self, name: &str, args: Vec<Expr>) -> Result<Expr, ParseError> {
+    fn call_from_name(&self, name: &str, args: Vec<Expr>) -> Result<Expr, ParseError> {
         if let Some(attr) = name.strip_prefix("r_") {
             if attr.is_empty() {
                 return self.err("`r_` must be followed by an attribute name");
@@ -462,38 +525,46 @@ impl Parser {
 
     // ------------------------------------------------------------ schema
 
+    /// The definitions up to the end of input (or a lex error).
     fn schema(&mut self) -> Result<Schema, ParseError> {
-        let mut schema = Schema::new();
+        // One stored list per distinct capability list: a user whose list
+        // equals an earlier user's shares that user's.
+        let mut lists: HashSet<CapabilityList> = HashSet::new();
         while let Some(t) = self.peek() {
             if t.is_kw("class") {
                 let def = self.class_def()?;
-                schema.classes.insert(def).map_err(|e| ParseError {
-                    message: e.to_string(),
-                    line: self.line(),
-                })?;
+                if let Err(e) = self.schema.classes.insert(def) {
+                    return self.err(e.to_string());
+                }
             } else if t.is_kw("fn") {
                 let def = self.fn_def()?;
-                if schema.functions.contains_key(&def.name) {
+                if self.schema.functions.contains_key(&def.name) {
                     return self.err(format!("function `{}` defined more than once", def.name));
                 }
-                schema.functions.insert(def.name.clone(), def);
+                self.schema.functions.insert(def.name.clone(), def);
             } else if t.is_kw("user") {
                 let (name, caps) = self.user_def()?;
-                if schema.users.contains_key(name.as_str()) {
+                if self.schema.users.contains_key(name) {
                     return self.err(format!("user `{name}` defined more than once"));
                 }
-                schema.users.insert(name.into(), caps);
+                let caps = match lists.get(&caps) {
+                    Some(shared) => shared.clone(),
+                    None => {
+                        lists.insert(caps.clone());
+                        caps
+                    }
+                };
+                self.schema.users.insert(name.into(), caps);
             } else if t.is_kw("require") {
                 let req = self.require_def()?;
-                schema.requirements.push(req);
+                self.schema.requirements.push(req);
             } else {
-                let t = t.clone();
                 return self.err(format!(
                     "expected `class`, `fn`, `user` or `require`, found `{t}`"
                 ));
             }
         }
-        Ok(schema)
+        Ok(std::mem::take(&mut self.schema))
     }
 
     fn class_def(&mut self) -> Result<ClassDef, ParseError> {
@@ -514,10 +585,7 @@ impl Parser {
                 break;
             }
         }
-        ClassDef::new(name, attrs).map_err(|e| ParseError {
-            message: e.to_string(),
-            line: self.line(),
-        })
+        ClassDef::new(name, attrs).or_else(|e| self.err(e.to_string()))
     }
 
     fn fn_def(&mut self) -> Result<AccessFnDef, ParseError> {
@@ -556,26 +624,37 @@ impl Parser {
         })
     }
 
+    /// A reference to something invocable, sharing the name of the
+    /// declared function, attribute or class it names.
     fn fn_ref(&mut self) -> Result<FnRef, ParseError> {
         if self.eat_kw("new") {
             let class = self.ident("a class name")?;
-            return Ok(FnRef::new_class(class));
+            let shared = self.schema.classes.get_str(class).map(|d| d.name.clone());
+            return Ok(FnRef::New(shared.unwrap_or_else(|| class.into())));
         }
         let name = self.ident("a function reference")?;
-        if let Some(attr) = name.strip_prefix("r_") {
-            if !attr.is_empty() {
-                return Ok(FnRef::read(attr));
-            }
+        let attr = |a: &str| -> AttrName {
+            self.schema
+                .classes
+                .attr_decls(a)
+                .next()
+                .map_or_else(|| a.into(), |(_, d)| d.name.clone())
+        };
+        if let Some(a) = name.strip_prefix("r_").filter(|a| !a.is_empty()) {
+            return Ok(FnRef::Read(attr(a)));
         }
-        if let Some(attr) = name.strip_prefix("w_") {
-            if !attr.is_empty() {
-                return Ok(FnRef::write(attr));
-            }
+        if let Some(a) = name.strip_prefix("w_").filter(|a| !a.is_empty()) {
+            return Ok(FnRef::Write(attr(a)));
         }
-        Ok(FnRef::access(name))
+        let shared = self
+            .schema
+            .functions
+            .get_key_value(name)
+            .map(|(k, _)| k.clone());
+        Ok(FnRef::Access(shared.unwrap_or_else(|| name.into())))
     }
 
-    fn user_def(&mut self) -> Result<(String, CapabilityList), ParseError> {
+    fn user_def(&mut self) -> Result<(&'a str, CapabilityList), ParseError> {
         self.expect_kw("user")?;
         let name = self.ident("a user name")?;
         self.expect(&Token::LBrace)?;
@@ -596,7 +675,7 @@ impl Parser {
 
     fn cap(&mut self) -> Result<Cap, ParseError> {
         let kw = self.ident("a capability (ti, pi, ta, pa)")?;
-        match kw.as_str() {
+        match kw {
             "ti" => Ok(Cap::Ti),
             "pi" => Ok(Cap::Pi),
             "ta" => Ok(Cap::Ta),
@@ -611,6 +690,11 @@ impl Parser {
         self.expect_kw("require")?;
         self.expect(&Token::LParen)?;
         let user = self.ident("a user name")?;
+        // The declared user's name, shared.
+        let user = match self.schema.users.get_key_value(user) {
+            Some((name, _)) => name.clone(),
+            None => UserName::from(user),
+        };
         self.expect(&Token::Comma)?;
         let target = self.fn_ref()?;
         self.expect(&Token::LParen)?;
@@ -623,7 +707,14 @@ impl Parser {
                 while self.eat(&Token::Colon) {
                     caps.push(self.cap()?);
                 }
-                arg_names.push(VarName::new(name));
+                // The previous requirement's name at this position, shared
+                // when equal: generated policies repeat them.
+                let prev = self.schema.requirements.last();
+                let name = match prev.and_then(|r| r.arg_names.get(arg_names.len())) {
+                    Some(prev) if prev.as_str() == name => prev.clone(),
+                    _ => VarName::new(name),
+                };
+                arg_names.push(name);
                 arg_caps.push(caps);
                 if self.eat(&Token::Comma) {
                     continue;
@@ -637,8 +728,12 @@ impl Parser {
             ret_caps.push(self.cap()?);
         }
         self.expect(&Token::RParen)?;
+        // A large policy keeps one requirement per user: drop the spare
+        // capacity the pushes left.
+        arg_names.shrink_to_fit();
+        arg_caps.shrink_to_fit();
         Ok(Requirement {
-            user: user.into(),
+            user,
             target,
             arg_names,
             arg_caps,
@@ -649,45 +744,47 @@ impl Parser {
     // ------------------------------------------------------------ query
 
     fn atom(&mut self) -> Result<Atom, ParseError> {
-        match self.peek().cloned() {
-            Some(Token::Int(i)) => {
-                self.pos += 1;
-                Ok(Atom::Lit(Literal::Int(i)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Atom::Lit(Literal::Str(s)))
-            }
-            Some(Token::Minus) => {
-                self.pos += 1;
-                match self.bump() {
-                    Some(Token::Int(i)) => Ok(Atom::Lit(Literal::Int(-i))),
+        let Some(t) = self.peek() else {
+            return self.err("unexpected end of input in query atom");
+        };
+        match *t {
+            Token::Int(_) | Token::Str(_) => Ok(match self.bump() {
+                Some(Token::Int(i)) => Atom::Lit(Literal::Int(i)),
+                Some(Token::Str(s)) => Atom::Lit(Literal::Str(s)),
+                _ => unreachable!("peeked a literal"),
+            }),
+            Token::Minus => {
+                self.bump();
+                match self.peek() {
+                    Some(&Token::Int(i)) => {
+                        self.bump();
+                        Ok(Atom::Lit(Literal::Int(-i)))
+                    }
                     _ => self.err("expected integer after `-`"),
                 }
             }
-            Some(Token::Ident(s)) => match s.as_str() {
+            Token::Ident(s) => match s {
                 "true" => {
-                    self.pos += 1;
+                    self.bump();
                     Ok(Atom::Lit(Literal::Bool(true)))
                 }
                 "false" => {
-                    self.pos += 1;
+                    self.bump();
                     Ok(Atom::Lit(Literal::Bool(false)))
                 }
                 "null" => {
-                    self.pos += 1;
+                    self.bump();
                     Ok(Atom::Lit(Literal::Null))
                 }
-                _ if KEYWORDS.contains(&s.as_str()) => {
+                _ if KEYWORDS.contains(&s) => {
                     self.err(format!("unexpected keyword `{s}` in query atom"))
                 }
                 _ => {
-                    self.pos += 1;
+                    self.bump();
                     Ok(Atom::var(s))
                 }
             },
-            Some(t) => self.err(format!("unexpected `{t}` in query atom")),
-            None => self.err("unexpected end of input in query atom"),
+            _ => self.err(format!("unexpected `{t}` in query atom")),
         }
     }
 
@@ -711,12 +808,12 @@ impl Parser {
     fn select_item(&mut self) -> Result<SelectItem, ParseError> {
         match self.peek() {
             Some(Token::LParen) => {
-                self.pos += 1;
-                let q = self.query()?;
+                self.bump();
+                let q = self.nested(Self::query)?;
                 self.expect(&Token::RParen)?;
                 Ok(SelectItem::Nested(Box::new(q)))
             }
-            Some(Token::Ident(s)) if s == "new" || (!KEYWORDS.contains(&s.as_str())) => {
+            Some(&Token::Ident(s)) if s == "new" || !KEYWORDS.contains(&s) => {
                 // Lookahead: IDENT "(" is an invocation, otherwise an atom.
                 if s == "new" || self.peek2() == Some(&Token::LParen) {
                     Ok(SelectItem::Invoke(self.invocation()?))
@@ -732,9 +829,8 @@ impl Parser {
         let var = self.ident("a from-clause variable")?;
         self.expect_kw("in")?;
         match self.peek() {
-            Some(Token::Ident(s)) if s == "new" || self.peek2() == Some(&Token::LParen) => {
-                let s = s.clone();
-                if KEYWORDS.contains(&s.as_str()) && s != "new" {
+            Some(&Token::Ident(s)) if s == "new" || self.peek2() == Some(&Token::LParen) => {
+                if KEYWORDS.contains(&s) && s != "new" {
                     return self.err(format!("unexpected keyword `{s}` in from clause"));
                 }
                 let inv = self.invocation()?;
@@ -749,28 +845,21 @@ impl Parser {
     }
 
     fn cond(&mut self) -> Result<Cond, ParseError> {
-        self.enter()?;
-        let r = self.cond_body();
-        self.leave();
-        r
+        self.nested(Self::cond_body)
     }
 
     fn cond_body(&mut self) -> Result<Cond, ParseError> {
-        let mut lhs = self.cond_and()?;
-        while self.eat_kw("or") {
-            let rhs = self.cond_and()?;
-            lhs = Cond::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        let op = |t: &Token<'_>| t.is_kw("or").then_some(());
+        self.chain(Self::cond_and, op, |(), l, r| {
+            Cond::Or(Box::new(l), Box::new(r))
+        })
     }
 
     fn cond_and(&mut self) -> Result<Cond, ParseError> {
-        let mut lhs = self.cond_atom()?;
-        while self.eat_kw("and") {
-            let rhs = self.cond_atom()?;
-            lhs = Cond::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        let op = |t: &Token<'_>| t.is_kw("and").then_some(());
+        self.chain(Self::cond_atom, op, |(), l, r| {
+            Cond::And(Box::new(l), Box::new(r))
+        })
     }
 
     fn cond_atom(&mut self) -> Result<Cond, ParseError> {
@@ -779,8 +868,7 @@ impl Parser {
             self.expect(&Token::RParen)?;
             return Ok(c);
         }
-        if matches!(self.peek(), Some(t) if t.is_kw("true")) {
-            self.pos += 1;
+        if self.eat_kw("true") {
             return Ok(Cond::True);
         }
         let lhs = self.invocation()?;
@@ -793,13 +881,12 @@ impl Parser {
             Some(Token::NotEq) => CmpOp::Ne,
             _ => return self.err("expected a comparison operator in where clause"),
         };
-        self.pos += 1;
+        self.bump();
         // RHS: an invocation (IDENT "(" …) or an atom.
         let rhs = match self.peek() {
-            Some(Token::Ident(s))
+            Some(&Token::Ident(s))
                 if s == "new"
-                    || (!KEYWORDS.contains(&s.as_str())
-                        && self.peek2() == Some(&Token::LParen)) =>
+                    || (!KEYWORDS.contains(&s) && self.peek2() == Some(&Token::LParen)) =>
             {
                 CmpRhs::Invoke(self.invocation()?)
             }
@@ -846,7 +933,7 @@ impl Parser {
 /// oodb_lang::check_schema(&schema).unwrap();
 /// ```
 pub fn parse_schema(src: &str) -> Result<Schema, ParseError> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser::new(src);
     let s = p.schema()?;
     if !p.at_end() {
         return p.err("trailing input after schema");
@@ -856,7 +943,7 @@ pub fn parse_schema(src: &str) -> Result<Schema, ParseError> {
 
 /// Parse a single expression of the function definition language.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser::new(src);
     let e = p.expr()?;
     if !p.at_end() {
         return p.err("trailing input after expression");
@@ -866,7 +953,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 
 /// Parse a query.
 pub fn parse_query(src: &str) -> Result<Query, ParseError> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser::new(src);
     let q = p.query()?;
     if !p.at_end() {
         return p.err("trailing input after query");
@@ -882,7 +969,7 @@ pub fn parse_requirement(src: &str) -> Result<Requirement, ParseError> {
     } else {
         format!("require {src}")
     };
-    let mut p = Parser::new(&full)?;
+    let mut p = Parser::new(&full);
     let r = p.require_def()?;
     if !p.at_end() {
         return p.err("trailing input after requirement");
@@ -1083,6 +1170,111 @@ mod tests {
             c.attr_type(&"tags".into()),
             Some(&Type::set(Type::set(Type::STR)))
         );
+    }
+
+    /// A valid source of about 1.5 MiB, and its line count.
+    fn large_prefix() -> (String, u32) {
+        let mut src = String::from("fn f(): int { 1 }\n");
+        let mut lines = 1;
+        while src.len() < 3 << 19 {
+            lines += 1;
+            src.push_str(&format!("user u{lines} {{ f }}\n"));
+        }
+        (src, lines)
+    }
+
+    #[test]
+    fn errors_past_a_large_prefix_report_their_line() {
+        let (prefix, lines) = large_prefix();
+        let err = parse_schema(&format!("{prefix}user broken {{ f,, }}\n")).unwrap_err();
+        assert_eq!(err.line, lines + 1);
+        assert_eq!(err.message, "expected a function reference, found `,`");
+        let err = parse_schema(&format!("{prefix}\nuser bad {{ f @ }}\n")).unwrap_err();
+        assert_eq!(err.line, lines + 2);
+        assert_eq!(err.message, "unexpected character '@'");
+    }
+
+    #[test]
+    fn the_first_error_in_source_order_is_reported() {
+        // The lexer reaches the bad character on line 2 only when the
+        // parser does, so the syntax error on line 1 is reported.
+        let err = parse_schema("user u { f g }\nuser v { @ }\n").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert_eq!(err.message, "expected `}`, found `g`");
+        // Reaching the bad character reports it, as a parse error.
+        let err = parse_schema("user u { f }\nuser v { @ }\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 2: unexpected character '@'"
+        );
+        // A lex error in the second lookahead slot waits its turn too.
+        let err = parse_query("select r_a(p) from p in C where r_a(p) > 1 @").unwrap_err();
+        assert_eq!(err.message, "unexpected character '@'");
+        let err = parse_expr("1 2 @").unwrap_err();
+        assert_eq!(err.message, "trailing input after expression");
+    }
+
+    #[test]
+    fn errors_at_the_end_of_input_report_the_last_line() {
+        let err = parse_schema("class C { x: int }\n\nfn f(): int {").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.message, "unexpected end of input in expression");
+        let err = parse_expr("").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at end of input: unexpected end of input in expression"
+        );
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_tokens() {
+        let s = parse_schema("user\u{a0}u\u{2003}{\u{a0}f,\u{2003}r_x\u{a0}}").unwrap();
+        let caps = s.user_str("u").unwrap();
+        assert!(caps.allows(&FnRef::access("f")));
+        assert!(caps.allows(&FnRef::read("x")));
+    }
+
+    #[test]
+    fn equal_lists_share_storage_and_edits_stay_private() {
+        let s = parse_schema("user a { f, r_x }\nuser b { r_x, f }\nuser c { f }\n").unwrap();
+        let (a, b, c) = (
+            s.user_str("a").unwrap(),
+            s.user_str("b").unwrap(),
+            s.user_str("c").unwrap(),
+        );
+        assert!(a.shares_storage(b));
+        assert!(!a.shares_storage(c));
+        let mut edited = b.clone();
+        assert!(edited.grant(FnRef::access("g")));
+        assert!(edited.revoke(&FnRef::access("f")));
+        assert_eq!(edited.to_string(), "{g, r_x}");
+        for caps in [a, b] {
+            assert_eq!(caps.to_string(), "{f, r_x}");
+        }
+        assert!(a.shares_storage(b));
+    }
+
+    #[test]
+    fn references_share_the_declared_names() {
+        let s = parse_schema(
+            "class C { x: int }\nfn f(c: C): int { r_x(c) }\n\
+             user u { f, r_x, new C }\nrequire (u, f(c) : ti)\n",
+        )
+        .unwrap();
+        let same = |a: &str, b: &str| std::ptr::eq(a.as_ptr(), b.as_ptr());
+        let (user, caps) = s.users.iter().next().unwrap();
+        assert!(same(s.requirements[0].user.as_str(), user.as_str()));
+        let f = s.functions.keys().next().unwrap();
+        let attr = &s.classes.get_str("C").unwrap().attrs[0].name;
+        let class = &s.classes.get_str("C").unwrap().name;
+        for r in caps.iter().chain([&s.requirements[0].target]) {
+            let (declared, used) = match r {
+                FnRef::Access(n) => (f.as_str(), n.as_str()),
+                FnRef::Read(a) | FnRef::Write(a) => (attr.as_str(), a.as_str()),
+                FnRef::New(c) => (class.as_str(), c.as_str()),
+            };
+            assert!(same(declared, used), "{r} does not share its name");
+        }
     }
 
     #[test]

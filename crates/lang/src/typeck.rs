@@ -163,33 +163,27 @@ impl Env {
     }
 }
 
-/// All `(class, type)` declarations of an attribute name across the schema.
+/// All `(class, type)` declarations of an attribute name across the schema,
+/// in class-name order: one lookup in the class table's attribute index.
 pub fn attr_decls<'a>(schema: &'a Schema, attr: &AttrName) -> Vec<(&'a ClassName, &'a Type)> {
     schema
         .classes
-        .iter()
-        .filter_map(|c| c.attr_type(attr).map(|t| (&c.name, t)))
+        .attr_decls(attr.as_str())
+        .map(|(c, a)| (&c.name, &a.ty))
         .collect()
+}
+
+/// Does any class declare the attribute?
+fn attr_declared(schema: &Schema, attr: &AttrName) -> bool {
+    schema.classes.attr_decls(attr.as_str()).len() > 0
 }
 
 /// Arity of anything invocable.
 pub fn fn_ref_arity(schema: &Schema, target: &FnRef) -> Option<usize> {
     match target {
         FnRef::Access(f) => schema.function(f).map(AccessFnDef::arity),
-        FnRef::Read(a) => {
-            if attr_decls(schema, a).is_empty() {
-                None
-            } else {
-                Some(1)
-            }
-        }
-        FnRef::Write(a) => {
-            if attr_decls(schema, a).is_empty() {
-                None
-            } else {
-                Some(2)
-            }
-        }
+        FnRef::Read(a) => attr_declared(schema, a).then_some(1),
+        FnRef::Write(a) => attr_declared(schema, a).then_some(2),
         FnRef::New(c) => schema.classes.get(c).map(|d| d.attrs.len()),
     }
 }
@@ -224,7 +218,7 @@ pub fn check_schema(schema: &Schema) -> Result<(), TypeError> {
 fn check_fn_ref_exists(schema: &Schema, target: &FnRef) -> Result<(), TypeError> {
     let ok = match target {
         FnRef::Access(f) => schema.function(f).is_some(),
-        FnRef::Read(a) | FnRef::Write(a) => !attr_decls(schema, a).is_empty(),
+        FnRef::Read(a) | FnRef::Write(a) => attr_declared(schema, a),
         FnRef::New(c) => schema.classes.get(c).is_some(),
     };
     if ok {
@@ -418,8 +412,10 @@ fn type_of_expr(schema: &Schema, env: &mut Env, expr: &Expr, ctx: &str) -> Resul
                     class: class.clone(),
                     context: ctx.to_owned(),
                 })?;
-            def.attr_type(attr)
-                .cloned()
+            schema
+                .classes
+                .attr(&def.name, attr.as_str())
+                .map(|a| a.ty.clone())
                 .ok_or_else(|| TypeError::UnknownAttribute {
                     attr: attr.clone(),
                     context: format!("class `{class}` has no such attribute ({ctx})"),
@@ -439,12 +435,14 @@ fn type_of_expr(schema: &Schema, env: &mut Env, expr: &Expr, ctx: &str) -> Resul
                     class: class.clone(),
                     context: ctx.to_owned(),
                 })?;
-            let want = def
-                .attr_type(attr)
+            let want = schema
+                .classes
+                .attr(&def.name, attr.as_str())
                 .ok_or_else(|| TypeError::UnknownAttribute {
                     attr: attr.clone(),
                     context: format!("class `{class}` has no such attribute ({ctx})"),
                 })?
+                .ty
                 .clone();
             let got = type_of_expr(schema, env, val, ctx)?;
             if !want.accepts(&got) {
@@ -640,25 +638,28 @@ pub fn check_requirement(schema: &Schema, req: &Requirement) -> Result<(), TypeE
     };
     for (arg_tys, ret_ty) in &signatures {
         for (i, caps) in req.arg_caps.iter().enumerate() {
-            check_caps_for_type(caps, &arg_tys[i], &format!("argument {} of {req}", i + 1))?;
+            check_caps_for_type(caps, &arg_tys[i], || format!("argument {} of {req}", i + 1))?;
         }
-        check_caps_for_type(&req.ret_caps, ret_ty, &format!("returned value of {req}"))?;
+        check_caps_for_type(&req.ret_caps, ret_ty, || format!("returned value of {req}"))?;
     }
     Ok(())
 }
 
-fn check_caps_for_type(caps: &[Cap], ty: &Type, ctx: &str) -> Result<(), TypeError> {
+/// Check capabilities against a position's type; `ctx` names the position
+/// and is formatted only for an error.
+fn check_caps_for_type(caps: &[Cap], ty: &Type, ctx: impl Fn() -> String) -> Result<(), TypeError> {
     for c in caps {
         if *ty == Type::Null {
             return Err(TypeError::BadRequirement {
-                message: format!("capability `{c}` on `null`-typed {ctx} is meaningless"),
+                message: format!("capability `{c}` on `null`-typed {} is meaningless", ctx()),
             });
         }
         if c.is_inferability() && !ty.is_basic() {
             return Err(TypeError::BadRequirement {
                 message: format!(
-                    "inferability capability `{c}` on non-basic type `{ty}` ({ctx}): object \
-                     identifiers have no printable form (paper §3.2)"
+                    "inferability capability `{c}` on non-basic type `{ty}` ({}): object \
+                     identifiers have no printable form (paper §3.2)",
+                    ctx()
                 ),
             });
         }

@@ -20,6 +20,7 @@ use crate::ident::{AttrName, ClassName, FnName, UserName};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A reference to an invocable function: an access function or one of the
 /// paper's special functions.
@@ -108,9 +109,18 @@ impl FromStr for FnRef {
 }
 
 /// A user's capability list: the set of [`FnRef`]s the user may invoke.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The set is shared copy-on-write: a clone shares its storage, so the many
+/// users of a large policy who hold equal lists can hold one stored set
+/// (the parser gives them that), and an edit through [`grant`] or
+/// [`revoke`] copies the set first when it is shared, so it never reaches
+/// another holder.
+///
+/// [`grant`]: CapabilityList::grant
+/// [`revoke`]: CapabilityList::revoke
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CapabilityList {
-    entries: BTreeSet<FnRef>,
+    entries: Arc<BTreeSet<FnRef>>,
 }
 
 impl CapabilityList {
@@ -121,12 +131,18 @@ impl CapabilityList {
 
     /// Grant a capability; returns whether it was newly added.
     pub fn grant(&mut self, f: FnRef) -> bool {
-        self.entries.insert(f)
+        !self.entries.contains(&f) && Arc::make_mut(&mut self.entries).insert(f)
     }
 
     /// Revoke a capability; returns whether it was present.
     pub fn revoke(&mut self, f: &FnRef) -> bool {
-        self.entries.remove(f)
+        self.entries.contains(f) && Arc::make_mut(&mut self.entries).remove(f)
+    }
+
+    /// Do `self` and `other` share one stored set? Shared lists are equal;
+    /// equal lists need not be shared.
+    pub fn shares_storage(&self, other: &CapabilityList) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// Is the capability granted?
@@ -159,7 +175,7 @@ impl CapabilityList {
 impl FromIterator<FnRef> for CapabilityList {
     fn from_iter<I: IntoIterator<Item = FnRef>>(iter: I) -> CapabilityList {
         CapabilityList {
-            entries: iter.into_iter().collect(),
+            entries: Arc::new(iter.into_iter().collect()),
         }
     }
 }
@@ -241,6 +257,23 @@ mod tests {
         assert!(caps.revoke(&FnRef::access("checkBudget")));
         assert!(!caps.revoke(&FnRef::access("checkBudget")));
         assert!(caps.is_empty());
+    }
+
+    #[test]
+    fn edits_copy_a_shared_list_first() {
+        let mut a: CapabilityList = [FnRef::access("f")].into_iter().collect();
+        let mut b = a.clone();
+        assert!(a.shares_storage(&b));
+        // A no-op edit keeps the storage shared.
+        assert!(!b.grant(FnRef::access("f")));
+        assert!(!b.revoke(&FnRef::access("g")));
+        assert!(a.shares_storage(&b));
+        assert!(b.grant(FnRef::access("g")));
+        assert!(!a.shares_storage(&b));
+        assert!(!a.allows(&FnRef::access("g")));
+        assert!(a.revoke(&FnRef::access("f")));
+        assert!(b.allows(&FnRef::access("f")));
+        assert_eq!(a.len() + b.len(), 2);
     }
 
     #[test]

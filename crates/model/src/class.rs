@@ -9,7 +9,7 @@
 use crate::error::ModelError;
 use crate::ident::{AttrName, ClassName};
 use crate::ty::Type;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// One attribute declaration.
@@ -80,10 +80,33 @@ impl fmt::Display for ClassDef {
     }
 }
 
-/// All class definitions of a schema, with name-based lookup.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// All class definitions of a schema, with name-based lookup and an index
+/// from each attribute name to the classes declaring it, so an attribute
+/// lookup costs the same however wide the classes are. Equality, like the
+/// `Debug` form, is a function of the classes alone.
+#[derive(Clone, Default)]
 pub struct ClassTable {
     classes: BTreeMap<ClassName, ClassDef>,
+    /// Each attribute's declaring classes in name order, with the
+    /// attribute's position in the class. [`ClassTable::insert`], the only
+    /// way a class enters the table, keeps it.
+    attrs: HashMap<AttrName, Vec<(ClassName, usize)>>,
+}
+
+impl PartialEq for ClassTable {
+    fn eq(&self, other: &ClassTable) -> bool {
+        self.classes == other.classes
+    }
+}
+
+impl Eq for ClassTable {}
+
+impl fmt::Debug for ClassTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClassTable")
+            .field("classes", &self.classes)
+            .finish()
+    }
 }
 
 impl ClassTable {
@@ -98,6 +121,11 @@ impl ClassTable {
     pub fn insert(&mut self, def: ClassDef) -> Result<(), ModelError> {
         if self.classes.contains_key(&def.name) {
             return Err(ModelError::DuplicateClass { class: def.name });
+        }
+        for (pos, attr) in def.attrs.iter().enumerate() {
+            let decls = self.attrs.entry(attr.name.clone()).or_default();
+            let at = decls.partition_point(|(c, _)| *c < def.name);
+            decls.insert(at, (def.name.clone(), pos));
         }
         self.classes.insert(def.name.clone(), def);
         Ok(())
@@ -155,14 +183,28 @@ impl ClassTable {
         }
     }
 
-    /// The classes that declare an attribute with this name, in name order.
-    /// The paper indexes `r_att` / `w_att` by attribute name; type checking
-    /// uses this to resolve the receiver class.
-    pub fn classes_with_attr(&self, attr: &AttrName) -> Vec<&ClassDef> {
-        self.classes
-            .values()
-            .filter(|c| c.attr_type(attr).is_some())
-            .collect()
+    /// The classes that declare an attribute with this name, in name order,
+    /// each with its declaration. The paper indexes `r_att` / `w_att` by
+    /// attribute name; type checking uses this to resolve the receiver
+    /// class.
+    pub fn attr_decls<'a>(
+        &'a self,
+        attr: &str,
+    ) -> impl ExactSizeIterator<Item = (&'a ClassDef, &'a AttrDef)> + 'a {
+        self.attrs
+            .get(attr)
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(|(class, pos)| {
+                let def = &self.classes[class];
+                (def, &def.attrs[*pos])
+            })
+    }
+
+    /// The declaration of `attr` in `class`, if the class declares it.
+    pub fn attr(&self, class: &ClassName, attr: &str) -> Option<&AttrDef> {
+        let (_, pos) = self.attrs.get(attr)?.iter().find(|(c, _)| c == class)?;
+        Some(&self.classes[class].attrs[*pos])
     }
 }
 
@@ -237,16 +279,43 @@ mod tests {
     }
 
     #[test]
-    fn classes_with_attr_finds_all() {
+    fn attr_decls_finds_all() {
         let mut t = ClassTable::new();
         t.insert(broker()).unwrap();
         t.insert(ClassDef::new("Employee", vec![(AttrName::new("salary"), Type::INT)]).unwrap())
             .unwrap();
-        let hits = t.classes_with_attr(&AttrName::new("salary"));
-        assert_eq!(hits.len(), 2);
-        let hits = t.classes_with_attr(&AttrName::new("profit"));
+        // Class-name order, whatever the insertion order.
+        let hits: Vec<&str> = t
+            .attr_decls("salary")
+            .map(|(c, a)| {
+                assert_eq!(a.name.as_str(), "salary");
+                c.name.as_str()
+            })
+            .collect();
+        assert_eq!(hits, ["Broker", "Employee"]);
+        let hits: Vec<_> = t.attr_decls("profit").collect();
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].name.as_str(), "Broker");
+        assert_eq!(hits[0].0.name.as_str(), "Broker");
+        assert_eq!(t.attr_decls("nope").len(), 0);
+        let budget = t.attr(&"Broker".into(), "budget").unwrap();
+        assert_eq!((budget.name.as_str(), &budget.ty), ("budget", &Type::INT));
+        assert!(t.attr(&"Employee".into(), "budget").is_none());
+        assert!(t.attr(&"Missing".into(), "salary").is_none());
+    }
+
+    #[test]
+    fn table_equality_ignores_insertion_order() {
+        let employee =
+            ClassDef::new("Employee", vec![(AttrName::new("salary"), Type::INT)]).unwrap();
+        let mut a = ClassTable::new();
+        a.insert(broker()).unwrap();
+        a.insert(employee.clone()).unwrap();
+        let mut b = ClassTable::new();
+        b.insert(employee).unwrap();
+        b.insert(broker()).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_ne!(a, ClassTable::new());
     }
 
     #[test]

@@ -88,6 +88,68 @@ fn fix_stockbroker_policy_file() {
 }
 
 #[test]
+fn deep_operator_chains_exit_three_instead_of_overflowing() {
+    // A 30 000-`not` body overflowed the stack of `fmt` and `check`, and a
+    // 5 000-term sum that of a 2 MiB batch worker. The parser now stops
+    // both at its depth bound, an input error.
+    let nots = format!("fn f(b: bool): bool {{ {}b }}", "not ".repeat(30_000));
+    let sum = format!("fn f(b: int): int {{ {} }}", vec!["b"; 5_000].join(" + "));
+    let users = "user u { f }\nuser v { f }\nrequire (u, f(x) : ti)\nrequire (v, f(x) : ti)\n";
+    for def in [nots, sum] {
+        let src = format!("{def}\n{users}");
+        let check = Command::Check {
+            file: "-".into(),
+            explain: false,
+            jobs: 2,
+            certify: false,
+            stream: false,
+            ndjson: false,
+        };
+        for cmd in [Command::Fmt { file: "-".into() }, check] {
+            let (report, code) = secflow_cli::run_on_source(&cmd, &src);
+            assert_eq!(code, secflow_cli::exit::INPUT);
+            assert_eq!(
+                report,
+                "error: parse error at line 1: nesting deeper than 200 levels\n"
+            );
+        }
+    }
+}
+
+#[test]
+fn metrics_report_the_peak_resident_set() {
+    use secflow_cli::{run_with_obs, MetricsFormat, ObsOptions};
+    let cmd = Command::Check {
+        file: policy("stockbroker"),
+        explain: false,
+        jobs: 1,
+        certify: false,
+        stream: false,
+        ndjson: false,
+    };
+    let obs = ObsOptions {
+        metrics: Some(MetricsFormat::Json),
+        trace: None,
+    };
+    let mut out = Vec::new();
+    let (stderr, code) = run_with_obs(&cmd, &obs, &mut out);
+    assert_eq!(code, 1);
+    let doc = secflow_obs::Json::parse(&stderr).expect("metrics JSON");
+    let peak = doc
+        .get("gauges")
+        .and_then(|g| g.get("process.peak_rss_kb"))
+        .and_then(secflow_obs::Json::as_f64);
+    if cfg!(target_os = "linux") {
+        assert!(peak.is_some_and(|kb| kb > 0.0), "{stderr}");
+    }
+    // Metrics off: the same report, and nothing read or written to stderr.
+    let mut plain = Vec::new();
+    let (stderr, code) = run_with_obs(&cmd, &ObsOptions::default(), &mut plain);
+    assert_eq!((stderr.as_str(), code), ("", 1));
+    assert_eq!(plain, out);
+}
+
+#[test]
 fn missing_file_exits_three() {
     // Input errors get their own exit code, distinct from usage errors (2)
     // and policy violations (1).

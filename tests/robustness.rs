@@ -107,6 +107,65 @@ fn deeply_nested_parens_do_not_overflow() {
         "}".repeat(3_000)
     );
     assert!(parse_schema(&src).is_err());
+    // Operator chains count as nesting too. Every unary prefix, every
+    // nested select and every operator on a binary chain takes one level,
+    // because the checker, the unfolder, the printer and `Drop` recurse
+    // once per operator. `parse_expr` takes the first level itself, so a
+    // chain of 199 operators is the longest that parses.
+    let not_chain = |n: usize| format!("{}x", "not ".repeat(n));
+    let neg_chain = |n: usize| format!("{}x", "-".repeat(n));
+    let sum = |n: usize| vec!["x"; n + 1].join(" + ");
+    let conj = |n: usize| vec!["x"; n + 1].join(" and ");
+    let chains: [&dyn Fn(usize) -> String; 4] = [&not_chain, &neg_chain, &sum, &conj];
+    for chain in chains {
+        assert!(parse_expr(&chain(199)).is_ok(), "{}", chain(199));
+        for n in [200, 2_000] {
+            let err = parse_expr(&chain(n)).unwrap_err();
+            assert_eq!(
+                err.message, "nesting deeper than 200 levels",
+                "{n} operators"
+            );
+        }
+    }
+    // A chain counts from the deepest point of what precedes it, so chains
+    // nested in parentheses add up.
+    assert!(parse_expr(&format!("({}) + {}", sum(100), sum(97))).is_ok());
+    let err = parse_expr(&format!("({}) + {}", sum(150), sum(150))).unwrap_err();
+    assert!(err.message.contains("nesting"), "{err}");
+    // Nested selects, and chains of `and` in a where clause.
+    let nested = |n: usize| {
+        format!(
+            "select {}r_a(p){} from p in C",
+            "(select ".repeat(n),
+            " from q in C)".repeat(n)
+        )
+    };
+    assert!(parse_query(&nested(200)).is_ok());
+    let err = parse_query(&nested(2_000)).unwrap_err();
+    assert!(err.message.contains("nesting"), "{err}");
+    let filter = |n: usize| {
+        let conds = vec!["r_a(p) > 1"; n + 1].join(" and ");
+        format!("select p from p in C where {conds}")
+    };
+    assert!(parse_query(&filter(199)).is_ok());
+    let err = parse_query(&filter(2_000)).unwrap_err();
+    assert!(err.message.contains("nesting"), "{err}");
+}
+
+#[test]
+fn long_operator_chains_are_rejected_in_a_whole_policy() {
+    // 30 000 `not`s overflowed the stack of every command, and 5 000 `+`s
+    // the stack of a batch worker; both now stop the parse.
+    for body in [
+        format!("{}b", "not ".repeat(30_000)),
+        vec!["b"; 5_000].join(" + "),
+    ] {
+        let err = parse_schema(&format!("fn f(b: bool): bool {{\n{body}\n}}\n")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 2: nesting deeper than 200 levels"
+        );
+    }
 }
 
 #[test]
