@@ -12,7 +12,7 @@ use oodb_lang::{parse_query, parse_requirement};
 use oodb_model::{UserName, Value};
 use secflow::algorithm::{
     analyze, analyze_batch, analyze_batch_streaming, AnalysisConfig, AnalysisSink, BatchOptions,
-    ClosureCache, GroupRecord,
+    GroupRecord,
 };
 use secflow::closure::{Closure, ClosureOptions, Goal, ProofMode, DEFAULT_TERM_LIMIT};
 use secflow::reference::RefClosure;
@@ -1159,8 +1159,8 @@ pub fn demand_batch(smoke: bool) -> DemandBatchRow {
 
 /// One Zipf-population streaming throughput measurement: verdicts/sec is
 /// the headline metric (the ROADMAP north-star is population-scale
-/// serving), with the closure-cache hit rate and the scheduler's steal
-/// count recorded alongside.
+/// serving), with the distinct capability lists the batch saturated and
+/// the scheduler's steal count recorded alongside.
 pub struct PopulationRow {
     /// Users in the population (= groups = verdicts, one requirement each).
     pub users: usize,
@@ -1178,25 +1178,13 @@ pub struct PopulationRow {
     pub violated: u64,
     /// Steal operations performed by the work-stealing pool.
     pub steals: u64,
-    /// Closure-cache hits over the run.
-    pub cache_hits: u64,
-    /// Closure-cache misses over the run (= distinct fingerprints seen).
-    pub cache_misses: u64,
-    /// Closure-cache evictions over the run.
-    pub cache_evictions: u64,
+    /// Distinct capability lists the batch unfolded and saturated, once
+    /// each (at most `fingerprints`: a profile the draw never picks holds
+    /// no user).
+    pub lists: usize,
 }
 
 impl PopulationRow {
-    /// Fraction of group analyses served from the closure cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Verdicts delivered per second of wall time.
     pub fn verdicts_per_sec(&self) -> f64 {
         if self.micros == 0 {
@@ -1273,14 +1261,11 @@ fn ratio(num: u128, den: u128) -> f64 {
 }
 
 /// `population` part 1 — stream a Zipf-distributed population through
-/// `analyze_batch_streaming` with a fresh sharded cache and count verdicts
-/// without buffering anything per-group. `smoke` is the CI size (10^4
-/// users); the full run peaks at a million users over 4000 fingerprints.
+/// `analyze_batch_streaming`, which saturates each distinct capability
+/// list once, and count verdicts without buffering anything per-group.
+/// `smoke` is the CI size (10^4 users); the full run peaks at a million
+/// users over 4000 fingerprints.
 pub fn population_throughput(smoke: bool) -> Vec<PopulationRow> {
-    // Fingerprint counts leave the >99% hit-rate bar attainable: misses
-    // are at least one per distinct fingerprint, so users/fingerprints
-    // must exceed 100 with margin for racy duplicate misses under the
-    // parallel pool.
     let sizes: &[(usize, usize)] = if smoke {
         &[(10_000, 100)]
     } else {
@@ -1321,9 +1306,6 @@ pub fn population_throughput(smoke: bool) -> Vec<PopulationRow> {
             jobs,
             ..BatchOptions::default()
         };
-        // Fresh cache per row: the hit rate must reflect this population
-        // alone. Two entries of headroom per fingerprint, 16 stripes.
-        let cache = ClosureCache::with_shards(2 * fingerprints, 16);
         let sink = CountingSink {
             verdicts: AtomicU64::new(0),
             violated: AtomicU64::new(0),
@@ -1334,11 +1316,10 @@ pub fn population_throughput(smoke: bool) -> Vec<PopulationRow> {
             &case.requirements,
             &config,
             &opts,
-            Some(&cache),
+            None,
             &sink,
         );
         let micros = start.elapsed().as_micros();
-        let stats = cache.stats();
         let verdicts = sink.verdicts.load(Ordering::Relaxed);
         assert_eq!(verdicts as usize, users, "every user gets one verdict");
         assert_eq!(summary.groups, users, "one group per user");
@@ -1351,9 +1332,7 @@ pub fn population_throughput(smoke: bool) -> Vec<PopulationRow> {
             verdicts,
             violated: sink.violated.load(Ordering::Relaxed),
             steals: summary.steals,
-            cache_hits: stats.hits,
-            cache_misses: stats.misses,
-            cache_evictions: stats.evictions,
+            lists: summary.lists,
         });
     }
     rows
@@ -1661,15 +1640,15 @@ mod tests {
     }
 
     #[test]
-    fn population_smoke_hits_cache_and_steals() {
+    fn population_smoke_saturates_each_list_once_and_steals() {
         let rows = population_throughput(true);
         for r in &rows {
             assert!(
-                r.hit_rate() > 0.95,
-                "{} users / {} fingerprints: hit rate {:.4} too low",
+                (1..=r.fingerprints).contains(&r.lists),
+                "{} users / {} fingerprints: {} lists",
                 r.users,
                 r.fingerprints,
-                r.hit_rate()
+                r.lists
             );
             assert!(
                 r.violated > 0 && r.violated < r.verdicts,

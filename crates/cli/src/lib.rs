@@ -16,7 +16,7 @@
 //!
 //! Every command also accepts `--metrics[=text|json]` (pipeline statistics
 //! on stderr — phase timings, closure term/rule counters, fixpoint rounds,
-//! cache hit/miss counters) and `--trace[=FILE]` / `--trace-format=...`
+//! batch list and steal counters) and `--trace[=FILE]` / `--trace-format=...`
 //! (structured span/instant events, JSON Lines or Chrome `trace_event`
 //! format). Metrics write to **stderr** only; trace events go to the
 //! `--trace=FILE` target, falling back to stderr only when `--metrics` is
@@ -35,9 +35,9 @@
 use oodb_lang::{check_schema, parse_schema, Schema};
 use oodb_model::{FnRef, UserName};
 use secflow::algorithm::{
-    analyze_batch_cached, analyze_batch_streaming, analyze_caps, effective_jobs, occurrences,
+    analyze_batch, analyze_batch_streaming, analyze_caps, effective_jobs, occurrences,
     AnalysisConfig, AnalysisSink, AnalysisStats, BatchGroup, BatchOptions, BatchOutcome,
-    CacheStats, ClosureCache, GroupRecord, StreamSummary,
+    GroupRecord, StreamSummary,
 };
 use secflow::closure::Closure;
 use secflow::incremental::IncrementalUser;
@@ -50,6 +50,7 @@ use secflow_dynamic::AttackerConfig;
 use secflow_obs::{Json, MetricsSink, Phases, Recorder, TraceBuffer, TraceFormat};
 use std::fmt::Write as _;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Process exit codes, one constant per outcome class. Scripts can rely on
@@ -271,10 +272,10 @@ OBSERVABILITY (any command; stdout is unchanged):
   --metrics[=text|json]   pipeline statistics on stderr: per-phase timings,
                           closure term counts per capability kind, rule
                           firings, fixpoint rounds, worklist peak, dedup
-                          rate, closure-cache hits/misses/evictions/
-                          occupancy/shards, batch work-steal counts
+                          rate, batch capability-list and work-steal
+                          counts
   --trace[=FILE]          structured span/instant trace events (closure
-                          phases, per-rule firings, cache hits) with
+                          phases, per-rule firings) with
                           monotonic timestamps; written to FILE, or to
                           stderr only when --metrics is off (the streams
                           never interleave — with --metrics on and no FILE,
@@ -610,16 +611,6 @@ struct GroupTrace {
     checks: Vec<(String, std::time::Duration)>,
 }
 
-/// Closure-cache state captured for metrics/trace: the counters plus the
-/// lock-striping layout of the cache that served (or would serve) the run.
-struct CacheSnapshot {
-    stats: CacheStats,
-    len: usize,
-    capacity: usize,
-    shards: usize,
-    max_shard_len: usize,
-}
-
 /// Everything collected while an instrumented command runs.
 #[derive(Default)]
 struct Collected {
@@ -627,8 +618,8 @@ struct Collected {
     /// stats folded in.
     stats: AnalysisStats,
     requirements: u64,
+    lists: u64,
     steals: u64,
-    cache: Option<CacheSnapshot>,
     groups: Vec<GroupTrace>,
 }
 
@@ -640,24 +631,15 @@ impl Collected {
             sink.counter("analysis.requirements", self.requirements);
             sink.counter("analysis.program_nodes", self.stats.program_nodes);
             sink.counter("analysis.occurrences", self.stats.occurrences_checked);
+            sink.counter("batch.lists", self.lists);
             sink.counter("batch.steals", self.steals);
-        }
-        if let Some(c) = &self.cache {
-            sink.counter("cache.hits", c.stats.hits);
-            sink.counter("cache.misses", c.stats.misses);
-            sink.counter("cache.evictions", c.stats.evictions);
-            sink.counter("cache.shard.count", c.shards as u64);
-            sink.gauge("cache.shard.max_len", c.max_shard_len as f64);
-            sink.gauge("cache.occupancy", c.len as f64);
-            sink.gauge("cache.capacity", c.capacity as f64);
         }
     }
 
     /// Synthesise the trace timeline from the collected durations: the
     /// driver phases on lane 0, each batch group on its own lane (so
     /// parallel groups render as parallel tracks in Perfetto), closure
-    /// spans annotated with term/round counters and per-rule firings,
-    /// cache state as an instant event.
+    /// spans annotated with term/round counters and per-rule firings.
     fn build_trace(&self) -> TraceBuffer {
         let mut tb = TraceBuffer::new();
         let us = |d: std::time::Duration| d;
@@ -673,9 +655,6 @@ impl Collected {
         for (gi, g) in self.groups.iter().enumerate() {
             let tid = gi as u64 + 1;
             let mut t = group_start;
-            // A hit checks without saturating; a failed group checks
-            // nothing.
-            let served_from_cache = !g.checks.is_empty() && g.phases.get("closure").is_none();
             for (name, d) in g.phases.iter() {
                 let mut args = vec![("user".to_owned(), Json::str(&g.user))];
                 if name == "closure" {
@@ -688,15 +667,6 @@ impl Collected {
                 tb.span(name, "group", tid, t, us(d), args);
                 t += d.as_micros() as u64;
             }
-            if served_from_cache {
-                tb.instant(
-                    "cache.hit",
-                    "cache",
-                    tid,
-                    group_start,
-                    vec![("user".to_owned(), Json::str(&g.user))],
-                );
-            }
             for (req, d) in &g.checks {
                 tb.span(
                     "check",
@@ -708,22 +678,6 @@ impl Collected {
                 );
                 t += d.as_micros() as u64;
             }
-        }
-        if let Some(c) = &self.cache {
-            tb.instant(
-                "cache",
-                "cache",
-                0,
-                cursor,
-                vec![
-                    ("hits".to_owned(), Json::count(c.stats.hits)),
-                    ("misses".to_owned(), Json::count(c.stats.misses)),
-                    ("evictions".to_owned(), Json::count(c.stats.evictions)),
-                    ("shards".to_owned(), Json::count(c.shards as u64)),
-                    ("occupancy".to_owned(), Json::count(c.len as u64)),
-                    ("capacity".to_owned(), Json::count(c.capacity as u64)),
-                ],
-            );
         }
         tb
     }
@@ -746,18 +700,17 @@ pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> Cli
     }
 }
 
-/// [`execute`] with observability and a closure cache of the run's own,
-/// the report written to `out`: returns the stderr text, the trace
-/// document for a `--trace=FILE` target and the exit code.
+/// [`execute`] with observability, the report written to `out`: returns
+/// the stderr text, the trace document for a `--trace=FILE` target and the
+/// exit code.
 fn run_observed(
     cmd: &Command,
     src: &str,
     obs: &ObsOptions,
     out: &mut (dyn Write + Send),
 ) -> (String, Option<String>, i32) {
-    let cache = ClosureCache::default();
     let mut col = Collected::default();
-    let report = execute(cmd, src, (!obs.is_off()).then_some(&mut col), &cache, out);
+    let report = execute(cmd, src, (!obs.is_off()).then_some(&mut col), out);
     let (mut stderr, code) = finish(report, out);
     let mut trace_output = None;
     if let Some(trace) = &obs.trace {
@@ -846,14 +799,11 @@ pub fn run_with_obs(
 /// written into `out`, and the exit code returned; an error is a write
 /// into `out` that failed. With a collector, phases are timed and the
 /// analysis commands collect their batch statistics into it; the report
-/// and exit code are the same either way, and so is the use of `cache`,
-/// which serves `check` (the public entry points pass a fresh one per
-/// run).
+/// and exit code are the same either way.
 fn execute(
     cmd: &Command,
     src: &str,
     mut col: Option<&mut Collected>,
-    cache: &ClosureCache,
     out: &mut (dyn Write + Send),
 ) -> io::Result<i32> {
     if let Command::Help = cmd {
@@ -887,9 +837,9 @@ fn execute(
         } => {
             let jobs = workers(jobs);
             if stream {
-                check_report_stream(&schema, jobs, ndjson, col, cache, out)
+                check_report_stream(&schema, jobs, ndjson, col, out)
             } else {
-                check_report(&schema, explain, jobs, certify, col, cache, out)
+                check_report(&schema, explain, jobs, certify, col, out)
             }
         }
         Command::Audit {
@@ -913,7 +863,7 @@ fn execute(
             };
             let outcome = audit_batch(&schema, workers(*jobs));
             if let Some(col) = col.as_deref_mut() {
-                collect_batch(&schema, &outcome.summary, &outcome.groups, cache, col);
+                collect_batch(&schema, &outcome.summary, &outcome.groups, col);
             }
             let (report, code) =
                 timed(&mut col, "audit", || render_audit(&schema, &outcome, &opts));
@@ -955,20 +905,18 @@ fn timed<T>(col: &mut Option<&mut Collected>, name: &str, f: impl FnOnce() -> T)
 }
 
 /// Fold a batch into the metrics/trace collector: the summary's folded
-/// group stats, requirement and steal counts, the cache state, and one
-/// trace lane per group a buffered batch kept (`groups`; none for a
-/// stream).
+/// group stats, requirement, list and steal counts, and one trace lane per
+/// group a buffered batch kept (`groups`; none for a stream).
 fn collect_batch(
     schema: &Schema,
     summary: &StreamSummary,
     groups: &[BatchGroup],
-    cache: &ClosureCache,
     col: &mut Collected,
 ) {
     col.stats.merge(&summary.stats);
     col.requirements = summary.requirements as u64;
+    col.lists = summary.lists as u64;
     col.steals = summary.steals;
-    col.cache = Some(cache_snapshot(cache));
     for g in groups {
         col.groups.push(GroupTrace {
             user: g.user.to_string(),
@@ -986,44 +934,30 @@ fn collect_batch(
     }
 }
 
-/// The cache's counters and layout, read after a run. Runs that bypass it
-/// (`--explain`, `--certify`, `audit`) report an empty one.
-fn cache_snapshot(cache: &ClosureCache) -> CacheSnapshot {
-    CacheSnapshot {
-        stats: cache.stats(),
-        len: cache.len(),
-        capacity: cache.capacity(),
-        shards: cache.shard_count(),
-        max_shard_len: cache.max_shard_len(),
-    }
-}
-
 /// Run the batch driver over every `require` of the policy. `--explain`
 /// needs proof-carrying closures (and keeps them as artifacts so the
 /// rendering reuses the group's closure instead of recomputing it per
-/// requirement); the plain path runs the demand-driven engine through
-/// `cache`, instrumented or not. `--certify` forces proof recording and
-/// kept artifacts — the proof checker needs the whole derivation record —
-/// and also bypasses the cache, which holds proof-free partial closures.
+/// requirement); the plain path runs the demand-driven engine, which
+/// saturates each distinct capability list once, instrumented or not.
+/// `--certify` forces proof recording and kept artifacts — the proof
+/// checker needs the whole derivation record.
 fn check_batch(
     schema: &Schema,
     explain: bool,
     jobs: usize,
     certify: bool,
     stats: bool,
-    cache: &ClosureCache,
 ) -> BatchOutcome {
     let opts = BatchOptions {
         jobs,
         keep_artifacts: explain || certify,
         collect_stats: stats,
     };
-    analyze_batch_cached(
+    analyze_batch(
         schema,
         &schema.requirements,
         &AnalysisConfig::default(),
         &opts,
-        Some(cache),
     )
 }
 
@@ -1103,21 +1037,19 @@ pub struct AuditOptions {
 
 /// Run the batch driver configured for auditing: proof recording on,
 /// artifacts kept (the certifier and the provenance walk both need them),
-/// per-group stats collected for the report. The closure cache is not
-/// consulted — it holds proof-free partial closures that cannot back an
-/// audit — so the report's `cache` is always `null`.
+/// per-group stats collected for the report. No closure cache takes part,
+/// so the report's `cache` is always `null`.
 pub fn audit_batch(schema: &Schema, jobs: usize) -> BatchOutcome {
     let opts = BatchOptions {
         jobs,
         keep_artifacts: true,
         collect_stats: true,
     };
-    analyze_batch_cached(
+    analyze_batch(
         schema,
         &schema.requirements,
         &AnalysisConfig::default(),
         &opts,
-        None,
     )
 }
 
@@ -1428,7 +1360,6 @@ fn check_report(
     jobs: usize,
     certify: bool,
     mut col: Option<&mut Collected>,
-    cache: &ClosureCache,
     out: &mut dyn Write,
 ) -> io::Result<i32> {
     if schema.requirements.is_empty() {
@@ -1438,9 +1369,9 @@ fn check_report(
         )?;
         return Ok(exit::OK);
     }
-    let outcome = check_batch(schema, explain, jobs, certify, col.is_some(), cache);
+    let outcome = check_batch(schema, explain, jobs, certify, col.is_some());
     if let Some(col) = col.as_deref_mut() {
-        collect_batch(schema, &outcome.summary, &outcome.groups, cache, col);
+        collect_batch(schema, &outcome.summary, &outcome.groups, col);
     }
     let group_idx = group_of(&outcome, schema.requirements.len());
     let mut violated = 0usize;
@@ -1485,8 +1416,8 @@ fn check_report(
 
 /// A requirement's verdict reduced to what the NDJSON records carry —
 /// deliberately witness-free (status + occurrence count), so the resident
-/// incremental path and the cached batch path (whose closures pick
-/// witnesses in different orders) produce identical records.
+/// incremental path and the batch path (whose closures pick witnesses in
+/// different orders) produce identical records.
 #[derive(Clone, PartialEq, Eq)]
 enum ReqStatus {
     Satisfied,
@@ -1569,10 +1500,10 @@ fn ndjson_record(schema: &Schema, record: &GroupRecord) -> (Json, usize, usize) 
 /// Unlike the buffered path, an analysis error does not short-circuit —
 /// every group is still reported, and the run exits [`exit::INPUT`] when
 /// any error occurred, else 1 on violations as usual. The first failed
-/// write ends output; the pool still finishes the remaining groups, whose
-/// records are dropped. With `col` the run is instrumented: closure stats
-/// are collected on cache misses and the streaming summary is folded into
-/// the metrics collector.
+/// write ends output and closes the sink, so the pool analyses no further
+/// group. With `col` the run is instrumented: each list's saturation
+/// reports its closure stats and the streaming summary is folded into the
+/// metrics collector.
 ///
 /// With `ndjson` each group record becomes exactly one compact JSON object
 /// per line — `{"group":…,"user":…,"occurrences_checked":…,"verdicts":[…]}`
@@ -1586,7 +1517,6 @@ fn check_report_stream(
     jobs: usize,
     ndjson: bool,
     col: Option<&mut Collected>,
-    cache: &ClosureCache,
     out: &mut (dyn Write + Send),
 ) -> io::Result<i32> {
     if schema.requirements.is_empty() {
@@ -1604,12 +1534,14 @@ fn check_report_stream(
 
     /// Renders each record into verdict lines — or one NDJSON object — and
     /// writes them under the sink lock; violation/error tallies and the
-    /// first write error ride along in the same mutex.
+    /// first write error ride along in the same mutex. The sink closes on
+    /// that first error.
     struct LineSink<'a> {
         schema: &'a Schema,
         ndjson: bool,
         // (writer, violated, errors, first write error)
         out: Mutex<(&'a mut (dyn Write + Send), usize, usize, io::Result<()>)>,
+        closed: AtomicBool,
     }
     impl AnalysisSink for LineSink<'_> {
         fn emit(&self, record: GroupRecord) {
@@ -1648,9 +1580,15 @@ fn check_report_stream(
             let (out, v, e, written) = &mut *guard;
             if written.is_ok() {
                 *written = out.write_all(lines.as_bytes());
+                if written.is_err() {
+                    self.closed.store(true, Ordering::Relaxed);
+                }
             }
             *v += violated;
             *e += errors;
+        }
+        fn closed(&self) -> bool {
+            self.closed.load(Ordering::Relaxed)
         }
     }
 
@@ -1658,17 +1596,18 @@ fn check_report_stream(
         schema,
         ndjson,
         out: Mutex::new((&mut *out, 0, 0, Ok(()))),
+        closed: AtomicBool::new(false),
     };
     let summary = analyze_batch_streaming(
         schema,
         &schema.requirements,
         &AnalysisConfig::default(),
         &opts,
-        Some(cache),
+        None,
         &sink,
     );
     if let Some(col) = col {
-        collect_batch(schema, &summary, &[], cache, col);
+        collect_batch(schema, &summary, &[], col);
     }
     let (out, violated, errors, written) =
         sink.out.into_inner().expect("no panics hold the sink lock");
@@ -2543,11 +2482,7 @@ mod tests {
         let out = run_on_source_with_obs(&streamed, POLICY, &obs);
         assert_eq!(out.code, 1);
         assert!(out.stderr.contains("\"batch.steals\""), "{}", out.stderr);
-        assert!(
-            out.stderr.contains("\"cache.shard.count\""),
-            "{}",
-            out.stderr
-        );
+        assert!(out.stderr.contains("\"batch.lists\""), "{}", out.stderr);
     }
 
     #[test]
@@ -2615,15 +2550,15 @@ mod tests {
         }
     }
 
-    /// Records the cache's miss count at the first write it receives.
-    struct FirstWrite<'c> {
-        cache: &'c ClosureCache,
-        misses: Option<u64>,
+    /// Records the first write it receives.
+    #[derive(Default)]
+    struct FirstWrite {
+        first: Option<Vec<u8>>,
     }
 
-    impl Write for FirstWrite<'_> {
+    impl Write for FirstWrite {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.misses.get_or_insert(self.cache.stats().misses);
+            self.first.get_or_insert_with(|| buf.to_vec());
             Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
@@ -2633,9 +2568,10 @@ mod tests {
 
     #[test]
     fn stream_writes_each_record_as_its_group_completes() {
-        // Three users on three distinct lists: each group misses the cache,
-        // so the miss count at the first write says how many groups had
-        // completed when the first line left.
+        // Three users on three distinct lists: the first write carries the
+        // first group's line alone, written as that group completed (the
+        // library test `each_record_is_emitted_as_its_group_completes`
+        // pins that no later list had saturated by then).
         let policy = r#"
             class Broker { salary: int, budget: int }
             fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }
@@ -2654,15 +2590,11 @@ mod tests {
             stream: true,
             ndjson: false,
         };
-        let cache = ClosureCache::default();
-        let mut out = FirstWrite {
-            cache: &cache,
-            misses: None,
-        };
-        let code = execute(&cmd, policy, None, &cache, &mut out).unwrap();
+        let mut out = FirstWrite::default();
+        let code = execute(&cmd, policy, None, &mut out).unwrap();
         assert_eq!(code, exit::VIOLATION);
-        assert_eq!(out.misses, Some(1));
-        assert_eq!(cache.stats().misses, 3);
+        let first = String::from_utf8(out.first.unwrap()).unwrap();
+        assert_eq!(first, "[g0] FLAW  (a, r_salary(x):ti)  (1 occurrence(s))\n");
     }
 
     /// A writer whose every write fails, like a pipe whose reader exited.
@@ -2745,45 +2677,6 @@ mod tests {
                 file: "p.sfl".into()
             })
         );
-    }
-
-    #[test]
-    fn every_run_starts_with_a_cold_cache() {
-        // Three users hold one list: each run saturates it once and serves
-        // the other two groups from its own cache, whatever ran before.
-        let policy = r#"
-            class Broker { salary: int, budget: int }
-            fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }
-            user a { checkBudget, w_budget }
-            user b { checkBudget, w_budget }
-            user c { checkBudget, w_budget }
-            require (a, r_salary(x) : ti)
-            require (b, r_salary(x) : ti)
-            require (c, r_salary(x) : ti)
-        "#;
-        let cmd = Command::Check {
-            file: "-".into(),
-            explain: false,
-            jobs: 1,
-            certify: false,
-            stream: false,
-            ndjson: false,
-        };
-        let metrics = ObsOptions {
-            metrics: Some(MetricsFormat::Json),
-            trace: None,
-        };
-        for run in 0..2 {
-            let out = run_on_source_with_obs(&cmd, policy, &metrics);
-            let doc = Json::parse(&out.stderr).expect("stderr is one valid JSON document");
-            let counter = |name: &str| {
-                doc.get("counters")
-                    .and_then(|c| c.get(name))
-                    .and_then(Json::as_u64)
-            };
-            assert_eq!(counter("cache.misses"), Some(1), "run {run}");
-            assert_eq!(counter("cache.hits"), Some(2), "run {run}");
-        }
     }
 
     #[test]
@@ -3044,31 +2937,10 @@ mod tests {
             counters.get("analysis.requirements").and_then(Json::as_u64),
             Some(2)
         );
-        // Closure-cache counters (lifetime totals), shard layout, batch
-        // scheduler steals, and occupancy gauges.
-        for counter in [
-            "cache.hits",
-            "cache.misses",
-            "cache.evictions",
-            "cache.shard.count",
-            "batch.steals",
-        ] {
-            assert!(
-                counters.get(counter).and_then(Json::as_u64).is_some(),
-                "missing counter {counter}"
-            );
-        }
-        assert!(
-            counters
-                .get("cache.shard.count")
-                .and_then(Json::as_u64)
-                .unwrap()
-                > 0
-        );
-        let gauges = doc.get("gauges").expect("gauges object");
-        assert!(gauges.get("cache.occupancy").is_some());
-        assert!(gauges.get("cache.capacity").is_some());
-        assert!(gauges.get("cache.shard.max_len").is_some());
+        // Batch counters: clerk and safe_clerk hold two distinct lists,
+        // and a serial run never steals.
+        assert_eq!(counters.get("batch.lists").and_then(Json::as_u64), Some(2));
+        assert_eq!(counters.get("batch.steals").and_then(Json::as_u64), Some(0));
         // Per-phase timings.
         let spans = doc.get("spans_ms").expect("spans object");
         for phase in ["parse", "typecheck", "unfold", "closure", "check"] {
@@ -3078,9 +2950,9 @@ mod tests {
 
     #[test]
     fn instrumented_check_saturates_a_shared_list_once() {
-        // Three users hold one list: the plain run saturates once and
-        // serves the other two groups from the cache, and so must the
-        // instrumented run, whose counters count only that saturation.
+        // Three users hold one list: the plain run saturates it once for
+        // all three groups, and so must the instrumented run, whose
+        // counters count only that saturation.
         let policy = r#"
             class Broker { salary: int, budget: int }
             fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }
@@ -3100,7 +2972,7 @@ mod tests {
             ndjson: false,
         };
         let mut plain = Vec::new();
-        let code = execute(&cmd, policy, None, &ClosureCache::default(), &mut plain).unwrap();
+        let code = execute(&cmd, policy, None, &mut plain).unwrap();
         let plain = (String::from_utf8(plain).unwrap(), code);
         let metrics = ObsOptions {
             metrics: Some(MetricsFormat::Json),
@@ -3115,21 +2987,23 @@ mod tests {
                 .and_then(Json::as_u64)
         };
         assert_eq!(counter("closure.terms.total"), Some(51));
-        assert_eq!(counter("cache.misses"), Some(1));
-        assert_eq!(counter("cache.hits"), Some(2));
+        assert_eq!(counter("batch.lists"), Some(1));
         let trace = ObsOptions {
             metrics: None,
             trace: Some(TraceOptions::default()),
         };
         let traced = run_on_source_with_obs(&cmd, policy, &trace);
         assert_eq!(traced.stdout, plain.0);
-        let hits = traced
+        let closures = traced
             .stderr
             .lines()
             .map(|line| Json::parse(line).expect("each stderr line is one JSON trace event"))
-            .filter(|ev| ev.get("name").and_then(Json::as_str) == Some("cache.hit"))
+            .filter(|ev| {
+                ev.get("name").and_then(Json::as_str) == Some("closure")
+                    && ev.get("cat").and_then(Json::as_str) == Some("group")
+            })
             .count();
-        assert_eq!(hits, 2, "{}", traced.stderr);
+        assert_eq!(closures, 1, "{}", traced.stderr);
     }
 
     #[test]
@@ -3330,7 +3204,7 @@ mod tests {
     #[test]
     fn corrupted_proofs_fail_certification_with_exit_four() {
         let schema = load_str(POLICY).unwrap();
-        let mut outcome = check_batch(&schema, false, 1, true, false, &ClosureCache::default());
+        let mut outcome = check_batch(&schema, false, 1, true, false);
         // Corrupt one recorded derivation in the first group's closure: the
         // independent checker must reject it and the CLI must map that to
         // the dedicated exit code.

@@ -39,8 +39,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tunables for one analysis run.
@@ -179,8 +179,8 @@ pub struct AnalysisStats {
     /// Wall-clock per analysis phase, in execution order.
     pub phases: Phases,
     /// Closure counters (defaulted when unfolding failed before closure;
-    /// zero under the term limit when the cache served the group and
-    /// nothing saturated).
+    /// zero under the term limit when the group was served a closure it
+    /// did not compute, see [`BatchOptions::collect_stats`]).
     pub closure: ClosureStats,
     /// Unfolded program size in nodes (0 when unfolding failed).
     pub program_nodes: u64,
@@ -409,15 +409,18 @@ pub struct BatchOptions {
     /// Keep each group's `(NProgram, Closure)` on [`BatchGroup::artifacts`]
     /// so callers can render explanations, certify and walk flaw paths
     /// without recomputing. Selects the full arm: an uncached,
-    /// proof-carrying ([`ProofMode::Full`]) full saturation, because all
-    /// three read derivations of arbitrary terms, which a partial or
-    /// proof-free closure cannot back. Without it every group runs the
-    /// demand arm, the only one that reads a [`ClosureCache`].
+    /// proof-carrying ([`ProofMode::Full`]) full saturation per group,
+    /// because all three read derivations of arbitrary terms, which a
+    /// partial or proof-free closure cannot back. Without it every group
+    /// runs the demand arm, which saturates each distinct capability list
+    /// once and is the only one that reads a [`ClosureCache`].
     pub keep_artifacts: bool,
-    /// Collect [`ClosureStats`] and per-phase timings per group. The cache
-    /// still serves: a group it serves ran no saturation, so it reports zero
-    /// closure counters (under the term limit) and no `unfold`/`closure`
-    /// phase.
+    /// Collect [`ClosureStats`] and per-phase timings per group. In the
+    /// demand arm the group that saturated its list (or missed the cache)
+    /// reports the `unfold` and `closure` phases and the closure counters;
+    /// a group served a closure it did not compute — its list's, or a
+    /// cache hit — ran no saturation, so it reports zero closure counters
+    /// (under the term limit) and no `unfold`/`closure` phase.
     pub collect_stats: bool,
 }
 
@@ -431,8 +434,9 @@ impl Default for BatchOptions {
     }
 }
 
-/// One unit of shared work in a batch run: all requirements naming the same
-/// user (and therefore sharing one unfolding and one closure).
+/// One user's share of a batch run, the pool's unit of work: all
+/// requirements naming the user. Users holding equal capability lists
+/// share one unfolding and one closure.
 #[derive(Debug)]
 pub struct BatchGroup {
     /// The user whose capability list this group analyzed.
@@ -446,7 +450,7 @@ pub struct BatchGroup {
     /// Wall-clock of each requirement's check phase, aligned with
     /// `req_indexes`.
     pub check_times: Vec<Duration>,
-    /// The shared unfolding and closure, when
+    /// The group's own unfolding and full closure, when
     /// [`BatchOptions::keep_artifacts`] and the shared phases succeeded.
     pub artifacts: Option<(NProgram, Closure)>,
 }
@@ -462,8 +466,8 @@ pub struct BatchOutcome {
     pub verdicts: Vec<Result<Verdict, AnalysisError>>,
     /// Per-group bookkeeping, in first-seen order of the users.
     pub groups: Vec<BatchGroup>,
-    /// The aggregate the streaming driver returned: workers, steals, the
-    /// folded group stats and the cache state after the batch.
+    /// The aggregate the streaming driver returned: lists, workers, steals,
+    /// the folded group stats and the cache state after the batch.
     pub summary: StreamSummary,
 }
 
@@ -542,131 +546,83 @@ struct CacheEntry {
     occs: OccMemo,
 }
 
-/// One lock-striped segment of a [`ClosureCache`]: entries tagged with a
-/// last-touch tick, evicted least-recently-touched first.
-#[derive(Default)]
-struct CacheShard {
-    entries: Vec<(CacheKey, CacheEntry, u64)>,
-    tick: u64,
-}
-
-impl CacheShard {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-}
-
 /// Lifetime counters of a [`ClosureCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Groups served without any saturation.
+    /// Lookups served without any saturation.
     pub hits: u64,
-    /// Groups that found no entry under their key, and unfolded and
-    /// saturated.
+    /// Lookups that found no entry under their key, whose caller unfolded
+    /// and saturated.
     pub misses: u64,
-    /// Entries dropped because a shard exceeded its capacity; the
-    /// least-recently-touched entry of the full shard goes first.
+    /// Entries dropped past the capacity, least-recently-touched first.
     pub evictions: u64,
 }
 
 /// A cross-call cache of demand-driven closures, keyed by
 /// `(program, capability list, analysis config, requirement shapes)`
 /// fingerprints, where the program is the schema's class and
-/// access-function definitions and the shapes are the group's distinct
-/// `(target, arg_caps, ret_caps)` triples.
+/// access-function definitions and the shapes are the distinct
+/// `(target, arg_caps, ret_caps)` triples a list's users ask.
 ///
 /// A demand closure depends on exactly that input: `S'(F)` unfolds one
 /// capability list against the definitions, and the slice and early exit
 /// follow the goals of the requirement shapes. Other users and
 /// requirements are not part of the key, since neither reads them, and
-/// computing a key never prints the whole policy: a check costs one user's
-/// closure, however many users and requirements the policy holds. Repeated
-/// [`analyze_batch_cached`] calls against the same policy (a `serve`
-/// session, a watch loop) rediscover the same closures. A hit means the
-/// keys are equal; a group asking a new set of shapes misses and stores an
-/// entry of its own.
+/// computing a key never prints the whole policy. A batch saturates each
+/// distinct list once whether or not a cache is passed, and consults the
+/// cache once per list, so the cache serves only repeated
+/// [`analyze_batch_cached`] calls against the same program: a hit means an
+/// earlier call saturated the same list for the same shapes under the same
+/// configuration.
 ///
-/// Bounded LRU, lock-striped: entries are spread over `shard_count()`
-/// independently locked segments chosen by a mix of the program,
-/// capability-list and config fingerprints, so concurrent hits on different
-/// lists never contend on one mutex. Each
-/// shard evicts its least-recently-touched entry past its share of the
-/// capacity (a hit refreshes recency). Lookups hold a shard lock only
-/// briefly and saturation runs outside it (concurrent misses on one key may
-/// duplicate work, last writer wins).
+/// Bounded LRU behind one lock: past the capacity the least-recently-touched
+/// entry goes, and a hit refreshes recency. Lookups hold the lock only
+/// briefly and saturation runs outside it, so concurrent calls missing on
+/// one key may both saturate (last writer wins).
 pub struct ClosureCache {
-    shards: Vec<Mutex<CacheShard>>,
-    per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    lru: Mutex<Lru>,
+    capacity: usize,
+}
+
+/// A [`ClosureCache`]'s entries, each tagged with its last-touch tick, and
+/// its counters.
+#[derive(Default)]
+struct Lru {
+    entries: Vec<(CacheKey, CacheEntry, u64)>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+impl Lru {
+    fn touch(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
 }
 
 impl ClosureCache {
-    /// A cache holding at most `capacity` closures (minimum 1), striped
-    /// over `capacity / 8` lock shards (clamped to 1..=16). Small caches
-    /// (capacity < 16) keep a single shard, which preserves exact global
-    /// LRU order; the striped layout approximates it per shard.
+    /// A cache holding at most `capacity` closures (minimum 1).
     pub fn new(capacity: usize) -> ClosureCache {
-        let capacity = capacity.max(1);
-        ClosureCache::with_shards(capacity, (capacity / 8).clamp(1, 16))
-    }
-
-    /// A cache with an explicit shard count. The capacity is rounded up to
-    /// a multiple of the shard count: each shard holds at most
-    /// `capacity.div_ceil(shards)` entries.
-    pub fn with_shards(capacity: usize, shards: usize) -> ClosureCache {
-        let shards = shards.max(1);
-        let per_shard = capacity.max(1).div_ceil(shards);
         ClosureCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(CacheShard::default()))
-                .collect(),
-            per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: Mutex::default(),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Lifetime counters. A "hit" means a group was served without any
+    /// Lifetime counters. A "hit" means a lookup was served without any
     /// unfolding or saturation.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 
-    /// Number of cached closures across all shards.
+    /// Number of cached closures.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_shard(s).entries.len())
-            .sum()
+        self.lock().entries.len()
     }
 
-    /// Maximum number of closures the cache retains (per-shard LRU eviction
-    /// past each shard's share).
+    /// Maximum number of closures the cache retains.
     pub fn capacity(&self) -> usize {
-        self.per_shard * self.shards.len()
-    }
-
-    /// Number of lock-striped shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Occupancy of the fullest shard — the striping diagnostic behind the
-    /// CLI's `cache.shard.max_len` gauge.
-    pub fn max_shard_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_shard(s).entries.len())
-            .max()
-            .unwrap_or(0)
+        self.capacity
     }
 
     /// Is the cache empty?
@@ -674,72 +630,50 @@ impl ClosureCache {
         self.len() == 0
     }
 
-    fn shard_for(&self, key: &CacheKey) -> &Mutex<CacheShard> {
-        // Stripe on every key component. Within one batch the program and
-        // config fingerprints are constant, but the cache outlives batches:
-        // a resident process serving several policies (or re-checking one
-        // policy under different budgets) holds entries whose keys differ
-        // *only* in those components, and striping on `caps_fp` alone
-        // pigeonholed all of them onto a single shard — one mutex carrying
-        // every lookup and one shard's LRU share bounding the whole cache.
-        // The rotations keep the three double-hashes from cancelling. The
-        // shapes stay out of the mix: one list's entries share a shard.
-        let mix = key.caps_fp.0
-            ^ key.caps_fp.1.rotate_left(11)
-            ^ key.program_fp.0.rotate_left(23)
-            ^ key.program_fp.1.rotate_left(31)
-            ^ key.config_fp.0.rotate_left(43)
-            ^ key.config_fp.1.rotate_left(53);
-        let idx = mix as usize % self.shards.len();
-        &self.shards[idx]
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().expect("no panics hold the cache lock")
     }
 
+    /// The entry stored under `key`, touched; counts a hit or a miss.
     fn lookup(&self, key: &CacheKey) -> Option<CacheEntry> {
-        let mut shard = lock_shard(self.shard_for(key));
-        let tick = shard.touch();
-        shard
+        let mut lru = self.lock();
+        let tick = lru.touch();
+        let found = lru
             .entries
             .iter_mut()
             .find(|(k, _, _)| k == key)
             .map(|(_, e, stamp)| {
                 *stamp = tick;
                 e.clone()
-            })
-    }
-
-    fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+            });
+        match found {
+            Some(_) => lru.stats.hits += 1,
+            None => lru.stats.misses += 1,
+        }
+        found
     }
 
     fn store(&self, key: CacheKey, entry: CacheEntry) {
-        let mut shard = lock_shard(self.shard_for(&key));
-        let tick = shard.touch();
-        if let Some(slot) = shard.entries.iter_mut().find(|(k, _, _)| *k == key) {
+        let mut lru = self.lock();
+        let tick = lru.touch();
+        if let Some(slot) = lru.entries.iter_mut().find(|(k, _, _)| *k == key) {
             slot.1 = entry;
             slot.2 = tick;
             return;
         }
-        shard.entries.push((key, entry, tick));
-        if shard.entries.len() > self.per_shard {
-            let oldest = shard
+        lru.entries.push((key, entry, tick));
+        if lru.entries.len() > self.capacity {
+            let oldest = lru
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, (_, _, stamp))| *stamp)
                 .map(|(i, _)| i)
-                .expect("a full shard is non-empty");
-            shard.entries.remove(oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+                .expect("a full cache is non-empty");
+            lru.entries.remove(oldest);
+            lru.stats.evictions += 1;
         }
     }
-}
-
-fn lock_shard(shard: &Mutex<CacheShard>) -> std::sync::MutexGuard<'_, CacheShard> {
-    shard.lock().expect("no panics hold a cache shard lock")
 }
 
 impl Default for ClosureCache {
@@ -754,7 +688,6 @@ impl fmt::Debug for ClosureCache {
         f.debug_struct("ClosureCache")
             .field("len", &self.len())
             .field("capacity", &self.capacity())
-            .field("shards", &self.shard_count())
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
             .field("evictions", &stats.evictions)
@@ -802,10 +735,14 @@ impl<'a> CacheCtx<'a> {
     }
 }
 
+/// What a group's checks read: the unfolded program, its closure and the
+/// memoized occurrences of the targets asked so far.
+type Shared = (Arc<NProgram>, Arc<Closure>, OccMemo);
+
 /// The demand arm: unfold `S'(F)` for `caps`, slice it to the goals of
-/// the group's distinct requirement shapes and saturate the slice, through
-/// the cache when one is passed. A hit returns the entry stored under the
-/// group's key; a miss computes the closure and stores it. `unfold` and
+/// the distinct requirement shapes among `reqs` and saturate the slice,
+/// through the cache when one is passed. A hit returns the entry stored
+/// under the key; a miss computes the closure and stores it. `unfold` and
 /// `closure` are timed on a miss; a hit records neither, because neither
 /// ran.
 fn demand_shared(
@@ -813,24 +750,16 @@ fn demand_shared(
     caps: &CapabilityList,
     config: &AnalysisConfig,
     opts: &BatchOptions,
-    group_reqs: &[&Requirement],
+    reqs: &[&Requirement],
     cache: Option<&CacheCtx<'_>>,
     stats: &mut AnalysisStats,
-) -> Result<(Arc<NProgram>, Arc<Closure>, OccMemo), AnalysisError> {
-    let shapes = distinct_shapes(group_reqs);
+) -> Result<Shared, AnalysisError> {
+    let shapes = distinct_shapes(reqs);
     let keyed = cache.map(|ctx| (ctx, ctx.key(caps, &shapes)));
     if let Some((ctx, key)) = &keyed {
-        match ctx.cache.lookup(key) {
-            Some(entry) => {
-                ctx.cache.note_hit();
-                stats.program_nodes = entry.prog.len() as u64;
-                if opts.collect_stats {
-                    // Nothing saturated: zero counters under the budget.
-                    stats.closure = ClosureStats::new(config.term_limit);
-                }
-                return Ok((entry.prog, entry.closure, entry.occs));
-            }
-            None => ctx.cache.note_miss(),
+        if let Some(entry) = ctx.cache.lookup(key) {
+            served(&entry.prog, config, opts, stats);
+            return Ok((entry.prog, entry.closure, entry.occs));
         }
     }
     let prog = stats.phases.time("unfold", || {
@@ -862,6 +791,22 @@ fn demand_shared(
     Ok((prog, closure, memo))
 }
 
+/// The stats of a group served a closure it did not compute — a cache
+/// hit, or its list's closure another user saturated: the program's size
+/// and, when stats are collected, zero closure counters under the budget.
+/// No `unfold` or `closure` phase, because neither ran.
+fn served(
+    prog: &NProgram,
+    config: &AnalysisConfig,
+    opts: &BatchOptions,
+    stats: &mut AnalysisStats,
+) {
+    stats.program_nodes = prog.len() as u64;
+    if opts.collect_stats {
+        stats.closure = ClosureStats::new(config.term_limit);
+    }
+}
+
 /// The full arm: unfold `S'(F)` for `caps` and saturate all of it with
 /// proofs, for callers that keep the artifacts. The cache holds partial,
 /// proof-free closures, so this arm never uses it.
@@ -871,7 +816,7 @@ fn full_shared(
     config: &AnalysisConfig,
     opts: &BatchOptions,
     stats: &mut AnalysisStats,
-) -> Result<(Arc<NProgram>, Arc<Closure>, OccMemo), AnalysisError> {
+) -> Result<Shared, AnalysisError> {
     let prog = stats.phases.time("unfold", || {
         NProgram::unfold_with_limit(schema, caps, config.node_limit)
     })?;
@@ -920,21 +865,25 @@ impl OccMemo {
 }
 
 /// Analyze a batch of requirements, unfolding and saturating **once per
-/// user** instead of once per requirement.
+/// distinct capability list** instead of once per requirement.
 ///
 /// `A(R)`'s expensive phases — unfolding `S'(F)` and the `F(F)` closure —
-/// depend only on the requirement's user (its capability list) and the
-/// analysis configuration, which is shared by the whole call. Requirements
-/// are therefore grouped by user in first-seen order; each group runs
-/// unfold → closure once and then the cheap per-requirement verdict check.
-/// Groups fan out across a hand-rolled `std::thread::scope` work-stealing
-/// pool ([`BatchOptions::jobs`] workers over per-worker deques), so a
-/// policy file with many users saturates in parallel even when group sizes
-/// are heavily skewed.
+/// depend only on the requirement's capability list `F` and the analysis
+/// configuration, which is shared by the whole call. Requirements are
+/// therefore grouped by user in first-seen order, and users by list: each
+/// list is unfolded and saturated once, for the union of its users'
+/// requirement shapes, and each user group then runs the cheap
+/// per-requirement verdict check. Groups fan out across a hand-rolled
+/// `std::thread::scope` work-stealing pool ([`BatchOptions::jobs`] workers
+/// over per-worker deques), so a policy file with many users saturates in
+/// parallel even when group sizes are heavily skewed.
 ///
 /// Verdicts come back in input order and are identical to analyzing each
-/// requirement as a batch of one, regardless of `jobs` — groups are
-/// independent and each group's work is deterministic.
+/// requirement as a batch of one, regardless of `jobs`, with one exception
+/// set by the term budget: a list's users share one closure and so one
+/// budget, and a union slice can exceed it where one user's slice alone
+/// fits. Then every requirement on the list reports the budget error, as
+/// full saturation under the same budget would.
 pub fn analyze_batch(
     schema: &Schema,
     reqs: &[Requirement],
@@ -949,11 +898,9 @@ pub fn analyze_batch(
 /// index and requirement index, which keeps the pool's nondeterministic
 /// group→worker assignment out of the output.
 ///
-/// Cache reuse applies to every group that runs demand-driven
-/// (`!keep_artifacts`); the full, proof-carrying closures of kept artifacts
-/// bypass it. Collecting stats does not: a group the cache serves ran no
-/// saturation, so it adds no closure counters. Passing `None` is exactly
-/// [`analyze_batch`].
+/// The cache is looked up once per distinct capability list by the demand
+/// arm (`!keep_artifacts`); the full, proof-carrying closures of kept
+/// artifacts bypass it. Passing `None` is exactly [`analyze_batch`].
 pub fn analyze_batch_cached(
     schema: &Schema,
     reqs: &[Requirement],
@@ -1001,8 +948,11 @@ pub fn analyze_caps(
 ) -> Vec<Result<Verdict, AnalysisError>> {
     // No user holds `caps`, so the group is unnamed; nothing reads its name.
     let group = (UserName::new(""), (0..reqs.len()).collect());
+    let all: Vec<&Requirement> = reqs.iter().collect();
     let opts = BatchOptions::default();
-    let (_, verdicts) = run_group(schema, Ok(caps), reqs, &group, config, &opts, None);
+    let (_, verdicts) = run_group(reqs, &group, false, |stats| {
+        demand_shared(schema, caps, config, &opts, &all, None, stats)
+    });
     verdicts.into_iter().map(|(_, v)| v).collect()
 }
 
@@ -1016,8 +966,8 @@ pub(crate) fn user_caps<'s>(
         .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))
 }
 
-/// Group requirement indexes by user, first-seen order — the unit of shared
-/// work of the batch driver.
+/// Group requirement indexes by user, first-seen order — the batch
+/// driver's unit of work.
 fn group_by_user(reqs: &[Requirement]) -> Vec<(UserName, Vec<usize>)> {
     let mut group_of: HashMap<UserName, usize> = HashMap::new();
     let mut grouped: Vec<(UserName, Vec<usize>)> = Vec::new();
@@ -1029,6 +979,109 @@ fn group_by_user(reqs: &[Requirement]) -> Vec<(UserName, Vec<usize>)> {
         grouped[gi].1.push(i);
     }
     grouped
+}
+
+/// One distinct capability list of a batch: the demand arm's unit of
+/// shared work. The list is unfolded, sliced and saturated once, by the
+/// first of its users to run, for every shape its users ask.
+struct ListSlot<'a> {
+    caps: &'a CapabilityList,
+    /// One requirement per distinct [`shape`] the list's users ask, in
+    /// first-seen order.
+    shapes: Vec<&'a Requirement>,
+    /// The list's user groups that have not completed.
+    pending: AtomicUsize,
+    /// The list's demand result once its first user computed it; freed
+    /// when its last user completes.
+    demand: Mutex<Option<Result<Shared, AnalysisError>>>,
+}
+
+impl ListSlot<'_> {
+    /// The list's demand closure, for one of its user groups. The first to
+    /// ask computes it holding the slot lock, so a second worker on the
+    /// same list waits instead of saturating twice, and it is this list's
+    /// only cache lookup; it carries the `unfold`/`closure` phases and the
+    /// closure counters. Every later user is [`served`]. An error is stored
+    /// like a closure and fails every user of the list.
+    fn demand(
+        &self,
+        schema: &Schema,
+        config: &AnalysisConfig,
+        opts: &BatchOptions,
+        cache: Option<&CacheCtx<'_>>,
+        stats: &mut AnalysisStats,
+    ) -> Result<Shared, AnalysisError> {
+        let mut slot = self.demand.lock().expect("no panics hold a list slot");
+        if let Some(done) = &*slot {
+            if let Ok((prog, _, _)) = done {
+                served(prog, config, opts, stats);
+            }
+            return done.clone();
+        }
+        let result = demand_shared(schema, self.caps, config, opts, &self.shapes, cache, stats);
+        *slot = Some(result.clone());
+        result
+    }
+
+    /// One of the list's user groups completed; the last frees the closure.
+    /// Relaxed: the count publishes no data (each group holds its own
+    /// `Arc`s, and the slot's mutex orders the free), and exactly one
+    /// group reads it reach zero.
+    fn complete(&self) {
+        if self.pending.fetch_sub(1, Ordering::Relaxed) == 1 {
+            *self.demand.lock().expect("no panics hold a list slot") = None;
+        }
+    }
+}
+
+/// The distinct capability lists of a batch, gathered in one sequential
+/// pass before the pool starts.
+struct ListTable<'a> {
+    /// Each user group's slot index, or the error that fails the group (an
+    /// unknown user).
+    of_group: Vec<Result<usize, AnalysisError>>,
+    slots: Vec<ListSlot<'a>>,
+}
+
+impl<'a> ListTable<'a> {
+    fn new(
+        schema: &'a Schema,
+        reqs: &'a [Requirement],
+        grouped: &[(UserName, Vec<usize>)],
+    ) -> ListTable<'a> {
+        // Equal lists hash and compare equal; users the parser gave one
+        // shared list compare by pointer.
+        let mut index: HashMap<&CapabilityList, usize> = HashMap::new();
+        let mut slots: Vec<ListSlot<'a>> = Vec::new();
+        let mut of_group = Vec::with_capacity(grouped.len());
+        for (user, req_indexes) in grouped {
+            let caps = match user_caps(schema, user) {
+                Ok(caps) => caps,
+                Err(e) => {
+                    of_group.push(Err(e));
+                    continue;
+                }
+            };
+            let li = *index.entry(caps).or_insert_with(|| {
+                slots.push(ListSlot {
+                    caps,
+                    shapes: Vec::new(),
+                    pending: AtomicUsize::new(0),
+                    demand: Mutex::new(None),
+                });
+                slots.len() - 1
+            });
+            let slot = &mut slots[li];
+            *slot.pending.get_mut() += 1;
+            for r in req_indexes.iter().map(|&i| &reqs[i]) {
+                if !slot.shapes.iter().any(|s| shape(s) == shape(r)) {
+                    slot.shapes.push(r);
+                }
+            }
+            of_group.push(Ok(li));
+        }
+        ListTable { of_group, slots }
+    }
 }
 
 /// Resolve a requested job count: `0` auto-detects the machine's
@@ -1147,9 +1200,17 @@ pub struct GroupRecord {
 /// thread-safe: under a parallel pool, `emit` is called concurrently from
 /// worker threads as groups complete.
 pub trait AnalysisSink: Sync {
-    /// Called exactly once per group, the moment its verdicts are ready.
-    /// Ordering is unspecified when `jobs > 1`.
+    /// Called exactly once per analysed group, the moment its verdicts are
+    /// ready. Ordering is unspecified when `jobs > 1`.
     fn emit(&self, record: GroupRecord);
+
+    /// Has the consumer stopped taking records (say, its writer failed)?
+    /// Once it answers true the driver analyses no further group; groups
+    /// already running still emit. A sink that never closes keeps this
+    /// default.
+    fn closed(&self) -> bool {
+        false
+    }
 }
 
 /// The simplest sink: buffer every record in completion order
@@ -1167,8 +1228,12 @@ impl AnalysisSink for Mutex<Vec<GroupRecord>> {
 /// is buffered, which is the point.
 #[derive(Debug)]
 pub struct StreamSummary {
-    /// Groups analyzed (= records emitted).
+    /// Groups in the batch (= records emitted, unless the sink closed).
     pub groups: usize,
+    /// Distinct capability lists among the groups' users. The demand arm
+    /// unfolds and saturates each once; the full arm
+    /// ([`BatchOptions::keep_artifacts`]) still saturates per group.
+    pub lists: usize,
     /// Requirements across all groups.
     pub requirements: usize,
     /// Worker threads actually used (after resolving `jobs == 0` and
@@ -1193,7 +1258,8 @@ pub struct StreamSummary {
 
 /// The batch driver: each group's record is handed to `sink.emit` the
 /// moment the group completes, and nothing per-group is retained — memory
-/// stays flat no matter how many users the batch holds.
+/// stays flat no matter how many users the batch holds. Each distinct
+/// capability list's closure lives only until its last user completes.
 /// [`analyze_batch_cached`] is this driver with a sink that collects every
 /// record.
 pub fn analyze_batch_streaming(
@@ -1206,6 +1272,7 @@ pub fn analyze_batch_streaming(
 ) -> StreamSummary {
     let ctx = CacheCtx::new(cache, schema, config, opts);
     let grouped = group_by_user(reqs);
+    let lists = ListTable::new(schema, reqs, &grouped);
     let n_groups = grouped.len();
     let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
     let (folds, steals) = run_pool(
@@ -1213,10 +1280,25 @@ pub fn analyze_batch_streaming(
         jobs,
         |w| (w, AnalysisStats::default()),
         |(worker, stats), gi| {
-            let group = &grouped[gi];
-            let caps = user_caps(schema, &group.0);
-            let (group, verdicts) =
-                run_group(schema, caps, reqs, group, config, opts, ctx.as_ref());
+            if sink.closed() {
+                return;
+            }
+            let list = lists.of_group[gi].as_ref().map(|&li| &lists.slots[li]);
+            let (group, verdicts) = run_group(reqs, &grouped[gi], opts.keep_artifacts, |stats| {
+                let list = list.map_err(Clone::clone)?;
+                // Demand-driven saturation answers exactly the goal
+                // queries the checks will make; kept artifacts are
+                // inspected beyond those queries (derivations of arbitrary
+                // terms), so they need each user's full fixpoint.
+                if opts.keep_artifacts {
+                    full_shared(schema, list.caps, config, opts, stats)
+                } else {
+                    list.demand(schema, config, opts, ctx.as_ref(), stats)
+                }
+            });
+            if let Ok(list) = list {
+                list.complete();
+            }
             stats.merge(&group.stats);
             sink.emit(GroupRecord {
                 group_index: gi,
@@ -1232,6 +1314,7 @@ pub fn analyze_batch_streaming(
     }
     StreamSummary {
         groups: n_groups,
+        lists: lists.slots.len(),
         requirements: reqs.len(),
         jobs_used: jobs,
         steals,
@@ -1244,18 +1327,16 @@ pub fn analyze_batch_streaming(
 /// requirement's index in the caller's input order.
 type GroupVerdicts = Vec<(usize, Result<Verdict, AnalysisError>)>;
 
-/// The shared phases plus per-requirement checks for one group: `user`'s
-/// requirements at `req_indexes`, analyzed under the capability list
-/// `caps`. `A(R)` reads nothing of the user but the list, so the caller
-/// resolves it; an error fails every requirement of the group.
+/// One group: `user`'s requirements at `req_indexes`, checked against what
+/// `shared` computes or fetches into the group's stats (the program and
+/// closure of the user's list). `A(R)` reads nothing of the user but the
+/// list, so `shared` resolves it; its error fails every requirement of the
+/// group.
 fn run_group(
-    schema: &Schema,
-    caps: Result<&CapabilityList, AnalysisError>,
     reqs: &[Requirement],
     (user, req_indexes): &(UserName, Vec<usize>),
-    config: &AnalysisConfig,
-    opts: &BatchOptions,
-    cache: Option<&CacheCtx<'_>>,
+    keep_artifacts: bool,
+    shared: impl FnOnce(&mut AnalysisStats) -> Result<Shared, AnalysisError>,
 ) -> (BatchGroup, GroupVerdicts) {
     let mut group = BatchGroup {
         user: user.clone(),
@@ -1264,26 +1345,8 @@ fn run_group(
         check_times: Vec::with_capacity(req_indexes.len()),
         artifacts: None,
     };
-    // Demand-driven saturation answers exactly the goal queries the checks
-    // below will make; kept artifacts are inspected beyond those queries
-    // (derivations of arbitrary terms), so they need the full fixpoint.
-    let shared = caps.and_then(|caps| {
-        if opts.keep_artifacts {
-            return full_shared(schema, caps, config, opts, &mut group.stats);
-        }
-        let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
-        demand_shared(
-            schema,
-            caps,
-            config,
-            opts,
-            &group_reqs,
-            cache,
-            &mut group.stats,
-        )
-    });
     let mut verdicts = Vec::with_capacity(req_indexes.len());
-    match shared {
+    match shared(&mut group.stats) {
         Err(e) => {
             for &i in req_indexes {
                 verdicts.push((i, Err(e.clone())));
@@ -1303,7 +1366,7 @@ fn run_group(
                 verdicts.push((i, Ok(v)));
             }
             group.stats.phases.add("check", check_total);
-            if opts.keep_artifacts {
+            if keep_artifacts {
                 // The full arm's `Arc`s are never shared.
                 group.artifacts = Arc::into_inner(prog).zip(Arc::into_inner(closure));
             }
@@ -1713,7 +1776,6 @@ mod tests {
         let config = AnalysisConfig::default();
         let opts = BatchOptions::default();
         let cache = ClosureCache::new(2);
-        assert_eq!(cache.shard_count(), 1, "small caches keep exact LRU order");
         for user in ["clerk", "safe_clerk"] {
             let r = [parse_requirement(&format!("({user}, r_salary(x) : ti)")).unwrap()];
             analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
@@ -1733,71 +1795,6 @@ mod tests {
         let r = [parse_requirement("(safe_clerk, r_salary(x) : ti)").unwrap()];
         analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
         assert_eq!(cache.stats().hits, before + 1, "LRU entry was evicted");
-    }
-
-    #[test]
-    fn cache_striping_is_bounded_per_shard() {
-        let cache = ClosureCache::default();
-        assert_eq!(cache.capacity(), 64);
-        assert_eq!(cache.shard_count(), 8);
-        let cache = ClosureCache::with_shards(8, 4);
-        assert_eq!(cache.capacity(), 8);
-        assert_eq!(cache.shard_count(), 4);
-        let s = schema();
-        let config = AnalysisConfig::default();
-        let opts = BatchOptions::default();
-        for user in ["clerk", "safe_clerk", "payroll", "safe_payroll", "reader"] {
-            let r = [parse_requirement(&format!("({user}, r_salary(x) : ti)")).unwrap()];
-            analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
-        }
-        // Five distinct capability lists over 4 shards of 2: every shard
-        // stays within its bound; at most one pigeonholed eviction.
-        assert!(cache.max_shard_len() <= 2);
-        assert!(cache.len() >= 4, "len {} after 5 inserts", cache.len());
-        // Entries are findable after striping: a repeat batch hits.
-        let before = cache.stats().hits;
-        let r = [parse_requirement("(reader, r_salary(x) : ti)").unwrap()];
-        analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
-        assert_eq!(cache.stats().hits, before + 1);
-    }
-
-    #[test]
-    fn shard_striping_spreads_keys_differing_only_in_config() {
-        // Regression: shard selection once striped on `caps_fp` alone, so
-        // every key a resident process accumulates for one capability list
-        // under different budgets (or one policy under several configs)
-        // pigeonholed onto a single shard — one mutex carried every lookup
-        // and that shard's LRU share bounded the whole cache.
-        let cache = ClosureCache::with_shards(16, 4);
-        let s = schema();
-        let opts = BatchOptions::default();
-        let r = [parse_requirement("(clerk, r_salary(x) : ti)").unwrap()];
-        let limits = [1_000, 1_001, 1_002, 1_003, 1_004, 1_005, 1_006, 1_007];
-        for limit in limits {
-            let config = AnalysisConfig {
-                term_limit: limit,
-                ..AnalysisConfig::default()
-            };
-            analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
-        }
-        // Eight distinct keys over 4 shards of 4: under caps-only striping
-        // they all hit one shard, which evicts down to 4 entries; mixed
-        // striping keeps all 8 and no shard holds them all.
-        assert_eq!(cache.len(), limits.len(), "no pigeonhole evictions");
-        assert!(
-            cache.max_shard_len() < limits.len(),
-            "keys differing only in config landed on one shard \
-             (max_shard_len {})",
-            cache.max_shard_len()
-        );
-        // Entries stay findable after the striping change: repeats hit.
-        let before = cache.stats().hits;
-        let config = AnalysisConfig {
-            term_limit: limits[0],
-            ..AnalysisConfig::default()
-        };
-        analyze_batch_cached(&s, &r, &config, &opts, Some(&cache));
-        assert_eq!(cache.stats().hits, before + 1);
     }
 
     #[test]
@@ -2033,6 +2030,183 @@ mod tests {
             .collect();
         assert_eq!(analyze_caps(&s, clerk, &reqs, &config), as_clerk);
         assert!(analyze_caps(&s, clerk, &[], &config).is_empty());
+    }
+
+    /// The stockbroker schema plus two users holding clerk's and payroll's
+    /// lists, and requirements that ask the shared lists different shapes.
+    fn shared_lists() -> (Schema, Vec<Requirement>) {
+        let text = format!(
+            "{STOCKBROKER}\n user clerk2 {{ checkBudget, w_budget }}\n \
+             user payroll2 {{ updateSalary, w_budget }}"
+        );
+        let s = parse_schema(&text).unwrap();
+        oodb_lang::check_schema(&s).unwrap();
+        let reqs = [
+            "(clerk, r_salary(x) : ti)",
+            "(payroll2, r_salary(x) : ti)",
+            "(clerk2, r_budget(x) : ta)",
+            "(safe_clerk, r_salary(x) : ti)",
+            "(ghost, r_salary(x) : ti)",
+            "(clerk2, r_salary(x) : pi)",
+            "(payroll, w_salary(x, v: ta))",
+            "(clerk, r_salary(x) : ti)",
+        ]
+        .iter()
+        .map(|r| parse_requirement(r).unwrap())
+        .collect();
+        (s, reqs)
+    }
+
+    #[test]
+    fn users_sharing_a_list_share_one_closure_for_all_their_shapes() {
+        let (s, reqs) = shared_lists();
+        let config = AnalysisConfig::default();
+        let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
+        let oracle: Vec<_> = reqs
+            .iter()
+            .map(|r| crate::reference::analyze_ref(&s, r, &config))
+            .collect();
+        assert_eq!(expected, oracle);
+        for jobs in [1, 2, 8] {
+            let opts = BatchOptions {
+                jobs,
+                collect_stats: true,
+                ..BatchOptions::default()
+            };
+            let out = analyze_batch(&s, &reqs, &config, &opts);
+            // Witnesses included: the union slice derives the full
+            // closure's terms inside it, in the same order.
+            assert_eq!(out.verdicts, expected, "jobs={jobs}");
+            // clerk + clerk2, payroll + payroll2, safe_clerk; ghost has none.
+            assert_eq!(out.summary.lists, 3, "jobs={jobs}");
+            let mut saturated: HashMap<String, usize> = HashMap::new();
+            for g in &out.groups {
+                let Some(caps) = s.user(&g.user) else {
+                    assert!(g.stats.phases.is_empty(), "{}", g.user);
+                    continue;
+                };
+                let closure = g.stats.phases.get("closure").is_some();
+                assert_eq!(closure, g.stats.phases.get("unfold").is_some());
+                assert!(g.stats.phases.get("check").is_some(), "{}", g.user);
+                assert!(g.stats.program_nodes > 0, "{}", g.user);
+                if !closure {
+                    let limit = ClosureStats::new(config.term_limit);
+                    assert_eq!(g.stats.closure, limit, "{} jobs={jobs}", g.user);
+                }
+                *saturated.entry(caps.to_string()).or_default() += usize::from(closure);
+            }
+            assert_eq!(saturated.len(), 3);
+            assert!(saturated.values().all(|&n| n == 1), "{saturated:?}");
+        }
+    }
+
+    #[test]
+    fn a_lists_users_share_one_term_budget() {
+        // Two users on one list: clerk's goal fits the budget alone, and
+        // the union with clerk2's does not, so both fail as a user asking
+        // both would, and as full saturation under that budget does.
+        let (s, _) = shared_lists();
+        let alone = [parse_requirement("(clerk, r_budget(x) : ta)").unwrap()];
+        let both = [
+            alone[0].clone(),
+            parse_requirement("(clerk2, r_salary(x) : pi)").unwrap(),
+        ];
+        let terms = |reqs: &[Requirement], config: &AnalysisConfig| {
+            let opts = BatchOptions {
+                collect_stats: true,
+                ..BatchOptions::default()
+            };
+            analyze_batch(&s, reqs, config, &opts).summary.stats.closure
+        };
+        let fits = terms(&alone, &AnalysisConfig::default()).total_terms() as usize;
+        let config = AnalysisConfig {
+            term_limit: fits,
+            ..AnalysisConfig::default()
+        };
+        assert!(analyze_batch(&s, &alone, &config, &BatchOptions::default()).verdicts[0].is_ok());
+        assert!(
+            terms(&both, &config).aborted,
+            "the union slice exceeds {fits}"
+        );
+        for jobs in [1, 2] {
+            let opts = BatchOptions {
+                jobs,
+                ..BatchOptions::default()
+            };
+            for v in analyze_batch(&s, &both, &config, &opts).verdicts {
+                assert_eq!(
+                    v,
+                    Err(AnalysisError::Closure(ClosureError::TermLimit {
+                        limit: fits
+                    })),
+                    "jobs={jobs}"
+                );
+            }
+        }
+        let caps = s.user_str("clerk").unwrap();
+        let prog = NProgram::unfold(&s, caps).unwrap();
+        let full = config.closure_options(Goal::Full(ProofMode::Off));
+        assert!(Closure::saturate(&prog, &full, NoopObserver).0.is_err());
+    }
+
+    #[test]
+    fn a_closed_sink_stops_the_batch() {
+        /// Takes one record, then reports itself closed.
+        struct OneRecord(Mutex<Vec<usize>>);
+        impl AnalysisSink for OneRecord {
+            fn emit(&self, record: GroupRecord) {
+                self.0.lock().unwrap().push(record.group_index);
+            }
+            fn closed(&self) -> bool {
+                !self.0.lock().unwrap().is_empty()
+            }
+        }
+        let s = schema();
+        let reqs = batch_reqs();
+        let sink = OneRecord(Mutex::default());
+        let opts = BatchOptions::default();
+        let summary =
+            analyze_batch_streaming(&s, &reqs, &AnalysisConfig::default(), &opts, None, &sink);
+        assert_eq!(summary.groups, 4);
+        assert_eq!(sink.0.into_inner().unwrap(), [0]);
+    }
+
+    #[test]
+    fn each_record_is_emitted_as_its_group_completes() {
+        /// Reads the cache's miss count at the first record it receives.
+        struct FirstEmit<'c> {
+            cache: &'c ClosureCache,
+            misses: Mutex<Option<u64>>,
+        }
+        impl AnalysisSink for FirstEmit<'_> {
+            fn emit(&self, _: GroupRecord) {
+                let mut misses = self.misses.lock().unwrap();
+                misses.get_or_insert(self.cache.stats().misses);
+            }
+        }
+        // Three users on three distinct lists: each list misses the fresh
+        // cache once, so the miss count at the first record says how many
+        // lists had been saturated when it left.
+        let s = schema();
+        let reqs: Vec<_> = [
+            "(clerk, r_salary(x) : ti)",
+            "(safe_clerk, r_salary(x) : ti)",
+            "(payroll, r_salary(x) : ti)",
+        ]
+        .iter()
+        .map(|r| parse_requirement(r).unwrap())
+        .collect();
+        let cache = ClosureCache::default();
+        let sink = FirstEmit {
+            cache: &cache,
+            misses: Mutex::default(),
+        };
+        let opts = BatchOptions::default();
+        let config = AnalysisConfig::default();
+        let summary = analyze_batch_streaming(&s, &reqs, &config, &opts, Some(&cache), &sink);
+        assert_eq!(sink.misses.into_inner().unwrap(), Some(1));
+        assert_eq!(summary.cache_stats, Some(cache.stats()));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 3));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 use crate::ast::{AccessFnDef, BasicOp, Expr, Schema};
 use crate::query::{Atom, CmpOp, CmpRhs, Cond, FromSource, Invocation, Query, SelectItem};
 use crate::requirement::{Cap, Requirement};
-use oodb_model::{AttrName, ClassName, FnName, FnRef, Type, VarName};
-use std::collections::{BTreeMap, BTreeSet};
+use oodb_model::{AttrName, CapabilityList, ClassName, FnName, FnRef, Type, VarName};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 /// A type error, with enough structure for tests to assert on.
@@ -199,7 +199,13 @@ pub fn check_schema(schema: &Schema) -> Result<(), TypeError> {
     for def in schema.functions.values() {
         check_function(schema, def)?;
     }
+    // Users iterate in name order and many hold equal lists: each distinct
+    // list is checked once, so a bad list still fails on its first holder.
+    let mut checked: HashSet<&CapabilityList> = HashSet::new();
     for (user, caps) in &schema.users {
+        if !checked.insert(caps) {
+            continue;
+        }
         for c in caps.iter() {
             check_fn_ref_exists(schema, c).map_err(|mut e| {
                 if let TypeError::BadCapability { message } = &mut e {
@@ -1046,5 +1052,24 @@ mod tests {
             fn_ref_signature(&s, &FnRef::read("v"), Some(&ClassName::new("B"))).unwrap();
         assert_eq!(args, vec![Type::class("B")]);
         assert_eq!(ret, Type::BOOL);
+    }
+
+    #[test]
+    fn a_shared_bad_list_fails_on_its_first_holder() {
+        // Users share one stored list when they hold equal grants; the list
+        // is checked once, and the error names the first user by name.
+        let s = parse_schema(
+            "class A { v: int }\n\
+             user b { r_v }\n\
+             user d { r_v, w_nope }\n\
+             user c { r_v, w_nope }\n\
+             user e { r_v, w_nope }",
+        )
+        .unwrap();
+        let err = check_schema(&s).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "bad capability list: user `c`: `w_nope` does not exist in the schema"
+        );
     }
 }

@@ -57,9 +57,9 @@ impl TraceFormat {
 /// `None` an instant.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
-    /// Event name (e.g. `closure`, `cache.hit`).
+    /// Event name (e.g. `closure`, `check`).
     pub name: String,
-    /// Category, used by viewers for filtering (e.g. `phase`, `cache`).
+    /// Category, used by viewers for filtering (e.g. `phase`, `group`).
     pub cat: &'static str,
     /// Logical lane: 0 for the driver, one lane per batch group.
     pub tid: u64,
@@ -222,7 +222,7 @@ mod tests {
             Duration::from_micros(250),
             vec![("terms".to_owned(), Json::count(42))],
         );
-        tb.instant("cache.hit", "cache", 1, 260, vec![]);
+        tb.instant("mark", "phase", 1, 260, vec![]);
         tb.span("check", "phase", 2, 300, Duration::from_micros(5), vec![]);
         tb
     }

@@ -8,14 +8,11 @@
 //! `analyze` per requirement, which is the semantics the pre-pool driver
 //! pinned. Streamed records may arrive in any completion order, but
 //! reassembling them by `group_index` must reproduce the buffered verdict
-//! vector exactly. The closure-cache LRU upgrade is pinned here too: on a
-//! Zipf-skewed population with an undersized cache, touch-on-hit retention
-//! must beat a FIFO replay of the same access sequence.
+//! vector exactly.
 
 use proptest::prelude::*;
 use secflow::algorithm::{
-    analyze, analyze_batch, analyze_batch_streaming, AnalysisConfig, BatchOptions, ClosureCache,
-    GroupRecord,
+    analyze, analyze_batch, analyze_batch_streaming, AnalysisConfig, BatchOptions, GroupRecord,
 };
 use secflow::report::Verdict;
 use secflow_workloads::fixtures;
@@ -179,76 +176,6 @@ fn streamed_stats_totals_are_schedule_invariant() {
             "stats totals drifted at jobs={jobs}"
         );
     }
-}
-
-/// FIFO replay of a keyed access sequence at a fixed capacity — the
-/// eviction policy the cache had before the LRU upgrade.
-fn fifo_hits(keys: &[usize], capacity: usize) -> u64 {
-    let mut resident: Vec<usize> = Vec::new();
-    let mut hits = 0u64;
-    for &k in keys {
-        if resident.contains(&k) {
-            hits += 1;
-            continue;
-        }
-        if resident.len() == capacity {
-            resident.remove(0);
-        }
-        resident.push(k);
-    }
-    hits
-}
-
-/// The LRU upgrade earns its keep on exactly the population workload: with
-/// fewer cache slots than fingerprints, touch-on-hit keeps the Zipf-hot
-/// profiles resident while FIFO churns them out on schedule.
-#[test]
-fn lru_beats_fifo_on_the_zipf_population() {
-    let users = 3_000;
-    let fingerprints = 64;
-    let capacity = 16;
-    let case = zipf_population(users, fingerprints, 0x5EED);
-    // Each user's requirement goal names its profile's probed attribute, so
-    // the requirement list in group order doubles as the cache key
-    // sequence (serial jobs=1 keeps the access order deterministic).
-    let keys: Vec<usize> = case
-        .requirements
-        .iter()
-        .map(|r| {
-            let t = r.target.to_string();
-            let digits: String = t.chars().filter(|c| c.is_ascii_digit()).collect();
-            digits.parse().expect("profile index in the goal name")
-        })
-        .collect();
-    assert_eq!(keys.len(), users);
-
-    let cache = ClosureCache::with_shards(capacity, 1);
-    let opts = BatchOptions {
-        jobs: 1,
-        ..BatchOptions::default()
-    };
-    analyze_batch_streaming(
-        &case.schema,
-        &case.requirements,
-        &AnalysisConfig::default(),
-        &opts,
-        Some(&cache),
-        &Mutex::new(Vec::new()),
-    );
-    let stats = cache.stats();
-    assert_eq!(
-        stats.hits + stats.misses,
-        users as u64,
-        "one lookup per group"
-    );
-    assert!(stats.evictions > 0, "undersized cache must evict");
-
-    let fifo = fifo_hits(&keys, capacity);
-    assert!(
-        stats.hits > fifo,
-        "LRU must beat FIFO on the Zipf population: lru={} fifo={fifo}",
-        stats.hits
-    );
 }
 
 proptest! {
