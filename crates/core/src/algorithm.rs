@@ -967,12 +967,15 @@ pub(crate) fn user_caps<'s>(
 }
 
 /// Group requirement indexes by user, first-seen order — the batch
-/// driver's unit of work.
-fn group_by_user(reqs: &[Requirement]) -> Vec<(UserName, Vec<usize>)> {
-    let mut group_of: HashMap<UserName, usize> = HashMap::new();
-    let mut grouped: Vec<(UserName, Vec<usize>)> = Vec::new();
+/// driver's unit of work. There are at most `users` groups of known users,
+/// and rarely more: both tables are sized for that up front. A group's
+/// name is cloned once, when the group opens.
+fn group_by_user(reqs: &[Requirement], users: usize) -> Vec<(UserName, Vec<usize>)> {
+    let groups = reqs.len().min(users);
+    let mut group_of: HashMap<&str, usize> = HashMap::with_capacity(groups);
+    let mut grouped: Vec<(UserName, Vec<usize>)> = Vec::with_capacity(groups);
     for (i, r) in reqs.iter().enumerate() {
-        let gi = *group_of.entry(r.user.clone()).or_insert_with(|| {
+        let gi = *group_of.entry(r.user.as_str()).or_insert_with(|| {
             grouped.push((r.user.clone(), Vec::new()));
             grouped.len() - 1
         });
@@ -1049,9 +1052,12 @@ impl<'a> ListTable<'a> {
         reqs: &'a [Requirement],
         grouped: &[(UserName, Vec<usize>)],
     ) -> ListTable<'a> {
-        // Equal lists hash and compare equal; users the parser gave one
-        // shared list compare by pointer.
-        let mut index: HashMap<&CapabilityList, usize> = HashMap::new();
+        // Users the parser gave one shared list are found by the list's
+        // storage, which the borrowed schema keeps alive, without hashing
+        // the list. Only a storage not seen before is looked up by content,
+        // so equal lists in separate stores still get one slot.
+        let mut by_storage: HashMap<usize, usize> = HashMap::new();
+        let mut by_content: HashMap<&CapabilityList, usize> = HashMap::new();
         let mut slots: Vec<ListSlot<'a>> = Vec::new();
         let mut of_group = Vec::with_capacity(grouped.len());
         for (user, req_indexes) in grouped {
@@ -1062,14 +1068,16 @@ impl<'a> ListTable<'a> {
                     continue;
                 }
             };
-            let li = *index.entry(caps).or_insert_with(|| {
-                slots.push(ListSlot {
-                    caps,
-                    shapes: Vec::new(),
-                    pending: AtomicUsize::new(0),
-                    demand: Mutex::new(None),
-                });
-                slots.len() - 1
+            let li = *by_storage.entry(caps.storage_id()).or_insert_with(|| {
+                *by_content.entry(caps).or_insert_with(|| {
+                    slots.push(ListSlot {
+                        caps,
+                        shapes: Vec::new(),
+                        pending: AtomicUsize::new(0),
+                        demand: Mutex::new(None),
+                    });
+                    slots.len() - 1
+                })
             });
             let slot = &mut slots[li];
             *slot.pending.get_mut() += 1;
@@ -1271,7 +1279,7 @@ pub fn analyze_batch_streaming(
     sink: &dyn AnalysisSink,
 ) -> StreamSummary {
     let ctx = CacheCtx::new(cache, schema, config, opts);
-    let grouped = group_by_user(reqs);
+    let grouped = group_by_user(reqs, schema.users.len());
     let lists = ListTable::new(schema, reqs, &grouped);
     let n_groups = grouped.len();
     let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
@@ -2067,13 +2075,23 @@ mod tests {
             .map(|r| crate::reference::analyze_ref(&s, r, &config))
             .collect();
         assert_eq!(expected, oracle);
-        for jobs in [1, 2, 8] {
+        // Equal lists in separate stores still share one slot: the same
+        // policy with clerk2's list rebuilt out of clerk's storage.
+        let mut unshared = s.clone();
+        let clerk2 = UserName::new("clerk2");
+        let fresh: CapabilityList = unshared.users[&clerk2].iter().cloned().collect();
+        assert!(!fresh.shares_storage(&unshared.users[&clerk2]));
+        unshared.users.insert(clerk2, fresh);
+        for (s, jobs) in [&s, &unshared]
+            .into_iter()
+            .flat_map(|s| [(s, 1), (s, 2), (s, 8)])
+        {
             let opts = BatchOptions {
                 jobs,
                 collect_stats: true,
                 ..BatchOptions::default()
             };
-            let out = analyze_batch(&s, &reqs, &config, &opts);
+            let out = analyze_batch(s, &reqs, &config, &opts);
             // Witnesses included: the union slice derives the full
             // closure's terms inside it, in the same order.
             assert_eq!(out.verdicts, expected, "jobs={jobs}");

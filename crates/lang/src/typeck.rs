@@ -17,7 +17,7 @@
 use crate::ast::{AccessFnDef, BasicOp, Expr, Schema};
 use crate::query::{Atom, CmpOp, CmpRhs, Cond, FromSource, Invocation, Query, SelectItem};
 use crate::requirement::{Cap, Requirement};
-use oodb_model::{AttrName, CapabilityList, ClassName, FnName, FnRef, Type, VarName};
+use oodb_model::{AttrName, ClassName, FnName, FnRef, Type, VarName};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
@@ -199,11 +199,14 @@ pub fn check_schema(schema: &Schema) -> Result<(), TypeError> {
     for def in schema.functions.values() {
         check_function(schema, def)?;
     }
-    // Users iterate in name order and many hold equal lists: each distinct
-    // list is checked once, so a bad list still fails on its first holder.
-    let mut checked: HashSet<&CapabilityList> = HashSet::new();
+    // Users iterate in name order and many share one stored list (the
+    // parser gives equal lists one store): each store is checked once, so a
+    // bad list still fails on its first holder. Keyed by storage, not by
+    // content, which would hash every list; an equal list in a store of its
+    // own is checked again, which is harmless.
+    let mut checked: HashSet<usize> = HashSet::new();
     for (user, caps) in &schema.users {
-        if !checked.insert(caps) {
+        if !checked.insert(caps.storage_id()) {
             continue;
         }
         for c in caps.iter() {

@@ -145,6 +145,15 @@ impl CapabilityList {
         Arc::ptr_eq(&self.entries, &other.entries)
     }
 
+    /// The identity of the stored set: equal for two lists exactly when
+    /// they [share storage](CapabilityList::shares_storage). It is the
+    /// set's address, so it names one set only while a list holding that
+    /// set is alive — a key for lists borrowed from one schema, say, which
+    /// hashes in O(1) where the list itself hashes every entry.
+    pub fn storage_id(&self) -> usize {
+        Arc::as_ptr(&self.entries) as usize
+    }
+
     /// Is the capability granted?
     pub fn allows(&self, f: &FnRef) -> bool {
         self.entries.contains(f)
@@ -264,12 +273,14 @@ mod tests {
         let mut a: CapabilityList = [FnRef::access("f")].into_iter().collect();
         let mut b = a.clone();
         assert!(a.shares_storage(&b));
+        assert_eq!(a.storage_id(), b.storage_id());
         // A no-op edit keeps the storage shared.
         assert!(!b.grant(FnRef::access("f")));
         assert!(!b.revoke(&FnRef::access("g")));
         assert!(a.shares_storage(&b));
         assert!(b.grant(FnRef::access("g")));
         assert!(!a.shares_storage(&b));
+        assert_ne!(a.storage_id(), b.storage_id());
         assert!(!a.allows(&FnRef::access("g")));
         assert!(a.revoke(&FnRef::access("f")));
         assert!(b.allows(&FnRef::access("f")));

@@ -109,7 +109,7 @@ impl Json {
                 for (i, (k, v)) in fields.iter().enumerate() {
                     out.push_str(if i == 0 { "\n" } else { ",\n" });
                     indent(out, depth + 1);
-                    write_escaped(out, k);
+                    let _ = write_string(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, depth + 1);
                 }
@@ -146,18 +146,14 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => write_num(f, *n),
-            Json::Str(s) => {
-                let mut buf = String::new();
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Json::Str(s) => write_string(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -167,9 +163,9 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut buf = String::new();
-                    write_escaped(&mut buf, k);
-                    write!(f, "{buf}:{v}")?;
+                    write_string(f, k)?;
+                    f.write_str(":")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
@@ -195,22 +191,60 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Write `s` into `out` as a JSON string literal, quotes included: `"`,
+/// `\\`, `\n`, `\r` and `\t` take their short escapes, other control
+/// characters `\u00xx`, and everything else is copied as it stands, one
+/// unescaped run per call to `out`. This is the one string encoder of the
+/// crate: [`Json`]'s compact and pretty forms use it, and so can a caller
+/// that writes a JSON document straight into its output.
+pub fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    escape(out, s)?;
+    out.write_char('"')
+}
+
+/// Write `value`'s [`Display`](fmt::Display) form into `out` as a JSON
+/// string literal, escaping it as it is formatted — what
+/// [`write_string`]`(out, &value.to_string())` writes, without the `String`.
+pub fn write_display<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    value: &(impl fmt::Display + ?Sized),
+) -> fmt::Result {
+    /// Escapes whatever is formatted through it into the inner writer.
+    struct Escaper<'a, W: ?Sized>(&'a mut W);
+    impl<W: fmt::Write + ?Sized> fmt::Write for Escaper<'_, W> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            escape(self.0, s)
         }
     }
-    out.push('"');
+    out.write_char('"')?;
+    fmt::Write::write_fmt(&mut Escaper(out), format_args!("{value}"))?;
+    out.write_char('"')
+}
+
+/// The body of a string literal: `s` with every byte that JSON requires
+/// escaped. Each such byte is ASCII, so the runs between them end on char
+/// boundaries.
+fn escape<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match short {
+            "" => write!(out, "\\u{b:04x}")?,
+            short => out.write_str(short)?,
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -441,6 +475,34 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = Json::str("a\"b\\c\nd\te\u{1}");
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn string_escapes_are_pinned() {
+        // Every escape form, pinned byte for byte: short escapes, `\u00xx`
+        // in lower-case hex for the other controls, and DEL and non-ASCII
+        // copied as they stand.
+        let s = "q\"b\\n\nr\rt\tc\u{1}\u{1f}\u{7f}\u{e9}\u{1D11E}";
+        let want = "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001f\u{7f}\u{e9}\u{1D11E}\"";
+        assert_eq!(Json::str(s).to_string(), want);
+        let mut out = String::new();
+        write_string(&mut out, s).unwrap();
+        assert_eq!(out, want);
+        // A `Display` value escapes as it is formatted, across every piece
+        // the formatter hands over.
+        struct Pieces;
+        impl fmt::Display for Pieces {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("q\"b\\n")?;
+                let soh = '\u{1}';
+                write!(f, "\nr\rt\tc{soh}\u{1f}")?;
+                f.write_str("\u{7f}\u{e9}\u{1D11E}")
+            }
+        }
+        let mut out = String::new();
+        write_display(&mut out, &Pieces).unwrap();
+        assert_eq!(out, want);
+        assert_eq!(Json::str("").to_string(), "\"\"");
     }
 
     #[test]

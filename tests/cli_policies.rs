@@ -327,6 +327,47 @@ fn instrumented_check_agrees_with_plain_on_every_flag_set() {
     }
 }
 
+/// The NDJSON stream's records are written straight into the output, not
+/// built as `Json` values: every line, on every policy file and a
+/// many-user policy, serial and parallel, must be exactly what `Json`'s
+/// compact form prints for the value it parses to.
+#[test]
+fn ndjson_stream_lines_are_canonical_json() {
+    use secflow_cli::run_on_source;
+    use secflow_obs::Json;
+    let mut sources: Vec<(String, String)> = policy_files()
+        .into_iter()
+        .map(|p| {
+            let src = std::fs::read_to_string(&p).expect("policy file is readable");
+            (p.display().to_string(), src)
+        })
+        .collect();
+    sources.push(("many_user_policy".into(), many_user_policy()));
+    for (name, src) in &sources {
+        for jobs in [1, 4] {
+            let cmd = Command::Check {
+                file: name.clone(),
+                explain: false,
+                jobs,
+                certify: false,
+                stream: true,
+                ndjson: true,
+            };
+            let (out, _) = run_on_source(&cmd, src);
+            let lines: Vec<&str> = out.lines().collect();
+            assert!(
+                lines.len() >= 2,
+                "{name} jobs={jobs}: records and a summary"
+            );
+            for line in lines {
+                let doc = Json::parse(line)
+                    .unwrap_or_else(|e| panic!("{name} jobs={jobs}: `{line}`: {e}"));
+                assert_eq!(doc.to_string(), line, "{name} jobs={jobs}");
+            }
+        }
+    }
+}
+
 #[test]
 fn fmt_policy_files_round_trip() {
     for name in ["stockbroker", "hospital", "bank"] {
@@ -969,9 +1010,14 @@ fn serve_script_agrees_with_the_oracle(script: &[ServeRequest]) -> Result<(), St
     if code != secflow_cli::exit::OK {
         return Err(format!("exit code {code}"));
     }
-    let mut responses = out
-        .lines()
-        .map(|line| Json::parse(line).map_err(|e| format!("response `{line}` is not JSON: {e}")));
+    // Every response is one JSON object in its canonical compact form.
+    let mut responses = out.lines().map(|line| {
+        let doc = Json::parse(line).map_err(|e| format!("response `{line}` is not JSON: {e}"))?;
+        if doc.to_string() != line {
+            return Err(format!("response `{line}` is not canonical: `{doc}`"));
+        }
+        Ok(doc)
+    });
     let mut next = || responses.next().ok_or("the stream ended early")?;
     let ready = next()?;
     let ready = ready.get("ready").ok_or("no ready line")?;
