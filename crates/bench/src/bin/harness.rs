@@ -34,21 +34,15 @@
 //! measured group costs — full runs assert at most one saturation per
 //! fingerprint and the ≥1.5× stealing speedup over the static partition.
 //!
-//! The `incremental` experiment (`-- incremental [--smoke]`) writes
-//! `BENCH_incremental.json`: grant/revoke maintenance time vs from-scratch
-//! recomputation on the `edit_trace` family (small edits against large
-//! closures), per-edit term-set identity asserted — full runs additionally
-//! assert the ≥1.5× maintenance speedup on the largest dense row.
-//!
 //! Every run also writes `BENCH_obs.json` next to the working directory: a
 //! machine-readable metrics blob with per-experiment wall times plus the
 //! closure counters for the canonical stockbroker analysis (see
 //! `secflow_obs` for the format). Pass `--no-obs` to skip it.
 //!
 //! Arguments are experiment names (`e1`–`e8`, `tables`, `fastpath`,
-//! `demand`, `certify`, `population`, `incremental`, each optionally
-//! `=N`) and the flags `--smoke` and `--no-obs`; anything else exits 2
-//! with the list of valid names.
+//! `demand`, `certify`, `population`, each optionally `=N`) and the flags
+//! `--smoke` and `--no-obs`; anything else exits 2 with the list of valid
+//! names.
 
 use secflow::closure::{Closure, ClosureOptions};
 use secflow::stats::ClosureStats;
@@ -72,7 +66,6 @@ const EXPERIMENTS: &[&str] = &[
     "demand",
     "certify",
     "population",
-    "incremental",
 ];
 
 /// Flags the harness accepts.
@@ -157,11 +150,6 @@ fn main() {
         let smoke = args.iter().any(|a| a == "--smoke");
         let write_json = !args.iter().any(|a| a == "--no-obs");
         phases.time("population", || run_population(smoke, write_json));
-    }
-    if want("incremental") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("incremental", || run_incremental(smoke, write_json));
     }
 
     if !args.iter().any(|a| a == "--no-obs") {
@@ -798,109 +786,6 @@ fn write_population_blob(rows: &[PopulationRow], skew: &SkewRow) {
     }
 }
 
-fn run_incremental(smoke: bool, write_json: bool) {
-    banner(&format!(
-        "incremental — grant/revoke maintenance vs from-scratch recompute{}",
-        if smoke { " (smoke sizes)" } else { "" }
-    ));
-    println!(
-        "{:<8} {:>6} {:>5} {:>6} {:>7} {:>9} {:>11} {:>12} {:>8} {:>9} {:>9} {:>10}",
-        "family",
-        "width",
-        "core",
-        "edits",
-        "nodes",
-        "terms",
-        "incr (us)",
-        "scratch (us)",
-        "speedup",
-        "deleted",
-        "rederived",
-        "identical"
-    );
-    let rows = incremental_maintenance(smoke);
-    for r in &rows {
-        println!(
-            "{:<8} {:>6} {:>5} {:>6} {:>7} {:>9} {:>11} {:>12} {:>7.2}x {:>9} {:>9} {:>10}",
-            r.family,
-            r.width,
-            r.core,
-            r.edits,
-            r.nodes,
-            r.terms,
-            r.incremental_micros,
-            r.scratch_micros,
-            r.speedup(),
-            r.deleted,
-            r.rederived,
-            if r.identical { "yes" } else { "NO" },
-        );
-    }
-    for r in &rows {
-        // Per-row from-scratch identity: every edit's maintained closure
-        // was compared term-for-term against a fresh saturation.
-        assert!(
-            r.identical,
-            "{} edit_trace({},{}): maintained closure diverged from scratch",
-            r.family, r.width, r.core
-        );
-        // Full runs pin the headline claim: small edits against a large
-        // (rule-dense) closure are maintained at least 1.5× faster than
-        // recomputing the same closure. The gate covers the largest dense
-        // row (core >= 20), where recompute pays the most rule work the
-        // maintenance path skips; the engine's derive prefilters already
-        // skip most of the attempt storm from scratch, so the ratio settles
-        // near 2–3× rather than growing without bound. Core 12–16 are
-        // reported only, and the sparse family is the absorb-bound floor
-        // where break-even is the honest result. Smoke sizes are too small
-        // for stable ratios, so CI checks identity only.
-        if !smoke && r.family == "dense" && r.core >= 20 {
-            assert!(
-                r.speedup() >= 1.5,
-                "dense edit_trace({},{}): maintenance speedup {:.2}x fell below 1.5x",
-                r.width,
-                r.core,
-                r.speedup()
-            );
-        }
-    }
-    if write_json {
-        write_incremental_blob(&rows);
-    }
-}
-
-/// Emit `BENCH_incremental.json`: per-row maintenance vs recompute timings,
-/// the speedup and edit throughput, the cascade/restart term counters, and
-/// the per-row identity bit.
-fn write_incremental_blob(rows: &[IncrementalRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("incremental.edit_trace.{}.{}x{}", r.family, r.width, r.core);
-        rec.counter(&format!("{key}.width"), r.width as u64);
-        rec.counter(&format!("{key}.core"), r.core as u64);
-        rec.counter(&format!("{key}.edits"), r.edits as u64);
-        rec.counter(&format!("{key}.nodes"), r.nodes as u64);
-        rec.counter(&format!("{key}.terms"), r.terms as u64);
-        rec.counter(
-            &format!("{key}.incremental_micros"),
-            r.incremental_micros as u64,
-        );
-        rec.counter(&format!("{key}.scratch_micros"), r.scratch_micros as u64);
-        rec.counter(&format!("{key}.deleted"), r.deleted);
-        rec.counter(&format!("{key}.rederived"), r.rederived);
-        rec.counter(&format!("{key}.survivors"), r.survivors);
-        rec.counter(&format!("{key}.identical"), u64::from(r.identical));
-        rec.gauge(&format!("{key}.speedup"), r.speedup());
-        rec.gauge(&format!("{key}.edits_per_sec"), r.edits_per_sec());
-    }
-    let report = rec.into_report();
-    let path = "BENCH_incremental.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
 fn run_e7() {
     banner("E7 — rule-group ablation over the fixture requirements");
     println!(
@@ -944,6 +829,10 @@ mod tests {
         assert_eq!(unknown_arg(&args(&["nosuch"])), Some("nosuch"));
         assert_eq!(unknown_arg(&args(&["e1", "fastpat"])), Some("fastpat"));
         assert_eq!(unknown_arg(&args(&["audit", "--smoke"])), Some("audit"));
+        assert_eq!(
+            unknown_arg(&args(&["incremental", "--smoke"])),
+            Some("incremental")
+        );
         assert_eq!(unknown_arg(&args(&["e9"])), Some("e9"));
         assert_eq!(unknown_arg(&args(&["demand", "--smok"])), Some("--smok"));
     }

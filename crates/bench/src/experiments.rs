@@ -19,7 +19,6 @@ use secflow::reference::RefClosure;
 use secflow::report::render_derivation;
 use secflow::rules::RuleConfig;
 use secflow::stats::{ClosureStats, NoopObserver};
-use secflow::term::Term;
 use secflow::unfold::NProgram;
 use secflow_dynamic::differential::{classify, DiffReport};
 use secflow_dynamic::infer::{infer, Probe};
@@ -1463,181 +1462,9 @@ pub fn skew_schedule_comparison(smoke: bool) -> SkewRow {
     }
 }
 
-// --------------------------------------------------- incremental edits
-
-/// One edit-trace measurement: a grant/revoke script replayed against a
-/// maintained incremental closure ([`secflow::IncrementalUser`]) vs a
-/// from-scratch recompute after every edit.
-pub struct IncrementalRow {
-    /// Family label: `sparse` ([`secflow_workloads::scale::edit_trace`]-only
-    /// probes — absorb-bound, the honest worst case) or `dense` (an
-    /// always-granted equality-clique core under the probes — the
-    /// small-edit/large-closure regime the maintenance path is built for).
-    pub family: &'static str,
-    /// Probe-pool width of the `edit_trace` family.
-    pub width: usize,
-    /// Dense-core size (`0` for the sparse family).
-    pub core: usize,
-    /// Edits in the script.
-    pub edits: usize,
-    /// Unfolded program size (numbered occurrences) before the first edit.
-    pub nodes: usize,
-    /// Closure size (terms) before the first edit.
-    pub terms: usize,
-    /// Total incremental maintenance time across the script, microseconds.
-    pub incremental_micros: u128,
-    /// Total re-unfold + full-recompute time across the script,
-    /// microseconds (proof-carrying, like the maintained closure).
-    pub scratch_micros: u128,
-    /// Did every edit leave the maintained closure identical (as a sorted
-    /// term set) to the from-scratch recompute?
-    pub identical: bool,
-    /// Terms removed by deletion cascades, summed over the script.
-    pub deleted: u64,
-    /// Terms re-derived by warm restarts, summed over the script.
-    pub rederived: u64,
-    /// Terms carried over by absorption, summed over the script.
-    pub survivors: u64,
-}
-
-impl IncrementalRow {
-    /// From-scratch time over incremental time — the headline speedup of
-    /// maintenance over recompute.
-    pub fn speedup(&self) -> f64 {
-        self.scratch_micros as f64 / self.incremental_micros.max(1) as f64
-    }
-
-    /// Edits maintained per second.
-    pub fn edits_per_sec(&self) -> f64 {
-        self.edits as f64 * 1e6 / self.incremental_micros.max(1) as f64
-    }
-}
-
-/// `incremental` — time incremental grant/revoke maintenance against
-/// from-scratch recomputation on the edit-trace families: scripts of
-/// single-capability toggles against a standing closure. The `sparse`
-/// family (probes only) is the absorb-bound floor — scratch saturation
-/// there is mostly successful derives, which absorption merely replays, so
-/// maintenance roughly breaks even. The `dense` family parks an
-/// equality-clique core ([`secflow_workloads::scale::edit_trace_dense`])
-/// under the probes: from-scratch saturation re-pays the `O(core²)`
-/// equality/transfer attempt storm on every edit, the maintenance path
-/// absorbs those terms without re-attempting a single rule, and the
-/// speedup grows with the core — though the engine's derive prefilters
-/// already skip most of that storm from scratch, so the recompute baseline
-/// is cheap and the ratio stays modest. After every edit the maintained
-/// closure is checked identical — as a sorted term set — to a fresh
-/// proof-carrying saturation of the edited capability list, so the timing
-/// rows can never drift from a correctness bug silently.
-///
-/// `smoke` shrinks both families to CI-sized instances.
-pub fn incremental_maintenance(smoke: bool) -> Vec<IncrementalRow> {
-    use secflow::incremental::IncrementalUser;
-    use secflow_workloads::scale::{edit_trace_dense, EditOp};
-
-    // (family, probe width, dense core, edits). The sparse rows measure the
-    // absorb-bound floor; the dense rows are the headline regime, where
-    // from-scratch saturation re-pays the equality-clique attempt storm on
-    // every edit and maintenance does not.
-    let fams: &[(&'static str, usize, usize, usize)] = if smoke {
-        &[("sparse", 8, 0, 6), ("dense", 4, 6, 6)]
-    } else {
-        &[
-            ("sparse", 64, 0, 12),
-            ("dense", 8, 12, 12),
-            ("dense", 8, 16, 12),
-            ("dense", 8, 20, 12),
-        ]
-    };
-    let mut rows = Vec::new();
-    for &(family, width, core, edits) in fams {
-        let case = edit_trace_dense(width, core, edits, 0xED17 + width as u64);
-        let config = AnalysisConfig::default();
-        let mut inc = IncrementalUser::new(&case.schema, &case.requirement.user, &config)
-            .expect("edit_trace materializes");
-        let nodes = inc.program().len();
-        let terms = inc.closure().len();
-        let mut caps = inc.caps().clone();
-
-        let mut incremental_micros = 0u128;
-        let mut scratch_micros = 0u128;
-        let mut identical = true;
-        let (mut deleted, mut rederived, mut survivors) = (0u64, 0u64, 0u64);
-        for op in &case.edits {
-            let start = Instant::now();
-            let outcome = match op {
-                EditOp::Grant(f) => inc.grant(&case.schema, f),
-                EditOp::Revoke(f) => inc.revoke(&case.schema, f),
-            }
-            .expect("edit_trace edits apply");
-            incremental_micros += start.elapsed().as_micros();
-            deleted += outcome.deleted as u64;
-            rederived += outcome.rederived as u64;
-            survivors += outcome.survivors as u64;
-
-            // The from-scratch contender re-does what maintenance avoided:
-            // unfold the edited list and saturate with proofs.
-            match op {
-                EditOp::Grant(f) => caps.grant(f.clone()),
-                EditOp::Revoke(f) => caps.revoke(f),
-            };
-            let start = Instant::now();
-            let prog = NProgram::unfold(&case.schema, &caps).expect("edit_trace unfolds");
-            let opts = config.closure_options(Goal::Full(ProofMode::Full));
-            let scratch = Closure::saturate(&prog, &opts, NoopObserver)
-                .0
-                .expect("edit_trace saturates");
-            scratch_micros += start.elapsed().as_micros();
-
-            let mut a: Vec<Term> = inc.closure().iter().collect();
-            let mut b: Vec<Term> = scratch.iter().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            identical &= a == b;
-        }
-        rows.push(IncrementalRow {
-            family,
-            width,
-            core,
-            edits,
-            nodes,
-            terms,
-            incremental_micros,
-            scratch_micros,
-            identical,
-            deleted,
-            rederived,
-            survivors,
-        });
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn incremental_smoke_stays_identical_to_scratch() {
-        for r in incremental_maintenance(true) {
-            assert!(
-                r.identical,
-                "edit_trace({}): maintained closure diverged from scratch",
-                r.width
-            );
-            assert!(r.terms > 0, "edit_trace({}): empty closure", r.width);
-            assert!(
-                r.deleted + r.rederived > 0,
-                "edit_trace({}): the script never exercised retraction or re-derivation",
-                r.width
-            );
-            assert!(
-                r.survivors > 0,
-                "edit_trace({}): edits never carried terms over",
-                r.width
-            );
-        }
-    }
 
     #[test]
     fn population_smoke_saturates_each_list_once_and_steals() {

@@ -32,15 +32,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use oodb_lang::typeck::fn_ref_arity;
 use oodb_lang::{check_schema, parse_schema, Schema};
-use oodb_model::{FnRef, UserName};
+use oodb_model::{CapabilityList, FnRef, UserName};
 use secflow::algorithm::{
     analyze_batch, analyze_batch_streaming, analyze_caps, effective_jobs, occurrences,
-    AnalysisConfig, AnalysisSink, AnalysisStats, BatchGroup, BatchOptions, BatchOutcome,
-    GroupRecord, StreamSummary,
+    AnalysisConfig, AnalysisError, AnalysisSink, AnalysisStats, BatchGroup, BatchOptions,
+    BatchOutcome, GroupRecord, StreamSummary,
 };
 use secflow::closure::Closure;
-use secflow::incremental::IncrementalUser;
 use secflow::provenance::{audit_witness, render_path, ProvenanceOptions, Severity, WalkMode};
 use secflow::report::{render_derivation, render_term, Verdict};
 use secflow::unfold::NProgram;
@@ -48,6 +48,7 @@ use secflow_dynamic::attack_requirement;
 use secflow_dynamic::strategy::StrategySpec;
 use secflow_dynamic::AttackerConfig;
 use secflow_obs::{json, Json, MetricsSink, Phases, Recorder, TraceBuffer, TraceFormat};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -152,10 +153,10 @@ pub enum Command {
     /// `serve <file>` — a long-lived resident session. Reads NDJSON
     /// requests (`check` / `grant` / `revoke` / `stats` / `shutdown`) from
     /// stdin and streams NDJSON responses — including per-requirement
-    /// verdict *deltas* after each capability edit — to stdout. Edited
-    /// users are maintained incrementally ([`secflow::IncrementalUser`]);
-    /// un-edited users are answered from their capability list alone
-    /// ([`analyze_caps`]).
+    /// verdict *deltas* after each capability edit — to stdout. Every
+    /// verdict comes from [`analyze_caps`] on one capability list: an edit
+    /// re-analyses the edited list once and keeps its verdicts, which
+    /// answer the user's checks until their next edit.
     Serve {
         /// Policy file path.
         file: String,
@@ -255,17 +256,18 @@ USAGE:
   secflow attack <policy-file> [--steps N]   try to realise each flaw concretely
   secflow fix    <policy-file>               suggest minimal revocations per flaw
   secflow fmt    <policy-file>               parse and pretty-print the policy
-  secflow serve  <policy-file>               resident incremental session: read one
-                                             NDJSON request per stdin line —
+  secflow serve  <policy-file>               resident session: read one NDJSON
+                                             request per stdin line —
                                              {\"op\":\"check\",\"user\":U},
                                              {\"op\":\"grant\"|\"revoke\",\"user\":U,\"fn\":F},
                                              {\"op\":\"stats\"}, {\"op\":\"shutdown\"} —
                                              and stream NDJSON responses; grant/revoke
-                                             maintain the edited user's closure
-                                             incrementally (proof-guided retraction +
-                                             warm restart) and report only the verdicts
-                                             that *changed*; malformed requests get an
-                                             {\"error\":…} record and the session
+                                             edit the user's capability list, re-analyse
+                                             it and report only the verdicts that
+                                             *changed*; a grant of an undefined function
+                                             or an edit whose analysis fails answers an
+                                             {\"error\":…} record and changes nothing, as
+                                             does a malformed request, and the session
                                              continues; exit 0 on shutdown/EOF
 
 OBSERVABILITY (any command; stdout is unchanged):
@@ -1415,9 +1417,9 @@ fn check_report(
 }
 
 /// A requirement's verdict reduced to what the NDJSON records carry —
-/// deliberately witness-free (status + occurrence count), so the resident
-/// incremental path and the batch path (whose closures pick witnesses in
-/// different orders) produce identical records.
+/// deliberately witness-free (status + occurrence count), so a `serve`
+/// session's answers compare with a batch's, and an edit's deltas compare
+/// two analyses of one user, by status alone.
 #[derive(Clone, PartialEq, Eq)]
 enum ReqStatus {
     Satisfied,
@@ -1795,14 +1797,25 @@ fn fix_report(schema: &Schema, out: &mut dyn Write) -> io::Result<i32> {
 }
 
 // ---------------------------------------------------------------------------
-// serve — the resident incremental session
+// serve — the resident session
 // ---------------------------------------------------------------------------
 
+/// An edited user of a `serve` session: their capability list with every
+/// accepted edit applied — copy-on-write, so it shares the schema's stored
+/// set until an edit changes it — and their requirements' statuses under
+/// that list, which the next edit's deltas are diffed against.
+struct Edited {
+    caps: CapabilityList,
+    statuses: Vec<(usize, ReqStatus)>,
+}
+
 /// The state behind one `secflow serve` session: each user's requirement
-/// indexes, per-user incremental closures materialised on first edit, and
-/// the last-reported statuses the edit deltas are diffed against. Users
-/// that were never edited are answered by [`analyze_caps`] on their
-/// capability list, as the guard and the advisor answer theirs.
+/// indexes, and an [`Edited`] entry for each user with an edit that did not
+/// fail. Every verdict comes from [`analyze_caps`] on one capability list,
+/// as the guard's and the advisor's do: an edit analyses the edited list
+/// once, a check of an edited user reads the statuses that analysis kept,
+/// and a check of a never-edited user analyses their list and keeps
+/// nothing.
 struct ServeState<'s> {
     schema: &'s Schema,
     config: AnalysisConfig,
@@ -1812,8 +1825,7 @@ struct ServeState<'s> {
     /// sorted vector builds several times faster than a map of per-user
     /// vectors, and it is built before the session answers `ready`.
     reqs_by_user: Vec<(&'s UserName, usize)>,
-    resident: std::collections::BTreeMap<UserName, IncrementalUser>,
-    last: std::collections::BTreeMap<UserName, Vec<(usize, ReqStatus)>>,
+    edited: HashMap<&'s UserName, Edited>,
     requests: u64,
     edits: u64,
 }
@@ -1831,8 +1843,7 @@ impl<'s> ServeState<'s> {
             schema,
             config: AnalysisConfig::default(),
             reqs_by_user,
-            resident: std::collections::BTreeMap::new(),
-            last: std::collections::BTreeMap::new(),
+            edited: HashMap::new(),
             requests: 0,
             edits: 0,
         }
@@ -1866,40 +1877,38 @@ impl<'s> ServeState<'s> {
         format!("{obj}\n")
     }
 
-    /// `user`'s run of the index: their requirements in declaration order.
-    fn reqs_of(&self, user: &UserName) -> &[(&'s UserName, usize)] {
+    /// [`analyze_caps`] on `caps` for every requirement naming `user`, in
+    /// declaration order.
+    fn analyze(
+        &self,
+        user: &UserName,
+        caps: &CapabilityList,
+    ) -> Vec<(usize, Result<Verdict, AnalysisError>)> {
         let start = self.reqs_by_user.partition_point(|&(u, _)| u < user);
         let run = &self.reqs_by_user[start..];
-        &run[..run.partition_point(|&(u, _)| u == user)]
+        let run = &run[..run.partition_point(|&(u, _)| u == user)];
+        let reqs: Vec<_> = run
+            .iter()
+            .map(|&(_, i)| self.schema.requirements[i].clone())
+            .collect();
+        let verdicts = analyze_caps(self.schema, caps, &reqs, &self.config);
+        run.iter().map(|&(_, i)| i).zip(verdicts).collect()
     }
 
-    /// Current statuses of every requirement naming `user`, in declaration
-    /// order: read through the maintained incremental closure when the user
-    /// is resident, [`analyze_caps`] on their capability list otherwise.
-    fn statuses(&self, user: &UserName) -> Vec<(usize, ReqStatus)> {
-        let run = self.reqs_of(user);
-        if let Some(inc) = self.resident.get(user) {
-            run.iter()
-                .map(|&(_, i)| {
-                    let v = inc.check(&self.schema.requirements[i]);
-                    (i, ReqStatus::of(&Ok(v)))
-                })
-                .collect()
-        } else {
-            let caps = self
-                .schema
-                .user(user)
-                .expect("`user_named` admits only users of the schema");
-            let reqs: Vec<_> = run
-                .iter()
-                .map(|&(_, i)| self.schema.requirements[i].clone())
-                .collect();
-            let verdicts = analyze_caps(self.schema, caps, &reqs, &self.config);
-            run.iter()
-                .zip(&verdicts)
-                .map(|(&(_, i), v)| (i, ReqStatus::of(v)))
-                .collect()
-        }
+    /// [`ServeState::analyze`]'s statuses, or its first error: an edit keeps
+    /// only a list that analyses cleanly.
+    fn settle(
+        &self,
+        user: &UserName,
+        caps: &CapabilityList,
+    ) -> Result<Vec<(usize, ReqStatus)>, AnalysisError> {
+        self.analyze(user, caps)
+            .into_iter()
+            .map(|(i, v)| match v {
+                Err(e) => Err(e),
+                ok => Ok((i, ReqStatus::of(&ok))),
+            })
+            .collect()
     }
 
     fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
@@ -1913,13 +1922,12 @@ impl<'s> ServeState<'s> {
         Self::field(fields, key).ok_or_else(|| format!("`{op}` needs a `{key}` field"))
     }
 
-    fn user_named(&self, name: &str) -> Result<UserName, String> {
-        let user = UserName::new(name);
-        if self.schema.users.contains_key(&user) {
-            Ok(user)
-        } else {
-            Err(format!("unknown user `{name}`"))
-        }
+    /// The schema's user `name` and their capability list as declared.
+    fn user_named(&self, name: &str) -> Result<(&'s UserName, &'s CapabilityList), String> {
+        self.schema
+            .users
+            .get_key_value(name)
+            .ok_or_else(|| format!("unknown user `{name}`"))
     }
 
     /// Handle one raw request line as read off the wire (line terminator
@@ -1976,24 +1984,31 @@ impl<'s> ServeState<'s> {
         let op = Self::need(&fields, "op", "request")?.to_owned();
         match op.as_str() {
             "check" => {
-                let user = self.user_named(Self::need(&fields, "user", "check")?)?;
-                let statuses = self.statuses(&user);
+                let (user, caps) = self.user_named(Self::need(&fields, "user", "check")?)?;
                 let mut resp = String::from("{\"op\":\"check\",\"user\":");
                 let _ = json::write_string(&mut resp, user.as_str());
                 resp.push_str(",\"verdicts\":");
-                write_verdicts(
-                    &mut resp,
-                    self.schema,
-                    statuses.iter().map(|(i, st)| (*i, st)),
-                );
+                match self.edited.get(user) {
+                    Some(edited) => write_verdicts(
+                        &mut resp,
+                        self.schema,
+                        edited.statuses.iter().map(|(i, st)| (*i, st)),
+                    ),
+                    None => write_verdicts(
+                        &mut resp,
+                        self.schema,
+                        self.analyze(user, caps)
+                            .iter()
+                            .map(|(i, v)| (*i, ReqStatus::of(v))),
+                    ),
+                }
                 resp.push_str("}\n");
-                self.last.insert(user, statuses);
                 Ok((resp, false))
             }
             "grant" | "revoke" => {
-                let user = self.user_named(Self::need(&fields, "user", &op)?)?;
+                let (user, caps) = self.user_named(Self::need(&fields, "user", &op)?)?;
                 let f: FnRef = Self::need(&fields, "fn", &op)?.parse()?;
-                self.edit(&op, user, &f)
+                self.edit(&op, user, caps, &f)
             }
             "stats" => Ok((self.stats_line(), false)),
             "shutdown" => Ok((self.shutdown_line(), true)),
@@ -2003,76 +2018,78 @@ impl<'s> ServeState<'s> {
         }
     }
 
-    /// Apply one grant/revoke: materialise the user's incremental state if
-    /// this is their first edit, establish the delta baseline, run the
-    /// edit, and report only the verdicts that changed.
-    fn edit(&mut self, op: &str, user: UserName, f: &FnRef) -> Result<(String, bool), String> {
-        if !self.resident.contains_key(&user) {
-            let inc = IncrementalUser::new(self.schema, &user, &self.config)
-                .map_err(|e| format!("cannot materialise `{}`: {e}", user.as_str()))?;
-            self.resident.insert(user.clone(), inc);
+    /// Apply one grant/revoke to a copy of the user's list, analyse it once,
+    /// and report only the verdicts that changed against the kept statuses
+    /// — on the user's first edit, those of `declared`, their list as the
+    /// schema declares it. Transactional: granting a function the schema
+    /// does not define, or an analysis error on either list, answers an
+    /// error and keeps nothing.
+    fn edit(
+        &mut self,
+        op: &str,
+        user: &'s UserName,
+        declared: &CapabilityList,
+        f: &FnRef,
+    ) -> Result<(String, bool), String> {
+        let grant = op == "grant";
+        // `analyze_caps` unfolds only what some requirement reaches, so it
+        // would accept an undefined function on a list no requirement
+        // reaches.
+        if grant && fn_ref_arity(self.schema, f).is_none() {
+            return Err(format!(
+                "{op} {f} failed: `{f}` does not exist in the schema"
+            ));
         }
-        // The delta baseline is what this session last reported for the
-        // user — computed now, pre-edit, if they were never checked.
-        if !self.last.contains_key(&user) {
-            let base = self.statuses(&user);
-            self.last.insert(user.clone(), base);
-        }
-        let inc = self.resident.get_mut(&user).expect("resident just ensured");
-        let outcome = match op {
-            "grant" => inc.grant(self.schema, f),
-            _ => inc.revoke(self.schema, f),
-        }
-        .map_err(|e| format!("{op} {f} failed: {e}"))?;
-        if outcome.changed {
-            self.edits += 1;
-        }
-        let terms = inc.closure().len();
-        let now = self.statuses(&user);
-        let before = self.last.get(&user).expect("baseline just ensured");
-        let deltas = now
-            .iter()
-            .filter(|(i, st)| {
-                before
-                    .iter()
-                    .find(|(j, _)| j == i)
-                    .is_none_or(|(_, old)| old != st)
-            })
-            .map(|(i, st)| (*i, st));
+        let failed = |e: AnalysisError| format!("{op} {f} failed: {e}");
+        let first;
+        let before = match self.edited.get(user) {
+            Some(edited) => edited,
+            None => {
+                first = Edited {
+                    statuses: self.settle(user, declared).map_err(failed)?,
+                    caps: declared.clone(),
+                };
+                &first
+            }
+        };
+        let mut caps = before.caps.clone();
+        let changed = if grant {
+            caps.grant(f.clone())
+        } else {
+            caps.revoke(f)
+        };
+        let statuses = if changed {
+            self.settle(user, &caps).map_err(failed)?
+        } else {
+            before.statuses.clone()
+        };
         let mut resp = String::from("{\"op\":");
         let _ = json::write_string(&mut resp, op);
         resp.push_str(",\"user\":");
         let _ = json::write_string(&mut resp, user.as_str());
         resp.push_str(",\"fn\":");
         let _ = json::write_display(&mut resp, f);
-        let _ = write!(
-            resp,
-            ",\"changed\":{},\"deleted\":{},\"survivors\":{},\"rederived\":{},\
-             \"terms\":{terms},\"deltas\":",
-            outcome.changed, outcome.deleted, outcome.survivors, outcome.rederived
-        );
+        let _ = write!(resp, ",\"changed\":{changed},\"deltas\":");
+        // Both are the user's requirements in declaration order.
+        let deltas = statuses
+            .iter()
+            .zip(&before.statuses)
+            .filter(|(now, was)| now != was)
+            .map(|((i, st), _)| (*i, st));
         write_verdicts(&mut resp, self.schema, deltas);
         resp.push_str("}\n");
-        self.last.insert(user, now);
+        self.edits += u64::from(changed);
+        self.edited.insert(user, Edited { caps, statuses });
         Ok((resp, false))
     }
 
     fn stats_line(&self) -> String {
-        let resident_terms: u64 = self
-            .resident
-            .values()
-            .map(|i| i.closure().len() as u64)
-            .sum();
         let obj = Json::Obj(vec![(
             "stats".to_owned(),
             Json::Obj(vec![
                 ("requests".to_owned(), Json::count(self.requests)),
                 ("edits".to_owned(), Json::count(self.edits)),
-                (
-                    "resident".to_owned(),
-                    Json::count(self.resident.len() as u64),
-                ),
-                ("resident_terms".to_owned(), Json::count(resident_terms)),
+                ("resident".to_owned(), Json::count(self.edited.len() as u64)),
             ]),
         )]);
         format!("{obj}\n")
@@ -3572,7 +3589,7 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // serve — the resident incremental session
+    // serve — the resident session
     // -----------------------------------------------------------------
 
     #[test]
@@ -3598,6 +3615,14 @@ mod tests {
             .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("bad NDJSON line `{l}`: {e}")))
             .collect();
         (lines, code)
+    }
+
+    /// The keys of a JSON object, in order.
+    fn keys(obj: &Json) -> Vec<&str> {
+        match obj {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("not an object: {obj}"),
+        }
     }
 
     fn delta_statuses(obj: &Json, key: &str) -> Vec<(u64, String)> {
@@ -3637,10 +3662,15 @@ mod tests {
         );
 
         // Revoking w_budget makes clerk identical to safe_clerk: the
-        // verdict flips, and the flip is the only delta reported.
+        // verdict flips, and the flip is the only delta reported. An edit
+        // response carries the edit and its deltas, nothing else.
         let revoke = &lines[2];
+        assert_eq!(
+            keys(revoke),
+            ["op", "user", "fn", "changed", "deltas"],
+            "{revoke}"
+        );
         assert_eq!(revoke.get("changed"), Some(&Json::Bool(true)));
-        assert!(revoke.get("deleted").and_then(Json::as_u64).unwrap() > 0);
         assert_eq!(
             delta_statuses(revoke, "deltas"),
             vec![(0, "satisfied".to_owned())]
@@ -3656,10 +3686,11 @@ mod tests {
         let delta = &grant.get("deltas").and_then(Json::as_arr).unwrap()[0];
         assert!(delta.get("occurrences").and_then(Json::as_u64).unwrap() > 0);
 
-        let stats = lines[4].get("stats").expect("stats record");
-        assert_eq!(stats.get("resident").and_then(Json::as_u64), Some(1));
-        assert!(stats.get("resident_terms").and_then(Json::as_u64).unwrap() > 0);
-        assert!(stats.get("cache").is_none());
+        // One user was edited; serve keeps no closure and no cache.
+        assert_eq!(
+            lines[4].to_string(),
+            r#"{"stats":{"requests":4,"edits":2,"resident":1}}"#
+        );
 
         let shutdown = lines[5].get("shutdown").expect("shutdown record");
         assert_eq!(shutdown.get("requests").and_then(Json::as_u64), Some(5));
@@ -3711,6 +3742,81 @@ mod tests {
             vec![(0, "violated".to_owned())]
         );
         assert!(lines[8].get("shutdown").is_some());
+    }
+
+    /// One request through `state`, answered by one JSON line.
+    fn ask(state: &mut ServeState<'_>, line: &str) -> Json {
+        let (resp, done) = state.handle(line.as_bytes());
+        assert!(!done && resp.ends_with('\n') && resp.matches('\n').count() == 1);
+        Json::parse(&resp).unwrap_or_else(|e| panic!("`{resp}`: {e}"))
+    }
+
+    #[test]
+    fn a_failed_edit_answers_one_error_and_changes_nothing() {
+        // clerk's demand slice fits in 100 terms; `audit` adds four
+        // `r_salary` occurrences, and a list holding it does not fit.
+        const BUDGETED: &str = r#"
+            class Broker { salary: int, budget: int }
+            fn checkBudget(b: Broker): bool { r_budget(b) >= r_salary(b) }
+            fn audit(b: Broker): int { r_salary(b) + r_salary(b) + r_salary(b) + r_salary(b) }
+            user clerk { checkBudget, w_budget }
+            user temp { checkBudget }
+            user idle { checkBudget }
+            require (clerk, r_salary(x) : ti)
+            require (temp, r_salary(x) : ti)
+        "#;
+        let schema = load_str(BUDGETED).expect("test policy loads");
+        let mut state = ServeState::new(&schema);
+        state.config.term_limit = 100;
+        let is_error = |resp: &Json, request: u64| {
+            keys(resp) == ["error", "request"]
+                && resp.get("request").and_then(Json::as_u64) == Some(request)
+        };
+
+        let revoke = ask(
+            &mut state,
+            r#"{"op":"revoke","user":"clerk","fn":"w_budget"}"#,
+        );
+        assert_eq!(
+            delta_statuses(&revoke, "deltas"),
+            vec![(0, "satisfied".to_owned())]
+        );
+        // Over the budget: one error line, and clerk keeps the list and
+        // the verdicts of the revoke.
+        let grant = ask(&mut state, r#"{"op":"grant","user":"clerk","fn":"audit"}"#);
+        assert!(is_error(&grant, 2), "{grant}");
+        let msg = grant.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains("budget of 100 terms"), "{msg}");
+        let check = ask(&mut state, r#"{"op":"check","user":"clerk"}"#);
+        assert_eq!(
+            delta_statuses(&check, "verdicts"),
+            vec![(0, "satisfied".to_owned())]
+        );
+        // A first edit that fails leaves its user unedited. So does a grant
+        // of a function the schema lacks, even to a user with no
+        // requirements, whose analysis would unfold nothing.
+        let grant = ask(&mut state, r#"{"op":"grant","user":"temp","fn":"audit"}"#);
+        assert!(is_error(&grant, 4), "{grant}");
+        let grant = ask(&mut state, r#"{"op":"grant","user":"idle","fn":"p9"}"#);
+        assert!(is_error(&grant, 5), "{grant}");
+        assert_eq!(
+            ask(&mut state, r#"{"op":"stats"}"#).to_string(),
+            r#"{"stats":{"requests":6,"edits":1,"resident":1}}"#
+        );
+        // The next edit diffs against the verdicts kept before the failure.
+        let grant = ask(
+            &mut state,
+            r#"{"op":"grant","user":"clerk","fn":"w_budget"}"#,
+        );
+        assert_eq!(grant.get("changed"), Some(&Json::Bool(true)));
+        assert_eq!(
+            delta_statuses(&grant, "deltas"),
+            vec![(0, "violated".to_owned())]
+        );
+        assert_eq!(state.edits, 2);
+        let clerk = &state.edited[&UserName::new("clerk")];
+        assert_eq!(Some(&clerk.caps), schema.user_str("clerk"));
+        assert_eq!(state.edited.len(), 1);
     }
 
     #[test]

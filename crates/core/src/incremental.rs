@@ -1,9 +1,15 @@
 //! Incremental maintenance of one user's closure under capability edits.
 //!
-//! A resident analysis process (`secflow serve`) sees a stream of `grant` /
-//! `revoke` edits against capability lists whose closures are large. Running
-//! `A(R)` from scratch after every edit costs time proportional to the
-//! *closure*; this module makes an edit cost time proportional to the *edit*:
+//! No `secflow` command runs this module. `secflow serve` answers an edit
+//! by running [`analyze_caps`](crate::algorithm::analyze_caps) on the
+//! edited list: the demand slice of one list costs less than maintaining
+//! its whole proof-carrying closure on every edit-trace workload measured,
+//! dense equality cores included. The module stays only because the
+//! repository benchmark's traced replay (`perfbench`) still mirrors `serve`
+//! edits with [`IncrementalUser`].
+//!
+//! Maintenance makes an edit cost time proportional to the *edit* rather
+//! than the closure:
 //!
 //! * **Grant** is the easy direction — the inference system is monotone, so
 //!   every old term survives (translated into the new id space) and the new
@@ -40,8 +46,7 @@
 //!
 //! The result is asserted byte-identical (as a term *set* — insertion order
 //! legitimately differs) to a from-scratch recompute by the differential
-//! suite (`tests/incremental_differential.rs`) and per-row by the
-//! `incremental` bench experiment.
+//! suite (`tests/incremental_differential.rs`).
 //!
 //! ## Canonical witnesses
 //!
@@ -89,8 +94,8 @@ impl CapabilityView for CanonicalView<'_> {
     }
 }
 
-/// What an edit did to the maintained closure (telemetry for `serve`
-/// responses and the bench harness).
+/// What an edit did to the maintained closure (telemetry for the
+/// benchmark's traced replay).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EditOutcome {
     /// Did the edit change the capability list at all? `false` for granting
@@ -169,7 +174,7 @@ impl IncrementalUser {
 
     /// Check a requirement against the maintained closure through
     /// [`CanonicalView`]. The requirement must target this user (routing is
-    /// the caller's job — `serve` keys sessions by user name).
+    /// the caller's job).
     pub fn check(&self, req: &Requirement) -> Verdict {
         debug_assert_eq!(&req.user, &self.user, "requirement routed to wrong user");
         let occs = occurrences(&self.prog, &req.target);

@@ -27,9 +27,11 @@
 //! * [`algorithm`] — `A(R)` (§4.1 Definition 6): a requirement `R` is
 //!   *not satisfied* iff some occurrence of its target function carries all
 //!   the specified capability terms in the closure.
-//! * [`incremental`] — incremental maintenance: grant/revoke edits update a
-//!   user's closure in time proportional to the edit (proof-guided
-//!   retraction + warm-restart saturation) instead of the closure.
+//! * [`incremental`] — incremental maintenance of one user's proof-carrying
+//!   closure under grant/revoke edits (proof-guided retraction +
+//!   warm-restart saturation). No command runs it: `secflow serve` edits
+//!   through [`algorithm::analyze_caps`]. It stays for the repository
+//!   benchmark's traced replay.
 //! * [`demand`] — the demand-driven mode: a conservative relevance slice
 //!   over `S'(F)` plus goal tracking, so the engine derives only what the
 //!   verdict can observe and stops as soon as every occurrence is decided.

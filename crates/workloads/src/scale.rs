@@ -568,7 +568,7 @@ pub enum EditOp {
     Revoke(FnRef),
 }
 
-/// An edit-trace case for the incremental-maintenance experiment: a
+/// An edit-trace case for the incremental differential suite: a
 /// [`wide_grants`]-shaped schema whose user `u` starts with `width` granted
 /// probes out of a larger pool, plus a deterministic script of small
 /// grant/revoke edits to replay against the closure.
@@ -588,8 +588,7 @@ pub struct EditTraceCase {
 /// `edits` single-function toggles drawn uniformly over the pool, with an
 /// occasional `w_a0` toggle (1 in 8) so verdicts flip mid-trace. Each edit
 /// adds or removes one small probe against a closure that scales with
-/// `width` — the regime where incremental maintenance should beat a
-/// from-scratch recompute by a wide margin.
+/// `width`.
 pub fn edit_trace(width: usize, edits: usize, seed: u64) -> EditTraceCase {
     edit_trace_with_core(width, 0, edits, seed)
 }
@@ -600,8 +599,7 @@ pub fn edit_trace(width: usize, edits: usize, seed: u64) -> EditTraceCase {
 /// `=`-cliques with `O(core²)` equality edges and the transfer storm on
 /// top. The edit script still only toggles the small probes — small edits
 /// against a closure whose from-scratch saturation is dominated by rule
-/// re-attempts the maintenance path never pays again. This is the headline
-/// family of the `incremental` experiment.
+/// re-attempts the maintenance path never pays again.
 pub fn edit_trace_dense(width: usize, core: usize, edits: usize, seed: u64) -> EditTraceCase {
     edit_trace_with_core(width, core, edits, seed)
 }

@@ -943,10 +943,9 @@ impl ServeModel {
                 Ok(())
             }
             ServeRequest::Edit(op, user, f) => {
-                // The session materialises the user before it applies the
-                // edit, and diffs against the pre-edit statuses if it never
-                // reported any.
-                self.resident.insert(user.clone());
+                // The session diffs against the pre-edit statuses if it
+                // never reported any. A failed edit keeps nothing; any other
+                // makes the user resident.
                 let before = match self.last.get(user) {
                     Some(rows) => rows.clone(),
                     None => self.statuses(user),
@@ -955,6 +954,7 @@ impl ServeModel {
                     self.last.insert(user.clone(), before);
                     return error(self);
                 }
+                self.resident.insert(user.clone());
                 let caps = self.schema.users.get_mut(&UserName::new(user)).unwrap();
                 let fn_ref: oodb_model::FnRef = f.parse().unwrap();
                 let changed = if *op == "grant" {
@@ -987,7 +987,7 @@ impl ServeModel {
                 if count("requests") != Some(self.requests)
                     || count("edits") != Some(self.edits)
                     || count("resident") != Some(self.resident.len() as u64)
-                    || count("resident_terms").is_none()
+                    || stats.get("resident_terms").is_some()
                     || stats.get("cache").is_some()
                 {
                     return Err("stats disagree with the model".into());
@@ -1057,9 +1057,9 @@ proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
     /// Random scripts of checks, grants, revokes, unknown names, malformed
-    /// and blank lines: never-edited users (`analyze_caps`) and resident
-    /// ones (`IncrementalUser`) both answer what `RefClosure` does on the
-    /// edited policy.
+    /// and blank lines: never-edited users (analysed on each check) and
+    /// edited ones (answered from the statuses their last edit kept) both
+    /// answer what `RefClosure` does on the edited policy.
     #[test]
     fn random_serve_scripts_agree_with_the_oracle(
         draws in proptest::collection::vec((0u32..100, 0usize..80, 0usize..24), 1..41)
@@ -1067,6 +1067,110 @@ proptest::proptest! {
         let script: Vec<ServeRequest> = draws.into_iter().map(ServeRequest::from_draw).collect();
         let verdict = serve_script_agrees_with_the_oracle(&script);
         proptest::prop_assert!(verdict.is_ok(), "{}\nscript: {:#?}", verdict.unwrap_err(), script);
+    }
+}
+
+/// One draw of a [`serve_agrees_with_check_on_the_edited_policy`] script,
+/// `(kind, user, fn)`: kinds 0–7 grant (even) or revoke (odd) one function,
+/// and kinds 8–9 return the user to their declared list, one edit per
+/// function that differs. Half the user draws land on `u0`–`u7`.
+type EditDraw = (u32, usize, usize);
+
+/// `serve`'s verdicts after the edits `draws` describe, one row set per
+/// user from a final check of every user, and the policy with the same
+/// edits applied, as `fmt` prints it.
+fn serve_after_edits(draws: &[EditDraw]) -> (Vec<Vec<StatusRow>>, String) {
+    use oodb_model::{FnRef, UserName};
+    use secflow_obs::Json;
+    let schema = secflow_cli::load_str(&many_user_policy()).unwrap();
+    let mut edited = schema.clone();
+    let mut script = Vec::new();
+    for &(kind, u, f) in draws {
+        let user = UserName::new(format!("u{}", if u < 40 { u % 8 } else { u - 40 }));
+        let now = &edited.users[&user];
+        let edits: Vec<(bool, FnRef)> = if kind < 8 {
+            let f = match f {
+                0..=7 => FnRef::access(format!("p{f}")),
+                8..=15 => FnRef::read(format!("a{}", f - 8)),
+                _ => FnRef::write(format!("a{}", f - 16)),
+            };
+            vec![(kind % 2 == 0, f)]
+        } else {
+            let declared = &schema.users[&user];
+            let revokes = now.iter().filter(|f| !declared.allows(f));
+            let grants = declared.iter().filter(|f| !now.allows(f));
+            revokes
+                .map(|f| (false, f.clone()))
+                .chain(grants.map(|f| (true, f.clone())))
+                .collect()
+        };
+        for (grant, f) in edits {
+            let caps = edited.users.get_mut(&user).unwrap();
+            let op = if grant {
+                caps.grant(f.clone());
+                "grant"
+            } else {
+                caps.revoke(&f);
+                "revoke"
+            };
+            script.push(format!(r#"{{"op":"{op}","user":"{user}","fn":"{f}"}}"#));
+        }
+    }
+    let edits = script.len();
+    script.extend((0..40).map(|n| format!(r#"{{"op":"check","user":"u{n}"}}"#)));
+    let (out, code) = secflow_cli::serve_session(&schema, &script);
+    assert_eq!(code, secflow_cli::exit::OK);
+    let lines: Vec<Json> = out.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(
+        lines.len(),
+        script.len() + 2,
+        "ready + responses + shutdown"
+    );
+    for (req, resp) in script.iter().zip(&lines[1..=edits]) {
+        assert!(resp.get("changed").is_some(), "{req} -> {resp}");
+    }
+    let checks = lines[edits + 1..=script.len()]
+        .iter()
+        .map(|resp| status_rows(resp, "verdicts").unwrap())
+        .collect();
+    (checks, edited.to_string())
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+    /// After random grants, revokes and restores of users' declared lists,
+    /// `serve` answers what `check --stream --format=ndjson` answers on the
+    /// policy with the same edits applied, printed as `fmt` prints it: equal
+    /// `(requirement, status, occurrences)` rows for every user.
+    #[test]
+    fn serve_agrees_with_check_on_the_edited_policy(
+        draws in proptest::collection::vec((0u32..10, 0usize..80, 0usize..24), 0..25)
+    ) {
+        use secflow_obs::Json;
+        let (served, printed) = serve_after_edits(&draws);
+        let cmd = Command::Check {
+            file: "edited.sfl".into(),
+            explain: false,
+            jobs: 1,
+            certify: false,
+            stream: true,
+            ndjson: true,
+        };
+        let (out, code) = secflow_cli::run_on_source(&cmd, &printed);
+        proptest::prop_assert!(code <= 1, "exit {}: {}", code, out);
+        let mut checked: Vec<Vec<StatusRow>> = vec![Vec::new(); 40];
+        for line in out.lines() {
+            let record = Json::parse(line).unwrap();
+            let Some(user) = record.get("user").and_then(Json::as_str) else {
+                continue;
+            };
+            let n: usize = user.strip_prefix('u').unwrap().parse().unwrap();
+            checked[n] = status_rows(&record, "verdicts").unwrap();
+        }
+        for (n, (serve, check)) in served.iter().zip(&checked).enumerate() {
+            proptest::prop_assert_eq!(serve, check, "u{}\n{}", n, printed);
+        }
     }
 }
 
